@@ -11,8 +11,12 @@ and peak RSS, in both metrics modes:
 
 Each measurement runs in a fresh subprocess so peak RSS (``ru_maxrss``) and
 GC state describe that run alone.  Results are written to
-``BENCH_serving_perf.json`` at the repo root — CI uploads it as an artifact
-and the committed copy records the perf trajectory.
+``BENCH_serving_perf.json`` at the repo root only on a deliberate
+re-measure (``--refresh-seed``, ``RUN_PERF_SWEEP=1`` or ``RUN_PERF_1M=1``);
+a plain run checks the floors and fidelity pins without touching the
+committed copy.  CI's perf-smoke job sets ``RUN_PERF_SWEEP=1`` and uploads
+the refreshed file as an artifact; the committed copy records the perf
+trajectory.
 
 Reference floors live in the committed JSON, not in this file: the
 ``seed`` section records the pre-optimization engine's rate and exact
@@ -129,7 +133,12 @@ def _load_doc() -> dict:
         return json.load(handle)
 
 
-def _write_doc(doc: dict) -> None:
+def _write_doc(doc: dict, refresh_seed: bool) -> None:
+    """Rewrite the committed JSON, but only on a deliberate re-measure, so
+    a plain test run leaves the working tree clean."""
+    if not (refresh_seed or os.environ.get("RUN_PERF_SWEEP") == "1"
+            or os.environ.get("RUN_PERF_1M") == "1"):
+        return
     with open(BENCH_JSON, "w") as handle:
         json.dump(doc, handle, indent=1, sort_keys=True)
         handle.write("\n")
@@ -162,10 +171,11 @@ def _refresh_seed_floor(doc: dict, scale: str) -> None:
         "peak_rss_mib": round(report["peak_rss_mib"], 2),
         "makespan_s": report["makespan_s"],
     }
-    _write_doc(doc)
+    _write_doc(doc, refresh_seed=True)
 
 
-def _merge_results(doc: dict, scale: str, results: dict) -> dict:
+def _merge_results(doc: dict, scale: str, results: dict,
+                   refresh_seed: bool) -> dict:
     """Fold one scale's measurements into ``BENCH_serving_perf.json``,
     preserving every other section (committed 1M numbers survive a CI run
     that only re-measures 100k; the ``sweep`` and ``pricing_cache``
@@ -176,7 +186,7 @@ def _merge_results(doc: dict, scale: str, results: dict) -> dict:
     doc.setdefault("speedup_x", {})[scale] = {
         mode: round(report["requests_per_s"] / seed["requests_per_s"], 2)
         for mode, report in results.items()}
-    _write_doc(doc)
+    _write_doc(doc, refresh_seed)
     return doc
 
 
@@ -187,7 +197,7 @@ def _check_scale(scale: str, refresh_seed: bool) -> dict:
     seed = doc["seed"][scale]
     n = int(scale)
     results = {mode: _measure(n, mode) for mode in ("full", "streaming")}
-    doc = _merge_results(doc, scale, results)
+    doc = _merge_results(doc, scale, results, refresh_seed)
 
     # the optimized engine must simulate the same system, bit for bit:
     # any speed is worthless if the simulated clock drifts
@@ -246,7 +256,7 @@ def _sweep_spec(num_requests: int) -> dict:
     }
 
 
-def test_sweep_scaling():
+def test_sweep_scaling(refresh_seed):
     """Fan the pinned 8-config sweep over a process pool.
 
     Always: every parallel worker count reproduces the serial summaries
@@ -301,7 +311,7 @@ def test_sweep_scaling():
 
     doc = _load_doc()
     doc["sweep"] = section
-    _write_doc(doc)
+    _write_doc(doc, refresh_seed)
 
     if full_ladder and cpus >= 4:
         speedup4 = section["workers"]["4"]["speedup_x"]
@@ -315,7 +325,7 @@ def test_sweep_scaling():
 # persistent pricing cache
 
 
-def test_pricing_cache_warm_vs_cold(tmp_path):
+def test_pricing_cache_warm_vs_cold(tmp_path, refresh_seed):
     """A warm on-disk pricing cache must beat a cold run, bit-identically.
 
     ``context_bucket=1`` disables context bucketing so the memo tables
@@ -363,4 +373,4 @@ def test_pricing_cache_warm_vs_cold(tmp_path):
         "speedup_x": round(cold_wall / warm_wall, 2),
         "entries_loaded": warm_stats["loaded"],
     }
-    _write_doc(doc)
+    _write_doc(doc, refresh_seed)

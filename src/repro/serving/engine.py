@@ -49,9 +49,9 @@ decode-capable instance, which pays its own swap-in at admission —
 capacity, fragmentation and transfer-time accounting all ride the existing
 swap machinery.
 
-The discrete-event loop reuses the heap/sequence-counter idiom of
-:mod:`repro.dataflow.engine`: a single time-ordered event heap over request
-arrivals and per-instance step completions, so results are exact and
+The discrete-event loop lazy-merges the sorted arrival stream with a
+:class:`~repro.serving.events.BucketedEventQueue` of step completions and
+handoff arrivals, ordered by ``(time, seq)``, so results are exact and
 reproducible (no wall-clock time).
 
 Units, throughout this module: timestamps and durations are **seconds** on
@@ -65,7 +65,8 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from operator import attrgetter
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.core.pricing_cache import (
@@ -130,18 +131,6 @@ def _is_arrival_sorted(requests: List[Request]) -> bool:
             return False
         prev_arrival = arrival
         prev_id = request.request_id
-    return True
-
-
-def _is_id_sorted(records: List["ServedRequest"]) -> bool:
-    """True when completion order already equals id order (common for
-    near-FIFO runs), so the final record sort can be skipped."""
-    prev = -1
-    for record in records:
-        rid = record.request_id
-        if rid < prev:
-            return False
-        prev = rid
     return True
 
 
@@ -705,7 +694,6 @@ class TokenServingEngine:
             # StreamingTrace is re-iterable by contract, so this pass does
             # not consume the engine's arrival stream
             router.prepare(runtimes, trace)
-        stats = InstanceStats()
         # two-level bucketed queue (near-future ring + far heap); pops
         # come out in exactly heapq's (time, seq) order, so the replay
         # is bit-identical to the old global heap
@@ -784,15 +772,8 @@ class TokenServingEngine:
                     handoffs=state.handoffs,
                 ))
 
-        # single-class non-paged pools take the straight-line path in the
-        # main loop: a completed step only ever re-dispatches its own
-        # instance, so the pump/dispatch closures are inlined out of the
-        # hot loop
-        fast_completer = (not multi_class and not self._paged
-                          and not has_roles)
-
         # ---- idle-gap fold horizon ---------------------------------------
-        # In the fast regime with no KV admission gate anywhere (every
+        # On a single-class pool with no KV admission gate anywhere (every
         # runtime ``_admits_all``) and a materialized trace, an arrival
         # that lands while some *other* instance is idle is absorbed by
         # that instance the moment it arrives (the arrival pump offers
@@ -806,8 +787,8 @@ class TokenServingEngine:
         # gaps; timestamps are unchanged because the fold still walks
         # boundary by boundary, it just stops later.
         horizon_fn: Optional[Callable[[InstanceRuntime], float]] = None
-        if (fast_completer and self.multistep and not streaming_trace
-                and self._protos[0][2] is None):
+        if (not multi_class and not self._paged and self.multistep
+                and not streaming_trace and self._protos[0][2] is None):
             fold_requests: List[Request] = requests
             num_fold_requests = len(fold_requests)
 
@@ -828,7 +809,7 @@ class TokenServingEngine:
             horizon_fn = _fold_horizon
 
         def dispatch(runtime: InstanceRuntime, now: float) -> None:
-            launch = runtime.dispatch(scheduler, now, stats, gate=gate,
+            launch = runtime.dispatch(scheduler, now, gate=gate,
                                       horizon_s=next_arrival_t,
                                       horizon_fn=horizon_fn)
             if launch is not None:
@@ -949,22 +930,11 @@ class TokenServingEngine:
                                          payload.request.request_id, now))
             else:
                 runtime = payload[1]
-                for state in runtime.complete_step(payload, now, stats):
+                for state in runtime.complete_step(payload, now):
                     record(state, now)
-                if fast_completer:
-                    launch = runtime.dispatch(scheduler, now, stats, None,
-                                              next_arrival_t,
-                                              horizon_fn=horizon_fn)
-                    if launch is not None:
-                        completes = launch.completes_at_s
-                        if completes is None:
-                            completes = now + launch.duration_s
-                        push_event((completes, next(seq), _STEP_DONE,
-                                    launch.payload))
-                else:
-                    if has_roles:
-                        launch_handoffs(runtime, now)
-                    pump(runtime, now)
+                if has_roles:
+                    launch_handoffs(runtime, now)
+                pump(runtime, now)
                 if sanitizer is not None:
                     sanitize_check(now, ("step-done",
                                          runtime.instance_id, now))
@@ -976,11 +946,8 @@ class TokenServingEngine:
                 "never finished (scheduler head permanently blocked)")
 
         self._save_pricing_caches()
-        if collector is not None:
-            return self._metrics_streaming(collector, runtimes, stats), []
-        if not _is_id_sorted(records):
-            records.sort(key=lambda r: r.request_id)
-        return self._metrics(records, runtimes, stats), records
+        records.sort(key=attrgetter("request_id"))
+        return self._metrics(runtimes, records, collector), records
 
     # ------------------------------------------------------------------
     # metrics assembly
@@ -1002,26 +969,45 @@ class TokenServingEngine:
                            else sum(m.total_blocks for m in managers))
         return kv_block_size, kv_total_blocks
 
-    def _metrics(self, records: List[ServedRequest],
-                 runtimes: List[InstanceRuntime],
-                 stats: InstanceStats) -> ServingMetrics:
-        makespan = max(r.finish_s for r in records)
+    def _metrics(self, runtimes: List[InstanceRuntime],
+                 records: List[ServedRequest],
+                 collector: Optional[StreamingMetricsCollector]
+                 ) -> ServingMetrics:
+        """The run's metrics in either mode: step accounting summed from
+        the runtimes' stats, KV traffic from their pools, and the
+        request-derived fields from the records (full mode) or the
+        collector (streaming mode, per-request lists left empty)."""
+        served: Dict[str, Any]
+        if collector is None:
+            makespan = max(r.finish_s for r in records)
+            served = dict(
+                num_requests=len(records),
+                generated_tokens=sum(r.decode_len for r in records),
+                preemptions=sum(r.preemptions for r in records),
+                queueing_delays_s=[r.queueing_delay_s for r in records],
+                end_to_end_latencies_s=[r.end_to_end_latency_s
+                                        for r in records],
+                service_times_s=[r.service_time_s for r in records],
+                ttfts_s=[r.ttft_s for r in records if r.ttft_s is not None],
+                tpots_s=[r.tpot_s for r in records if r.ttft_s is not None])
+        else:
+            makespan = collector.max_finish_s
+            served = dict(
+                num_requests=collector.count,
+                generated_tokens=collector.generated_tokens,
+                preemptions=collector.preemptions,
+                metrics_mode="streaming",
+                streams=collector.streams(),
+                slo_pin=collector.slo,
+                slo_good_requests=collector.slo_good)
+        stats = InstanceStats.total(r.stats for r in runtimes)
         pool_time = makespan * self.num_instances
         managers = self.last_kv_managers
-        per_class = self._per_class(records, runtimes, makespan)
         kv_block_size, kv_total_blocks = self._kv_pool_shape()
         return ServingMetrics(
-            num_requests=len(records),
             num_instances=self.num_instances,
             num_nodes_per_instance=self.num_nodes_per_instance,
             makespan_s=makespan,
-            generated_tokens=sum(r.decode_len for r in records),
-            queueing_delays_s=[r.queueing_delay_s for r in records],
-            end_to_end_latencies_s=[r.end_to_end_latency_s for r in records],
-            service_times_s=[r.service_time_s for r in records],
-            ttfts_s=[r.ttft_s for r in records if r.ttft_s is not None],
-            tpots_s=[r.tpot_s for r in records if r.ttft_s is not None],
-            preemptions=sum(r.preemptions for r in records),
             policy=self.policy,
             prefill_mode=self.prefill_mode,
             busy_time_s=stats.busy_time,
@@ -1043,8 +1029,8 @@ class TokenServingEngine:
             swap_in_count=sum(m.swap_in_count for m in managers),
             swapped_bytes=sum(m.swapped_bytes_total for m in managers),
             swap_time_s=stats.swap_time_s,
-            handoff_count=sum(r.stats.handoff_out_count for r in runtimes),
-            handoff_time_s=sum(r.stats.handoff_time_s for r in runtimes),
+            handoff_count=stats.handoff_out_count,
+            handoff_time_s=stats.handoff_time_s,
             kv_prefix_sharing=self.kv_prefix_sharing,
             prefix_hits=sum(m.prefix_hits for m in managers),
             prefill_tokens_saved=sum(m.prefix_tokens_reused
@@ -1054,164 +1040,61 @@ class TokenServingEngine:
                                      if stats.busy_time > 0 else 0.0),
             cluster=str(self.cluster),
             router=self.router.name,
-            per_class=per_class,
+            per_class=self._per_class(runtimes, records, collector,
+                                      makespan),
+            **served,
         )
 
-    def _per_class(self, records: List[ServedRequest],
-                   runtimes: List[InstanceRuntime],
+    def _per_class(self, runtimes: List[InstanceRuntime],
+                   records: List[ServedRequest],
+                   collector: Optional[StreamingMetricsCollector],
                    makespan: float) -> List[InstanceClassMetrics]:
-        """Aggregate per-runtime accumulators and records by instance
-        class (spec order).  Records with ``instance_id=None`` never ran on
-        any instance and are excluded."""
+        """Per-class metrics in spec order, request counters drawn like
+        :meth:`_metrics` (streaming keeps the mean TTFT as a count/sum
+        pair).  Records with ``instance_id=None`` belong to no class."""
         by_label: Dict[str, List[InstanceRuntime]] = {}
         for runtime in runtimes:
             by_label.setdefault(runtime.class_label, []).append(runtime)
         out: List[InstanceClassMetrics] = []
         for label, group in by_label.items():
-            ids = {r.instance_id for r in group}
-            class_records = [r for r in records
-                             if r.instance_id is not None
-                             and r.instance_id in ids]
+            served: Dict[str, Any]
+            if collector is None:
+                ids = {r.instance_id for r in group}
+                mine = [r for r in records if r.instance_id in ids]
+                served = dict(
+                    requests=len(mine),
+                    generated_tokens=sum(r.decode_len for r in mine),
+                    preemptions=sum(r.preemptions for r in mine),
+                    ttfts_s=[r.ttft_s for r in mine if r.ttft_s is not None],
+                    tpots_s=[r.tpot_s for r in mine if r.ttft_s is not None])
+            else:
+                tally = collector.per_class.get(label, [0, 0, 0, 0, 0.0])
+                served = dict(requests=tally[0], generated_tokens=tally[1],
+                              preemptions=tally[2], ttft_count=tally[3],
+                              ttft_sum_s=tally[4])
+            stats = InstanceStats.total(r.stats for r in group)
+            pools = [r.kv for r in group if r.kv is not None]
             class_time = makespan * len(group)
             out.append(InstanceClassMetrics(
                 label=label,
                 num_instances=len(group),
                 num_nodes=group[0].num_nodes,
                 role=group[0].role,
-                requests=len(class_records),
-                generated_tokens=sum(r.decode_len for r in class_records),
                 makespan_s=makespan,
-                busy_time_s=sum(r.stats.busy_time for r in group),
-                batch_time_s=sum(r.stats.batch_time for r in group),
-                ttfts_s=[r.ttft_s for r in class_records
-                         if r.ttft_s is not None],
-                tpots_s=[r.tpot_s for r in class_records
-                         if r.ttft_s is not None],
-                preemptions=sum(r.preemptions for r in class_records),
-                mean_kv_occupancy=(sum(r.stats.kv_occ_time for r in group)
-                                   / class_time if class_time > 0 else 0.0),
-                peak_kv_occupancy=max(
-                    (r.stats.peak_kv_occupancy for r in group), default=0.0),
-                kv_total_blocks=(group[0].kv.total_blocks
-                                 if group[0].kv is not None else 0),
-                swap_out_count=sum(r.kv.swap_out_count for r in group
-                                   if r.kv is not None),
-                swap_in_count=sum(r.kv.swap_in_count for r in group
-                                  if r.kv is not None),
-                prefix_hits=sum(r.kv.prefix_hits for r in group
-                                if r.kv is not None),
-                prefill_tokens_saved=sum(r.kv.prefix_tokens_reused
-                                         for r in group
-                                         if r.kv is not None),
-                handoffs_out=sum(r.stats.handoff_out_count for r in group),
-                handoffs_in=sum(r.stats.handoff_in_count for r in group),
-                handoff_time_s=sum(r.stats.handoff_time_s for r in group),
-            ))
-        return out
-
-    def _metrics_streaming(self, collector: StreamingMetricsCollector,
-                           runtimes: List[InstanceRuntime],
-                           stats: InstanceStats) -> ServingMetrics:
-        """Streaming-mode metrics assembly: counters and step accounting
-        are exact (identical to full mode), latency distributions come as
-        :class:`~repro.serving.metrics.StreamingQuantile` aggregates, and
-        the per-request lists stay empty."""
-        makespan = collector.max_finish_s
-        pool_time = makespan * self.num_instances
-        managers = self.last_kv_managers
-        kv_block_size, kv_total_blocks = self._kv_pool_shape()
-        return ServingMetrics(
-            num_requests=collector.count,
-            num_instances=self.num_instances,
-            num_nodes_per_instance=self.num_nodes_per_instance,
-            makespan_s=makespan,
-            generated_tokens=collector.generated_tokens,
-            preemptions=collector.preemptions,
-            policy=self.policy,
-            prefill_mode=self.prefill_mode,
-            busy_time_s=stats.busy_time,
-            prefill_tokens_processed=stats.prefill_tokens,
-            decode_step_time_s=stats.decode_time,
-            prefill_step_time_s=stats.prefill_time,
-            mixed_step_time_s=stats.mixed_time,
-            kv_mode=self._kv_mode,
-            kv_block_size=kv_block_size,
-            kv_total_blocks=kv_total_blocks,
-            mean_running_batch=(stats.batch_time / pool_time
-                                if pool_time > 0 else 0.0),
-            mean_kv_occupancy=(stats.kv_occ_time / pool_time
-                               if pool_time > 0 else 0.0),
-            peak_kv_occupancy=stats.peak_kv_occupancy,
-            mean_kv_fragmentation=(stats.frag_time / stats.busy_time
-                                   if stats.busy_time > 0 else 0.0),
-            swap_out_count=sum(m.swap_out_count for m in managers),
-            swap_in_count=sum(m.swap_in_count for m in managers),
-            swapped_bytes=sum(m.swapped_bytes_total for m in managers),
-            swap_time_s=stats.swap_time_s,
-            handoff_count=sum(r.stats.handoff_out_count for r in runtimes),
-            handoff_time_s=sum(r.stats.handoff_time_s for r in runtimes),
-            kv_prefix_sharing=self.kv_prefix_sharing,
-            prefix_hits=sum(m.prefix_hits for m in managers),
-            prefill_tokens_saved=sum(m.prefix_tokens_reused
-                                     for m in managers),
-            cow_copies=sum(m.cow_copies for m in managers),
-            mean_kv_shared_fraction=(stats.shared_kv_time / stats.busy_time
-                                     if stats.busy_time > 0 else 0.0),
-            cluster=str(self.cluster),
-            router=self.router.name,
-            per_class=self._per_class_streaming(collector, runtimes,
-                                                makespan),
-            metrics_mode="streaming",
-            streams=collector.streams(),
-            slo_pin=collector.slo,
-            slo_good_requests=collector.slo_good,
-        )
-
-    def _per_class_streaming(self, collector: StreamingMetricsCollector,
-                             runtimes: List[InstanceRuntime],
-                             makespan: float) -> List[InstanceClassMetrics]:
-        """Per-class aggregates without per-request records: request and
-        token counters come from the collector's per-class tallies, the
-        time-weighted accumulators from the per-runtime stats (exactly as
-        in full mode).  Per-class latency *percentiles* are full-fidelity
-        only; the mean TTFT survives via the count/sum pair."""
-        by_label: Dict[str, List[InstanceRuntime]] = {}
-        for runtime in runtimes:
-            by_label.setdefault(runtime.class_label, []).append(runtime)
-        out: List[InstanceClassMetrics] = []
-        for label, group in by_label.items():
-            tally = collector.per_class.get(label, [0, 0, 0, 0, 0.0])
-            class_time = makespan * len(group)
-            out.append(InstanceClassMetrics(
-                label=label,
-                num_instances=len(group),
-                num_nodes=group[0].num_nodes,
-                role=group[0].role,
-                requests=tally[0],
-                generated_tokens=tally[1],
-                makespan_s=makespan,
-                busy_time_s=sum(r.stats.busy_time for r in group),
-                batch_time_s=sum(r.stats.batch_time for r in group),
-                ttft_count=tally[3],
-                ttft_sum_s=tally[4],
-                preemptions=tally[2],
-                mean_kv_occupancy=(sum(r.stats.kv_occ_time for r in group)
-                                   / class_time if class_time > 0 else 0.0),
-                peak_kv_occupancy=max(
-                    (r.stats.peak_kv_occupancy for r in group), default=0.0),
-                kv_total_blocks=(group[0].kv.total_blocks
-                                 if group[0].kv is not None else 0),
-                swap_out_count=sum(r.kv.swap_out_count for r in group
-                                   if r.kv is not None),
-                swap_in_count=sum(r.kv.swap_in_count for r in group
-                                  if r.kv is not None),
-                prefix_hits=sum(r.kv.prefix_hits for r in group
-                                if r.kv is not None),
-                prefill_tokens_saved=sum(r.kv.prefix_tokens_reused
-                                         for r in group
-                                         if r.kv is not None),
-                handoffs_out=sum(r.stats.handoff_out_count for r in group),
-                handoffs_in=sum(r.stats.handoff_in_count for r in group),
-                handoff_time_s=sum(r.stats.handoff_time_s for r in group),
+                busy_time_s=stats.busy_time,
+                batch_time_s=stats.batch_time,
+                mean_kv_occupancy=(stats.kv_occ_time / class_time
+                                   if class_time > 0 else 0.0),
+                peak_kv_occupancy=stats.peak_kv_occupancy,
+                kv_total_blocks=pools[0].total_blocks if pools else 0,
+                swap_out_count=sum(m.swap_out_count for m in pools),
+                swap_in_count=sum(m.swap_in_count for m in pools),
+                prefix_hits=sum(m.prefix_hits for m in pools),
+                prefill_tokens_saved=sum(m.prefix_tokens_reused
+                                         for m in pools),
+                handoffs_out=stats.handoff_out_count,
+                handoffs_in=stats.handoff_in_count,
+                handoff_time_s=stats.handoff_time_s,
+                **served,
             ))
         return out

@@ -29,8 +29,8 @@ positions or blocks per node (KV), bytes summed over nodes (swap traffic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.paged_kv import PagedKVManager
@@ -136,9 +136,11 @@ class RequestState:
 
 @dataclass
 class InstanceStats:
-    """Time-weighted occupancy accumulators for one instance (or, summed,
-    for a whole run — the engine keeps one global instance and one per
-    runtime so per-class metrics come for free)."""
+    """Time-weighted occupancy accumulators of one instance.
+
+    Every :class:`InstanceRuntime` owns one and is its only writer; the
+    engine sums the runtimes' copies once, at run end, into cluster and
+    per-class totals (:meth:`total`)."""
 
     batch_time: float = 0.0      # Σ advancing requests × step seconds
     busy_time: float = 0.0       # Σ step seconds
@@ -151,11 +153,23 @@ class InstanceStats:
     decode_time: float = 0.0     # Σ pure-decode step seconds
     prefill_time: float = 0.0    # Σ pure-prefill step seconds
     mixed_time: float = 0.0      # Σ mixed prefill+decode step seconds
-    # prefill→decode handoffs (disaggregated clusters; accumulated on the
-    # per-runtime stats only — the engine sums runtimes for cluster totals)
+    # prefill→decode handoffs (disaggregated clusters only)
     handoff_out_count: int = 0   # prompts exported to a decode instance
     handoff_in_count: int = 0    # handed-off prompts resumed here
     handoff_time_s: Seconds = 0.0  # Σ PCIe seconds of handoff transfers
+
+    @classmethod
+    def total(cls, parts: Iterable["InstanceStats"]) -> "InstanceStats":
+        """Field-by-field sum of ``parts`` (in iteration order), except
+        ``peak_kv_occupancy``, which is the max."""
+        out = cls()
+        names = [f.name for f in fields(cls) if f.name != "peak_kv_occupancy"]
+        for part in parts:
+            for name in names:
+                setattr(out, name, getattr(out, name) + getattr(part, name))
+            if part.peak_kv_occupancy > out.peak_kv_occupancy:
+                out.peak_kv_occupancy = part.peak_kv_occupancy
+        return out
 
 
 @dataclass
@@ -802,7 +816,6 @@ class InstanceRuntime:
     # step boundary: admission, preemption, step formation
     # ------------------------------------------------------------------
     def dispatch(self, scheduler: SchedulerPolicy, now: float,
-                 stats: InstanceStats,
                  gate: Optional[Callable[["InstanceRuntime", RequestState],
                                          bool]] = None,
                  horizon_s: Optional[Seconds] = None,
@@ -814,10 +827,10 @@ class InstanceRuntime:
         single-class pools): a head the gate rejects is neither admitted
         here nor preempted for — it waits for an instance the router likes.
         Returns the planned step, or None when the batch is empty (the
-        instance goes idle).  Global ``stats`` and the runtime's own
-        :attr:`stats` are both updated, in that order, so whole-run metrics
-        accumulate in the exact event order of the pre-cluster engine while
-        per-class metrics fall out of the per-runtime copies.
+        instance goes idle).  The step's time-weighted accounting (busy,
+        batch, step-kind, swap and KV-occupancy time) lands in this
+        runtime's own :attr:`stats`; the engine sums those across runtimes
+        at run end.
 
         ``horizon_s`` is the next trace arrival's timestamp (None when the
         engine cannot bound it).  With :attr:`allow_multistep` set, a pure
@@ -1077,23 +1090,23 @@ class InstanceRuntime:
                 frag_term = kvm.internal_fragmentation_fraction * duration
                 shared_term = (kvm.shared_block_fraction * duration
                                if kvm.prefix_sharing else 0.0)
-            for acc in (stats, self.stats):
-                if kind_attr == "decode_time":
-                    acc.decode_time += step_duration
-                elif kind_attr == "prefill_time":
-                    acc.prefill_time += step_duration
-                else:
-                    acc.mixed_time += step_duration
-                if pending > 0.0:
-                    acc.swap_time_s += pending
-                acc.batch_time += bd
-                acc.busy_time += duration
-                if kvm is not None:
-                    acc.kv_occ_time += occupancy * duration
-                    acc.frag_time += frag_term
-                    acc.shared_kv_time += shared_term
-                    if occupancy > acc.peak_kv_occupancy:
-                        acc.peak_kv_occupancy = occupancy
+            acc = self.stats
+            if kind_attr == "decode_time":
+                acc.decode_time += step_duration
+            elif kind_attr == "prefill_time":
+                acc.prefill_time += step_duration
+            else:
+                acc.mixed_time += step_duration
+            if pending > 0.0:
+                acc.swap_time_s += pending
+            acc.batch_time += bd
+            acc.busy_time += duration
+            if kvm is not None:
+                acc.kv_occ_time += occupancy * duration
+                acc.frag_time += frag_term
+                acc.shared_kv_time += shared_term
+                if occupancy > acc.peak_kv_occupancy:
+                    acc.peak_kv_occupancy = occupancy
         else:
             # k folded steps: the per-step stat adds collapse to one
             # closed-form add per pricing segment (duration × count).
@@ -1107,15 +1120,13 @@ class InstanceRuntime:
             td = 0.0
             for d_seg, n_seg in ff_segments:
                 td += d_seg * n_seg
-            bd = advancing * td
-            decode_fold = kind_attr == "decode_time"
-            for acc in (stats, self.stats):
-                if decode_fold:
-                    acc.decode_time += td
-                else:
-                    acc.prefill_time += td
-                acc.batch_time += bd
-                acc.busy_time += td
+            acc = self.stats
+            if kind_attr == "decode_time":
+                acc.decode_time += td
+            else:
+                acc.prefill_time += td
+            acc.batch_time += advancing * td
+            acc.busy_time += td
         self.busy = True
         return StepLaunch(duration_s=duration, payload=payload,
                           completes_at_s=completes_at)
@@ -1147,8 +1158,7 @@ class InstanceRuntime:
         else:
             lifecycle.transition(state, "prefill_complete")
 
-    def complete_step(self, payload: Tuple, now: float,
-                      stats: InstanceStats) -> List[RequestState]:
+    def complete_step(self, payload: Tuple, now: float) -> List[RequestState]:
         """Apply one finished step's token bookkeeping and return the
         requests that completed with it (the engine records them)."""
         kind, _, target, chunk = payload
@@ -1175,7 +1185,6 @@ class InstanceRuntime:
                     self._finish(state, finished)
         elif kind == "prefill":
             target.prefill_done += chunk
-            stats.prefill_tokens += chunk
             self.stats.prefill_tokens += chunk
             if target.prefill_len == target.prefill_done:
                 self._num_prefilling -= 1
@@ -1191,7 +1200,6 @@ class InstanceRuntime:
                     self._finish(state, finished)
             for state, tokens in chunks:
                 state.prefill_done += tokens
-                stats.prefill_tokens += tokens
                 self.stats.prefill_tokens += tokens
                 if state.prefill_len == state.prefill_done:
                     self._num_prefilling -= 1

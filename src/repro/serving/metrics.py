@@ -14,8 +14,9 @@ while counters, means and extremes stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
+from dataclasses import dataclass, field, fields
+from typing import (Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING,
+                    Tuple, TypeVar)
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports metrics
     from repro.serving.instance import RequestState
@@ -138,8 +139,42 @@ class StreamingQuantile:
             self._buckets[index] = self._buckets.get(index, 0) + count
 
 
+class _MetricsBase:
+    """What both metrics dataclasses share: the pool time behind every
+    utilization-style ratio and the filtered TPOT view (plain class
+    attributes, not dataclass fields, so neither is compared or
+    constructed)."""
+
+    makespan_s: Seconds
+    num_instances: int
+    tpots_s: List[Optional[Seconds]]
+    #: set by :func:`merge_streaming_metrics` to the parts' summed pool time
+    _pool_time_s: Optional[Seconds] = None
+    _tpot_view: Optional[Tuple[int, List[float]]] = None
+
+    @property
+    def pool_time_s(self) -> Seconds:
+        """``makespan × instances`` for one run; the sum over the parts for
+        merged shards (whose makespan is the max, not the sum)."""
+        if self._pool_time_s is not None:
+            return self._pool_time_s
+        return self.makespan_s * self.num_instances
+
+    def _tpot_values(self) -> List[float]:
+        """The non-``None`` TPOT samples, filtered once per batch of
+        queries: the view is cached against the list length, so a summary
+        asking for several percentiles filters once, while hand-mutated
+        metrics still see fresh data."""
+        cached = self._tpot_view
+        if cached is None or cached[0] != len(self.tpots_s):
+            cached = (len(self.tpots_s),
+                      [t for t in self.tpots_s if t is not None])
+            self._tpot_view = cached
+        return cached[1]
+
+
 @dataclass
-class InstanceClassMetrics:
+class InstanceClassMetrics(_MetricsBase):
     """Aggregate statistics of one instance class inside a cluster run.
 
     A *class* is a group of identical instances (same node count, same KV
@@ -187,25 +222,11 @@ class InstanceClassMetrics:
     handoffs_out: int = 0
     handoffs_in: int = 0
     handoff_time_s: Seconds = 0.0
-    _tpot_view: Optional[Tuple[int, List[float]]] = field(
-        default=None, init=False, repr=False, compare=False)
-
-    def _tpot_values(self) -> List[float]:
-        """The non-``None`` TPOT samples, filtered once per batch of
-        queries: the view is cached against the list length, so a summary
-        asking for several percentiles filters once, while hand-mutated
-        metrics still see fresh data."""
-        cached = self._tpot_view
-        if cached is None or cached[0] != len(self.tpots_s):
-            cached = (len(self.tpots_s),
-                      [t for t in self.tpots_s if t is not None])
-            self._tpot_view = cached
-        return cached[1]
 
     @property
     def utilization(self) -> float:
         """Fraction of this class's instance-time spent executing steps."""
-        capacity = self.makespan_s * self.num_instances
+        capacity = self.pool_time_s
         if capacity <= 0:
             return 0.0
         return self.busy_time_s / capacity
@@ -214,7 +235,7 @@ class InstanceClassMetrics:
     def mean_running_batch(self) -> float:
         """Time-weighted mean co-resident requests per instance of this
         class over the makespan (idle time counts as zero)."""
-        capacity = self.makespan_s * self.num_instances
+        capacity = self.pool_time_s
         if capacity <= 0:
             return 0.0
         return self.batch_time_s / capacity
@@ -235,7 +256,7 @@ class InstanceClassMetrics:
 
 
 @dataclass
-class ServingMetrics:
+class ServingMetrics(_MetricsBase):
     """Aggregate statistics of one serving simulation.
 
     The token-level fields (``ttfts_s``, ``tpots_s``, ``preemptions``) are
@@ -356,8 +377,6 @@ class ServingMetrics:
     slo_pin: Optional[Tuple[float, float]] = None
     #: Requests meeting the pinned SLO pair (streaming mode).
     slo_good_requests: int = 0
-    _tpot_view: Optional[Tuple[int, List[float]]] = field(
-        default=None, init=False, repr=False, compare=False)
     _slo_cache: Optional[Tuple[int, int, float, float, float]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -386,15 +405,16 @@ class ServingMetrics:
     def instance_utilization(self) -> float:
         """Fraction of instance-time spent actually serving requests.
 
-        Engine runs report it as ``busy_time_s / (makespan × instances)``,
-        which is ≤ 1 by construction (steps never overlap on an instance and
-        all finish within the makespan).  The whole-request simulator has no
+        Engine runs report it as ``busy_time_s / pool_time_s`` (``makespan ×
+        instances`` for one run), which is ≤ 1 by construction (steps never
+        overlap on an instance and all finish within the makespan; merged
+        shards sum both sides).  The whole-request simulator has no
         step clock, so it falls back to the per-request service-time estimate;
         that estimate would overstate utilization under preemption (a
         re-queued request's wait is inside its service time), but the
         simulator never preempts, so there it is exact.
         """
-        capacity = self.makespan_s * self.num_instances
+        capacity = self.pool_time_s
         if capacity <= 0:
             return 0.0
         if self.busy_time_s > 0:
@@ -450,17 +470,6 @@ class ServingMetrics:
         if not self.ttfts_s and self.streams is not None:
             return self.streams["ttft"].percentile(fraction)
         return percentile(self.ttfts_s, fraction)
-
-    def _tpot_values(self) -> List[float]:
-        """The non-``None`` TPOT samples, filtered once per batch of
-        queries (cached against the list length, so one summary's several
-        percentile calls share a single filtering pass)."""
-        cached = self._tpot_view
-        if cached is None or cached[0] != len(self.tpots_s):
-            cached = (len(self.tpots_s),
-                      [t for t in self.tpots_s if t is not None])
-            self._tpot_view = cached
-        return cached[1]
 
     def tpot_percentile_s(self, fraction: float) -> Seconds:
         """Time-per-output-token percentile (mean inter-token gap after the
@@ -704,6 +713,99 @@ class StreamingMetricsCollector:
                 "tpot": self.tpot}
 
 
+#: How :func:`merge_streaming_metrics` recombines each field across parts:
+#: ``first`` — configuration every part must agree on (a mismatch raises;
+#: the per-request lists are empty in streaming mode); ``sum`` / ``max`` —
+#: counters and accumulated times / extremes (``makespan_s`` is the max:
+#: shards share the t=0 origin); ``pool`` / ``busy`` — means over
+#: instance-time or busy time, recombined as Σ (mean × weight) / Σ weight;
+#: ``streams`` — lossless histogram merge; ``per_class`` — the class table
+#: applied class by class (classes pair up by ``label``).
+_SERVING_MERGE: Dict[str, str] = {name: rule for rule, names in {
+    "first": "num_instances num_nodes_per_instance policy prefill_mode "
+             "kv_mode kv_block_size kv_total_blocks kv_prefix_sharing "
+             "cluster router metrics_mode slo_pin queueing_delays_s "
+             "end_to_end_latencies_s service_times_s ttfts_s tpots_s",
+    "sum": "num_requests generated_tokens preemptions busy_time_s "
+           "prefill_tokens_processed decode_step_time_s prefill_step_time_s "
+           "mixed_step_time_s swap_out_count swap_in_count swapped_bytes "
+           "swap_time_s handoff_count handoff_time_s prefix_hits "
+           "prefill_tokens_saved cow_copies slo_good_requests",
+    "max": "makespan_s peak_kv_occupancy",
+    "pool": "mean_running_batch mean_kv_occupancy",
+    "busy": "mean_kv_fragmentation mean_kv_shared_fraction",
+    "streams": "streams",
+    "per_class": "per_class",
+}.items() for name in names.split()}
+_CLASS_MERGE: Dict[str, str] = {name: rule for rule, names in {
+    "first": "label num_instances num_nodes role kv_total_blocks "
+             "ttfts_s tpots_s",
+    "sum": "requests generated_tokens busy_time_s batch_time_s ttft_count "
+           "ttft_sum_s preemptions swap_out_count swap_in_count prefix_hits "
+           "prefill_tokens_saved handoffs_out handoffs_in handoff_time_s",
+    "max": "makespan_s peak_kv_occupancy",
+    "pool": "mean_kv_occupancy",
+}.items() for name in names.split()}
+
+_Merged = TypeVar("_Merged", ServingMetrics, InstanceClassMetrics)
+
+
+def _merge_fields(parts: Sequence[_Merged],
+                  rules: Mapping[str, str]) -> _Merged:
+    """Apply ``rules`` field by field; the result covers the parts' summed
+    pool time, so utilization-style properties stay Σ quantity / Σ pool."""
+    pools = [p.pool_time_s for p in parts]
+    busies = [p.busy_time_s for p in parts]
+    total_pool, total_busy = sum(pools), sum(busies)
+    values: Dict[str, Any] = {}
+    for f in fields(parts[0]):
+        if not f.init:
+            continue
+        rule = rules[f.name]
+        column = [getattr(p, f.name) for p in parts]
+        if rule == "first":
+            for value in column[1:]:
+                if value != column[0]:
+                    raise ValueError(
+                        "cannot merge streaming metrics from different "
+                        f"engine configurations: {f.name} is "
+                        f"{column[0]!r} in the first part, {value!r} in "
+                        "another")
+            values[f.name] = column[0]
+        elif rule == "sum":
+            values[f.name] = sum(column)
+        elif rule == "max":
+            values[f.name] = max(column)
+        elif rule in ("pool", "busy"):
+            weights, total = ((pools, total_pool) if rule == "pool"
+                              else (busies, total_busy))
+            values[f.name] = (sum(v * w for v, w in zip(column, weights))
+                              / total if total > 0 else 0.0)
+        elif rule == "streams":
+            streams: Dict[str, StreamingQuantile] = {}
+            for part_streams in column:
+                for name, stream in part_streams.items():
+                    if name not in streams:
+                        streams[name] = StreamingQuantile(
+                            relative_error=stream.relative_error)
+                    streams[name].merge(stream)
+            values[f.name] = streams
+        else:  # per_class
+            by_label: Dict[str, List[InstanceClassMetrics]] = {}
+            for classes in column:
+                for c in classes:
+                    by_label.setdefault(c.label, []).append(c)
+            for label, group in by_label.items():
+                if len(group) != len(parts):
+                    raise ValueError(f"instance class {label!r} is missing "
+                                     "from some parts")
+            values[f.name] = [_merge_fields(group, _CLASS_MERGE)
+                              for group in by_label.values()]
+    merged = type(parts[0])(**values)
+    merged._pool_time_s = total_pool
+    return merged
+
+
 def merge_streaming_metrics(
         parts: Sequence[ServingMetrics]) -> ServingMetrics:
     """Fold streaming-mode metrics from same-configuration runs into one.
@@ -720,13 +822,11 @@ def merge_streaming_metrics(
     all samples would report, and therefore stays within the documented
     relative-error bound of the true order statistic.
 
-    Semantics of the recombined time-weighted fields: ``makespan_s`` is
-    the max over parts (shards share the t=0 origin), while the
-    time-weighted means (``mean_running_batch``, ``mean_kv_occupancy``)
-    recombine weighted by each part's pool time and the busy-normalized
-    means (``mean_kv_fragmentation``, ``mean_kv_shared_fraction``) by
-    each part's busy time — i.e. every mean remains "accumulated
-    quantity over accumulated time".
+    ``makespan_s`` is the max over parts (shards share the t=0 origin);
+    every time-weighted quantity — means, utilization, the per-class
+    running batch — is Σ quantity / Σ (makespan × instances) or, for the
+    busy-normalized means, / Σ busy time.  The per-field rules are the
+    tables :data:`_SERVING_MERGE` and :data:`_CLASS_MERGE`.
 
     All parts must come from the same engine configuration (policy,
     cluster, router, KV recipe, SLO pin, quantile resolution); a
@@ -734,129 +834,10 @@ def merge_streaming_metrics(
     """
     if not parts:
         raise ValueError("nothing to merge")
-    first = parts[0]
     for m in parts:
         if m.metrics_mode != "streaming" or m.streams is None:
             raise ValueError(
                 "merge_streaming_metrics only merges streaming-mode "
                 "metrics (full mode carries per-request records; merge "
                 "those instead)")
-        config = (m.policy, m.prefill_mode, m.kv_mode, m.kv_block_size,
-                  m.kv_total_blocks, m.cluster, m.router, m.num_instances,
-                  m.num_nodes_per_instance, m.kv_prefix_sharing, m.slo_pin)
-        if config != (first.policy, first.prefill_mode, first.kv_mode,
-                      first.kv_block_size, first.kv_total_blocks,
-                      first.cluster, first.router, first.num_instances,
-                      first.num_nodes_per_instance,
-                      first.kv_prefix_sharing, first.slo_pin):
-            raise ValueError(
-                "cannot merge streaming metrics from different engine "
-                f"configurations: {config!r} vs first part")
-
-    makespan = max(m.makespan_s for m in parts)
-    pool_time = sum(m.makespan_s * m.num_instances for m in parts)
-    busy_time = sum(m.busy_time_s for m in parts)
-
-    streams: Dict[str, StreamingQuantile] = {}
-    assert first.streams is not None  # mypy narrowing  # repro-lint: disable=R005
-    for name, stream in first.streams.items():
-        merged = StreamingQuantile(relative_error=stream.relative_error)
-        for m in parts:
-            assert m.streams is not None  # mypy narrowing  # repro-lint: disable=R005
-            merged.merge(m.streams[name])
-        streams[name] = merged
-
-    by_label: Dict[str, List[InstanceClassMetrics]] = {}
-    label_order: List[str] = []
-    for m in parts:
-        for c in m.per_class:
-            if c.label not in by_label:
-                by_label[c.label] = []
-                label_order.append(c.label)
-            by_label[c.label].append(c)
-    per_class: List[InstanceClassMetrics] = []
-    for label in label_order:
-        group = by_label[label]
-        if len(group) != len(parts):
-            raise ValueError(
-                f"instance class {label!r} is missing from some parts")
-        head = group[0]
-        class_makespan = max(c.makespan_s for c in group)
-        class_pool = sum(c.makespan_s * c.num_instances for c in group)
-        per_class.append(InstanceClassMetrics(
-            label=head.label,
-            num_instances=head.num_instances,
-            num_nodes=head.num_nodes,
-            role=head.role,
-            requests=sum(c.requests for c in group),
-            generated_tokens=sum(c.generated_tokens for c in group),
-            makespan_s=class_makespan,
-            busy_time_s=sum(c.busy_time_s for c in group),
-            batch_time_s=sum(c.batch_time_s for c in group),
-            ttft_count=sum(c.ttft_count for c in group),
-            ttft_sum_s=sum(c.ttft_sum_s for c in group),
-            preemptions=sum(c.preemptions for c in group),
-            mean_kv_occupancy=(
-                sum(c.mean_kv_occupancy * c.makespan_s * c.num_instances
-                    for c in group) / class_pool if class_pool > 0 else 0.0),
-            peak_kv_occupancy=max(c.peak_kv_occupancy for c in group),
-            kv_total_blocks=head.kv_total_blocks,
-            swap_out_count=sum(c.swap_out_count for c in group),
-            swap_in_count=sum(c.swap_in_count for c in group),
-            prefix_hits=sum(c.prefix_hits for c in group),
-            prefill_tokens_saved=sum(c.prefill_tokens_saved
-                                     for c in group),
-            handoffs_out=sum(c.handoffs_out for c in group),
-            handoffs_in=sum(c.handoffs_in for c in group),
-            handoff_time_s=sum(c.handoff_time_s for c in group),
-        ))
-
-    return ServingMetrics(
-        num_requests=sum(m.num_requests for m in parts),
-        num_instances=first.num_instances,
-        num_nodes_per_instance=first.num_nodes_per_instance,
-        makespan_s=makespan,
-        generated_tokens=sum(m.generated_tokens for m in parts),
-        preemptions=sum(m.preemptions for m in parts),
-        policy=first.policy,
-        prefill_mode=first.prefill_mode,
-        busy_time_s=busy_time,
-        prefill_tokens_processed=sum(m.prefill_tokens_processed
-                                     for m in parts),
-        decode_step_time_s=sum(m.decode_step_time_s for m in parts),
-        prefill_step_time_s=sum(m.prefill_step_time_s for m in parts),
-        mixed_step_time_s=sum(m.mixed_step_time_s for m in parts),
-        kv_mode=first.kv_mode,
-        kv_block_size=first.kv_block_size,
-        kv_total_blocks=first.kv_total_blocks,
-        mean_running_batch=(
-            sum(m.mean_running_batch * m.makespan_s * m.num_instances
-                for m in parts) / pool_time if pool_time > 0 else 0.0),
-        mean_kv_occupancy=(
-            sum(m.mean_kv_occupancy * m.makespan_s * m.num_instances
-                for m in parts) / pool_time if pool_time > 0 else 0.0),
-        peak_kv_occupancy=max(m.peak_kv_occupancy for m in parts),
-        mean_kv_fragmentation=(
-            sum(m.mean_kv_fragmentation * m.busy_time_s for m in parts)
-            / busy_time if busy_time > 0 else 0.0),
-        swap_out_count=sum(m.swap_out_count for m in parts),
-        swap_in_count=sum(m.swap_in_count for m in parts),
-        swapped_bytes=sum(m.swapped_bytes for m in parts),
-        swap_time_s=sum(m.swap_time_s for m in parts),
-        handoff_count=sum(m.handoff_count for m in parts),
-        handoff_time_s=sum(m.handoff_time_s for m in parts),
-        kv_prefix_sharing=first.kv_prefix_sharing,
-        prefix_hits=sum(m.prefix_hits for m in parts),
-        prefill_tokens_saved=sum(m.prefill_tokens_saved for m in parts),
-        cow_copies=sum(m.cow_copies for m in parts),
-        mean_kv_shared_fraction=(
-            sum(m.mean_kv_shared_fraction * m.busy_time_s for m in parts)
-            / busy_time if busy_time > 0 else 0.0),
-        cluster=first.cluster,
-        router=first.router,
-        per_class=per_class,
-        metrics_mode="streaming",
-        streams=streams,
-        slo_pin=first.slo_pin,
-        slo_good_requests=sum(m.slo_good_requests for m in parts),
-    )
+    return _merge_fields(parts, _SERVING_MERGE)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import gzip
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, List, Mapping, Optional, Sequence, \
@@ -487,10 +488,10 @@ def _parse_replay_rows(path: Path, max_seq_len: int,
                 raise ValueError(
                     f"{path}: row {line_no}: non-numeric field in "
                     f"{','.join(cells[:3])!r}") from None
-            if arrival < 0:
+            if not math.isfinite(arrival) or arrival < 0:
                 raise ValueError(
-                    f"{path}: row {line_no}: arrival_s must be >= 0, "
-                    f"got {arrival}")
+                    f"{path}: row {line_no}: arrival_s must be a finite "
+                    f"number >= 0, got {arrival}")
             if prompt <= 0:
                 raise ValueError(
                     f"{path}: row {line_no}: prompt_tokens must be "

@@ -9,6 +9,8 @@ joint SLO attainment against the pair pinned at run time matches the full
 mode's after-the-fact answer exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -390,3 +392,144 @@ class TestMergeWeightingAndUnitsAudit:
         merged = merge_streaming_metrics([part_a, part_b])
         assert merged.swapped_bytes == 3 * 2**20 + 2**19
         assert merged.summary()["swapped_mib"] == 3.5
+
+
+#: Fields that legitimately differ between the metrics modes: full mode
+#: keeps per-request lists, streaming mode keeps estimators, the SLO pin
+#: and its online count instead (and per class a TTFT count/sum pair).
+_MODE_SPECIFIC = {"queueing_delays_s", "end_to_end_latencies_s",
+                  "service_times_s", "ttfts_s", "tpots_s", "streams",
+                  "slo_pin", "slo_good_requests", "metrics_mode"}
+_CLASS_MODE_SPECIFIC = {"ttfts_s", "tpots_s", "ttft_count", "ttft_sum_s"}
+
+
+def _data_fields(obj):
+    """The constructor fields of a metrics dataclass (caches excluded)."""
+    return [f.name for f in dataclasses.fields(obj) if f.init]
+
+
+class TestFieldForFieldParity:
+    """Both metrics modes go through one assembly, so every field they
+    share is *exactly* equal — walked over the dataclass fields, so a new
+    field is covered the moment it exists."""
+
+    @pytest.mark.parametrize("trace,kwargs", [
+        (bursty_trace(400, seed=6, mean_prefill=48, mean_decode=64),
+         dict(cluster="1x2n:prefill,2x1n:decode", kv_mode="paged",
+              kv_budget_bytes=64 << 20, max_batch_size=4)),
+        (multi_turn_trace(300, seed=13, session_rate_per_s=1.5,
+                          think_time_s=1.0),
+         dict(cluster="2x1n,1x2n", max_batch_size=4, kv_mode="paged",
+              router="prefix_aware", kv_prefix_sharing=True)),
+    ], ids=["disaggregated_paged", "heterogeneous_prefix_sharing"])
+    def test_every_shared_field_is_equal(self, trace, kwargs):
+        full, stream = _run_both_modes(trace, **kwargs)
+        compared = 0
+        for name in _data_fields(full):
+            if name in _MODE_SPECIFIC or name == "per_class":
+                continue
+            assert getattr(stream, name) == getattr(full, name), name
+            compared += 1
+        assert compared > 30
+        assert [c.label for c in stream.per_class] == \
+            [c.label for c in full.per_class]
+        assert len(full.per_class) >= 2
+        for full_class, stream_class in zip(full.per_class,
+                                            stream.per_class):
+            for name in _data_fields(full_class):
+                if name in _CLASS_MODE_SPECIFIC:
+                    continue
+                assert getattr(stream_class, name) == \
+                    getattr(full_class, name), (full_class.label, name)
+            assert stream_class.mean_ttft_s == pytest.approx(
+                full_class.mean_ttft_s, rel=1e-9)
+        # the exclusions are not vacuous: each mode did fill its own side
+        assert full.ttfts_s and stream.streams["ttft"].count
+
+    def test_merging_one_part_is_the_identity(self):
+        """``merge_streaming_metrics([m]) == m`` field by field: a field
+        added to the dataclasses without a merge rule fails here."""
+        from repro.serving.metrics import merge_streaming_metrics
+
+        trace = bursty_trace(400, seed=6, mean_prefill=48, mean_decode=64)
+        _, part = _run_both_modes(
+            trace, cluster="1x2n:prefill,2x1n:decode", kv_mode="paged",
+            kv_budget_bytes=64 << 20, max_batch_size=4)
+        merged = merge_streaming_metrics([part])
+        weighted = {"mean_running_batch", "mean_kv_occupancy",
+                    "mean_kv_fragmentation", "mean_kv_shared_fraction"}
+
+        def assert_same(a, b, skip=()):
+            for name in _data_fields(a):
+                if name in skip:
+                    continue
+                got, want = getattr(a, name), getattr(b, name)
+                if name in weighted:
+                    assert got == pytest.approx(want, rel=1e-12), name
+                else:
+                    assert got == want, name
+
+        assert_same(merged, part, skip={"streams", "per_class"})
+        for name, stream in part.streams.items():
+            merged_stream = merged.streams[name]
+            assert (merged_stream.count, merged_stream.total,
+                    merged_stream.min, merged_stream.max) == \
+                (stream.count, stream.total, stream.min, stream.max)
+            for p in (0.5, 0.99):
+                assert merged_stream.percentile(p) == stream.percentile(p)
+        assert len(merged.per_class) == len(part.per_class) == 2
+        for merged_class, part_class in zip(merged.per_class,
+                                            part.per_class):
+            assert_same(merged_class, part_class)
+            assert merged_class.utilization == pytest.approx(
+                part_class.utilization, rel=1e-12)
+        assert merged.instance_utilization == pytest.approx(
+            part.instance_utilization, rel=1e-12)
+
+
+class TestMergedUtilization:
+    """Regression: merged shards used to divide the *summed* busy time by
+    the *max* makespan, inflating utilization about k-fold."""
+
+    def test_engine_shards_merge_utilization_by_pool_time(self):
+        from repro.serving.metrics import merge_streaming_metrics
+
+        parts = [
+            TokenServingEngine(num_instances=2, max_batch_size=4,
+                               metrics_mode="streaming").run(
+                bursty_trace(2_000, seed=s, mean_prefill=48,
+                             mean_decode=64))[0]
+            for s in (21, 22, 23)]
+        merged = merge_streaming_metrics(parts)
+        utils = [p.instance_utilization for p in parts]
+        assert min(utils) <= merged.instance_utilization <= max(utils)
+        assert merged.instance_utilization == pytest.approx(
+            sum(p.busy_time_s for p in parts)
+            / sum(p.makespan_s * p.num_instances for p in parts),
+            rel=1e-12)
+        assert merged.makespan_s == max(p.makespan_s for p in parts)
+
+        (merged_class,) = merged.per_class
+        classes = [p.per_class[0] for p in parts]
+        pool = sum(c.makespan_s * c.num_instances for c in classes)
+        for prop, total in (
+                ("utilization", sum(c.busy_time_s for c in classes)),
+                ("mean_running_batch",
+                 sum(c.batch_time_s for c in classes))):
+            values = [getattr(c, prop) for c in classes]
+            got = getattr(merged_class, prop)
+            assert min(values) <= got <= max(values), prop
+            assert got == pytest.approx(total / pool, rel=1e-12), prop
+        # the cluster and class views of the same pool agree
+        assert merged_class.mean_running_batch == pytest.approx(
+            merged.mean_running_batch, rel=1e-9)
+
+    def test_hand_built_parts_merge_utilization_by_pool_time(self):
+        from repro.serving.metrics import merge_streaming_metrics
+
+        # utilization 10/20 = 0.5 and 8/10 = 0.8 over pool times 20 and 10
+        part_a = _streaming_part(makespan_s=10.0, busy_time_s=10.0)
+        part_b = _streaming_part(makespan_s=5.0, busy_time_s=8.0)
+        merged = merge_streaming_metrics([part_a, part_b])
+        assert merged.pool_time_s == pytest.approx(30.0)
+        assert merged.instance_utilization == pytest.approx(0.6)

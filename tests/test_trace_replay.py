@@ -19,6 +19,21 @@ def _write(tmp_path, text, name="trace.csv"):
     return path
 
 
+#: Malformed second rows and the message fragment each must raise with.
+BAD_ROWS = [
+    ("0.0,32", "2 columns"),                 # too few columns
+    ("0.0,32,64,chat,5,extra", "columns"),   # too many columns
+    ("abc,32,64", "non-numeric"),
+    ("0.0,many,64", "non-numeric"),
+    ("-1.0,32,64", "arrival_s"),
+    ("nan,32,64", "arrival_s"),              # nan < 0 is False
+    ("inf,32,64", "arrival_s"),
+    ("0.0,0,64", "prompt_tokens"),
+    ("0.0,32,-5", "output_tokens"),
+    ("0.0,600,600", "context window"),
+]
+
+
 class TestReplayTrace:
     def test_loads_rows_sorted_with_ids_in_arrival_order(self, tmp_path):
         path = _write(tmp_path,
@@ -50,20 +65,21 @@ class TestReplayTrace:
                       "\narrival_s,prompt_tokens,output_tokens\n0.0,32,64\n")
         assert len(replay_trace(path)) == 1
 
-    @pytest.mark.parametrize("row,fragment", [
-        ("0.0,32", "2 columns"),                 # too few columns
-        ("0.0,32,64,chat,5,extra", "columns"),   # too many columns
-        ("abc,32,64", "non-numeric"),
-        ("0.0,many,64", "non-numeric"),
-        ("-1.0,32,64", "arrival_s"),
-        ("0.0,0,64", "prompt_tokens"),
-        ("0.0,32,-5", "output_tokens"),
-        ("0.0,600,600", "context window"),
-    ])
+    @pytest.mark.parametrize("row,fragment", BAD_ROWS)
     def test_bad_rows_raise_naming_the_row(self, tmp_path, row, fragment):
         path = _write(tmp_path, "0.0,32,64\n" + row + "\n")
         with pytest.raises(ValueError) as excinfo:
             replay_trace(path)
+        message = str(excinfo.value)
+        assert "row 2" in message
+        assert fragment in message
+
+    @pytest.mark.parametrize("row,fragment", BAD_ROWS)
+    def test_bad_rows_raise_naming_the_row_when_streaming(self, tmp_path,
+                                                          row, fragment):
+        path = _write(tmp_path, "0.0,32,64\n" + row + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            list(replay_trace(path, streaming=True))
         message = str(excinfo.value)
         assert "row 2" in message
         assert fragment in message
