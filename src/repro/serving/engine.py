@@ -64,9 +64,10 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.core.pricing_cache import (
@@ -299,10 +300,12 @@ class TokenServingEngine:
         Allow the event loop to fast-forward provably identical
         consecutive pure-decode steps into single events (see
         :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  Only
-        engaged where it is exact — single-class pools without paged KV —
-        and produces bit-identical timestamps there; the switch exists so
-        equivalence tests can compare against the one-event-per-step
-        execution.
+        engaged where it is exact — never on paged KV; while requests wait
+        only where no idle instance could take them at a skipped boundary
+        (single-class pools, or heterogeneous pools without role/KV gates
+        whose router never vetoes a placement) — and produces
+        bit-identical timestamps there; the switch exists so equivalence
+        tests can compare against the one-event-per-step execution.
     sanitize:
         Opt-in shadow validation (see :mod:`repro.sanitize`): re-verify
         event-time monotonicity, paged-KV block/refcount conservation and
@@ -560,17 +563,38 @@ class TokenServingEngine:
     # ------------------------------------------------------------------
     # cluster construction and validation
     # ------------------------------------------------------------------
+    @property
+    def _router_vetoes(self) -> bool:
+        """Whether routing can refuse a head on some instance: only
+        heterogeneous pools consult the router, and only a router that
+        overrides :meth:`Router.placement_ok` ever says no."""
+        return (self.cluster.is_heterogeneous
+                and type(self.router).placement_ok is not Router.placement_ok)
+
+    def _admit_all_pool(self, runtimes: List[InstanceRuntime]) -> bool:
+        """True on an *admit-all pool*: no instance has a role or KV gate
+        and the router never vetoes, so an idle instance always takes the
+        queue head the moment it is offered."""
+        return (not self._router_vetoes
+                and all(r._admits_all for r in runtimes))
+
     def _build_runtimes(self) -> List[InstanceRuntime]:
         """Fresh per-run instance runtimes, ids in spec order."""
         runtimes: List[InstanceRuntime] = []
         instance_id = 0
-        # fast-forwarding decode runs is only provably exact on
-        # single-class pools (the routers' dispatch_order is stateful, so
-        # skipped boundaries would diverge it) without paged KV (block
-        # growth at a boundary can evict even when the queue is empty)
-        allow_multistep = (self.multistep
-                           and not self.cluster.is_heterogeneous
-                           and not self._paged)
+        # Fast-forwarding is exact only where the skipped step boundaries
+        # are inert.  Paged KV never folds: block growth at a boundary can
+        # evict, and handoffs enqueue work, even when the queue is empty.
+        # Otherwise an empty queue stays empty until the next arrival
+        # (preemption needs a head), so empty-queue folds are exact on
+        # every pool.  A full-batch fold skips boundaries while requests
+        # wait, and a heterogeneous pump re-offers the queue to every idle
+        # instance at every boundary: a head one vetoed or could not hold
+        # might land there at a skipped boundary.  So full-batch folds
+        # need a single-class pool (its pump offers a boundary only to the
+        # completer) or an admit-all pool (nothing waits while an
+        # instance idles).
+        allow_multistep = self.multistep and not self._paged
         for (spec, class_system, controller, manager), caches in zip(
                 self._protos, self._caches):
             for _ in range(spec.count):
@@ -595,6 +619,11 @@ class TokenServingEngine:
                 runtime.allow_multistep = allow_multistep
                 runtimes.append(runtime)
                 instance_id += 1
+        fold_full_batch = allow_multistep and (
+            not self.cluster.is_heterogeneous
+            or self._admit_all_pool(runtimes))
+        for runtime in runtimes:
+            runtime.fold_full_batch = fold_full_batch
         return runtimes
 
     @property
@@ -688,7 +717,9 @@ class TokenServingEngine:
         multi_class = self.cluster.is_heterogeneous
         has_roles = self.cluster.has_roles
         router = self.router
-        gate = router.placement_ok if multi_class else None
+        # a router that never vetoes needs no per-head gate call, which
+        # also opens the runtimes' admit-everything fast path
+        gate = router.placement_ok if self._router_vetoes else None
         if multi_class:
             # routers may precompute placement from the trace; a
             # StreamingTrace is re-iterable by contract, so this pass does
@@ -740,9 +771,9 @@ class TokenServingEngine:
             raise ValueError("trace is empty")
         next_arrival_t = next_state.request.arrival_s
         num_arrivals = 0
-        # index of next_state within the sorted request list (list-trace
-        # runs only; feeds the idle-gap fold horizon below)
-        arr_index = 0
+        # arrivals already drawn past next_state (at most num_instances - 1,
+        # for the idle-gap fold horizon below); the loop drains them first
+        ahead: Deque[RequestState] = deque()
 
         records: List[ServedRequest] = []
         collector: Optional[StreamingMetricsCollector] = None
@@ -773,24 +804,20 @@ class TokenServingEngine:
                 ))
 
         # ---- idle-gap fold horizon ---------------------------------------
-        # On a single-class pool with no KV admission gate anywhere (every
-        # runtime ``_admits_all``) and a materialized trace, an arrival
-        # that lands while some *other* instance is idle is absorbed by
-        # that instance the moment it arrives (the arrival pump offers
-        # idle instances the queue in id order, and an admit-all idle
-        # instance always takes the head), so the queue stays empty and
-        # none of the folding instance's skipped boundaries could have
-        # admitted anything.  A folding instance may therefore run past
-        # the next ``spare`` arrivals — one per other idle instance — and
-        # stop only at the first arrival that could actually reach *its*
-        # queue.  This extends fast-forward folding across idle-cluster
-        # gaps; timestamps are unchanged because the fold still walks
-        # boundary by boundary, it just stops later.
+        # On an admit-all pool (see ``_admit_all_pool``), an arrival that
+        # lands while some *other* instance is idle is absorbed by an idle
+        # instance the moment it arrives (the arrival pump offers every
+        # idle instance the queue, and an admit-all idle instance always
+        # takes the head), so the queue stays empty and none of the
+        # folding instance's skipped boundaries could have admitted
+        # anything.  A folding instance may therefore run past the next
+        # ``spare`` arrivals — one per other idle instance, drawn ahead
+        # into ``ahead`` — and stop only at the first arrival that could
+        # actually reach *its* queue.  This extends fast-forward folding
+        # across idle-cluster gaps; timestamps are unchanged because the
+        # fold still walks boundary by boundary, it just stops later.
         horizon_fn: Optional[Callable[[InstanceRuntime], float]] = None
-        if (not multi_class and not self._paged and self.multistep
-                and not streaming_trace and self._protos[0][2] is None):
-            fold_requests: List[Request] = requests
-            num_fold_requests = len(fold_requests)
+        if self.multistep and self._admit_all_pool(runtimes):
 
             def _fold_horizon(active: InstanceRuntime) -> float:
                 if next_state is None:
@@ -801,10 +828,12 @@ class TokenServingEngine:
                         spare += 1
                 if spare == 0:
                     return next_arrival_t
-                absorbed_until = arr_index + spare
-                if absorbed_until >= num_fold_requests:
-                    return float("inf")
-                return fold_requests[absorbed_until].arrival_s
+                while len(ahead) < spare:
+                    drawn = next(arrivals, None)
+                    if drawn is None:
+                        return float("inf")
+                    ahead.append(drawn)
+                return ahead[spare - 1].request.arrival_s
 
             horizon_fn = _fold_horizon
 
@@ -908,11 +937,11 @@ class TokenServingEngine:
                 arrived = next_state
                 # peel the following arrival *before* pumping so the
                 # dispatch horizon already points past this one
-                next_state = next(arrivals, None)
+                next_state = (ahead.popleft() if ahead
+                              else next(arrivals, None))
                 next_arrival_t = (next_state.request.arrival_s
                                   if next_state is not None
                                   else float("inf"))
-                arr_index += 1
                 pump(None, now)
                 if sanitizer is not None:
                     sanitize_check(now, ("arrival",

@@ -235,6 +235,19 @@ class InstanceRuntime:
         saves evaluations — cache hits are bit-identical to cold computes).
     """
 
+    # Slots keep attribute access on the dispatch hot path fast however
+    # many fields the runtime grows: CPython 3.11 stops sharing instance
+    # dict keys at 30 attributes, which slows every plain-dict load.
+    __slots__ = ("instance_id", "system", "num_nodes", "class_label", "role",
+                 "max_batch_size", "prefill_chunk_tokens", "prefill_mode",
+                 "mixed_step_token_budget", "kv_controller", "kv",
+                 "preemption_mode", "context_bucket", "swap_priority",
+                 "_step_cache", "_mixed_step_cache", "_prefill_cache",
+                 "_transfer_cache", "allow_multistep", "fold_full_batch",
+                 "_admits_all", "batch", "_num_prefilling", "kv_used_tokens",
+                 "busy", "pending_delay_s", "parked", "admission_count",
+                 "pending_handoffs", "stats")
+
     def __init__(self, instance_id: int, system: LoopLynxSystem, *,
                  class_label: str = "",
                  role: str = "both",
@@ -281,9 +294,17 @@ class InstanceRuntime:
         self._transfer_cache: Dict[int, float] = (
             transfer_cache if transfer_cache is not None else {})
         #: Set by the engine when fast-forwarding batched decode steps is
-        #: provably identical to one-event-per-step execution (single-class
-        #: pools without paged KV; see :meth:`dispatch`).
+        #: provably identical to one-event-per-step execution: pools
+        #: without paged KV, where a boundary skipped while the queue is
+        #: empty is inert (see :meth:`dispatch`).
         self.allow_multistep = False
+        #: Set by the engine when boundaries skipped while requests *wait*
+        #: are inert too: no other instance could take the head there
+        #: (single-class pools, whose pump offers a boundary only to the
+        #: completer, or admit-all pools, where nothing waits while an
+        #: instance idles).  On other heterogeneous pools a head vetoed or
+        #: refused by an idle instance is re-offered at every boundary.
+        self.fold_full_batch = False
         #: True when every waiting request is trivially admissible here —
         #: no role constraint and no KV gate of either kind — letting the
         #: admission loop skip the per-head checks.
@@ -835,11 +856,12 @@ class InstanceRuntime:
         ``horizon_s`` is the next trace arrival's timestamp (None when the
         engine cannot bound it).  With :attr:`allow_multistep` set, a pure
         decode step whose following step boundaries are provably inert —
-        the waiting queue is empty until the horizon, or the batch is full
-        under a scheduler that never preempts — is fast-forwarded: up to k
-        identical steps fold into one event, with k bounded so no batch
-        member finishes early and the context stays inside one pricing
-        bucket.  The folded launch carries its absolute completion time in
+        the waiting queue is empty until the horizon, or (with
+        :attr:`fold_full_batch`) the batch is full under a scheduler that
+        never preempts — is fast-forwarded: up to k identical steps fold
+        into one event, with k bounded so no batch member finishes early
+        and the context stays inside one pricing bucket.  The folded
+        launch carries its absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
         """
@@ -1009,7 +1031,7 @@ class InstanceRuntime:
                 # guaranteed to absorb; it is only ever >= horizon_s
                 limit = (horizon_s if horizon_fn is None
                          else horizon_fn(self))
-            elif (scheduler.never_preempts
+            elif (self.fold_full_batch and scheduler.never_preempts
                     and len(batch) >= max_batch):
                 limit = float("inf")
             if limit is not None and ff_prefill is not None:

@@ -18,10 +18,14 @@ here so a future optimisation cannot quietly trade correctness for speed:
    the engine reproduces the materialized run exactly.
 """
 
+import itertools
 import math
 
 import pytest
 
+from repro.core.multi_node import LoopLynxSystem
+from repro.memory.kv_cache import KVCacheLayout
+from repro.serving.cluster import ROUTER_NAMES
 from repro.serving.engine import TokenServingEngine
 from repro.workloads.traces import (
     RequestTrace,
@@ -38,6 +42,21 @@ _FOLDED_AGGREGATES = frozenset({
     "decode_time_share", "prefill_time_share", "mixed_time_share",
     "mean_running_batch",
 })
+
+#: A reservation budget of 640 tokens per 1-node instance (1,280 per node
+#: of a 2-node one): room for about three azure-sized requests, so KV
+#: capacity, not the batch ceiling, often refuses the head.
+_TIGHT_RESERVE = dict(
+    kv_mode="reserve",
+    kv_budget_bytes=640 * KVCacheLayout.for_model(
+        LoopLynxSystem.paper_configuration(num_nodes=1).config.model,
+        num_nodes=1).bytes_per_token_per_node())
+
+
+def _azure(num_requests, seed):
+    return RequestTrace(requests=list(synthetic_azure_trace(
+        num_requests, seed=seed, mean_rate_per_s=8.0,
+        diurnal_amplitude=0.3)))
 
 
 def _assert_summaries_match(summary_a, summary_b, exact=True):
@@ -78,15 +97,26 @@ class TestMultistepFolding:
     def test_folding_actually_engages(self):
         """The equivalence above must not pass vacuously: a quiet queue on
         a fifo pool is exactly where folding fires."""
-        trace = bursty_trace(200, seed=11, mean_prefill=48, mean_decode=96)
         engine = TokenServingEngine(num_instances=2, max_batch_size=4)
         runs = engine._build_runtimes()
-        assert all(r.allow_multistep for r in runs)
-        # paged KV and heterogeneous pools must keep it off
-        paged = TokenServingEngine(cluster="1x2n", kv_mode="paged",
-                                   kv_budget_bytes=64 << 20)
-        assert not any(r.allow_multistep for r in paged._build_runtimes())
-        del trace
+        assert all(r.allow_multistep and r.fold_full_batch for r in runs)
+        # heterogeneous pools without paged KV fold too; only where no
+        # idle instance can refuse the head do they fold full batches
+        for router, kv, full_batch in (("least_loaded", {}, True),
+                                       ("round_robin", {}, True),
+                                       ("class_affinity", {}, False),
+                                       ("least_loaded", _TIGHT_RESERVE,
+                                        False)):
+            het = TokenServingEngine(cluster="2x1n,2x2n", router=router, **kv)
+            runs = het._build_runtimes()
+            assert all(r.allow_multistep for r in runs), router
+            assert all(r.fold_full_batch == full_batch for r in runs), router
+        # paged KV keeps it off, on single-class and heterogeneous pools
+        for cluster in ("1x2n", "2x1n,2x2n"):
+            paged = TokenServingEngine(cluster=cluster, kv_mode="paged",
+                                       kv_budget_bytes=64 << 20)
+            assert not any(r.allow_multistep
+                           for r in paged._build_runtimes()), cluster
 
 
 class TestWarmCacheBitIdentity:
@@ -212,3 +242,76 @@ class TestIdleGapFolding:
             counts[multistep] = counter[0]
             monkeypatch.undo()
         assert counts[True] < 0.85 * counts[False], counts
+
+
+class TestHeterogeneousFolding:
+    """Fold eligibility on heterogeneous pools follows what admission can
+    do, not whether the pool mixes classes: an empty queue stays empty
+    until the next arrival on any pool without paged KV, and a full batch
+    may fold past waiting requests only where no idle instance could take
+    the head at a skipped boundary.  Same claim as above — records are
+    bit-identical with folding on or off — over the router × policy ×
+    prefill × KV matrix, plus a non-vacuity count of posted events.
+    """
+
+    CLUSTERS = ("2x1n,2x2n", "1x1n,1x2n,1x4n")
+
+    @staticmethod
+    def _assert_folding_invisible(trace, **kwargs):
+        runs = {}
+        for multistep in (True, False):
+            engine = TokenServingEngine(max_batch_size=4,
+                                        multistep=multistep, **kwargs)
+            runs[multistep] = engine.run(trace)
+        (metrics_on, records_on), (metrics_off, records_off) = (
+            runs[True], runs[False])
+        assert records_on == records_off, kwargs
+        _assert_summaries_match(metrics_on.summary(), metrics_off.summary(),
+                                exact=False)
+
+    @pytest.mark.parametrize("router", ROUTER_NAMES)
+    def test_records_bit_identical_with_folding_on_or_off(self, router):
+        trace = _azure(200, seed=1)
+        matrix = itertools.product(("fifo", "sjf", "priority"),
+                                   ("exclusive", "mixed"),
+                                   ({}, _TIGHT_RESERVE))
+        for i, (policy, prefill_mode, kv) in enumerate(matrix):
+            self._assert_folding_invisible(
+                trace, cluster=self.CLUSTERS[i % len(self.CLUSTERS)],
+                router=router, policy=policy, prefill_mode=prefill_mode,
+                **kv)
+
+    def test_vetoed_head_is_reoffered_at_every_boundary(self):
+        """Regression: an idle 1n instance vetoes head 72, another instance
+        admits it, and request 1231 becomes the head.  The per-step run
+        re-offers 1231 to the idle instance at the next boundary of a
+        full-batch instance (320.472 s); a full-batch fold that skipped
+        that boundary placed it elsewhere at 320.778 s."""
+        self._assert_folding_invisible(
+            _azure(1_500, seed=1), cluster="2x1n,2x2n",
+            router="class_affinity", policy="sjf")
+
+    def test_folding_removes_most_events(self, monkeypatch):
+        """An admit-all heterogeneous pool folds full batches and idle
+        gaps like a single-class one: folding must post under a quarter
+        of the per-step loop's events."""
+        from repro.serving import engine as engine_module
+        real_queue = engine_module.BucketedEventQueue
+        trace = _azure(600, seed=0)
+        counts = {}
+        for multistep in (True, False):
+            counter = [0]
+
+            class CountingQueue(real_queue):
+                def push(self, event):
+                    counter[0] += 1
+                    super().push(event)
+
+            monkeypatch.setattr(engine_module, "BucketedEventQueue",
+                                CountingQueue)
+            TokenServingEngine(cluster="4x1n,4x2n,1x4n", max_batch_size=8,
+                               router="least_loaded",
+                               multistep=multistep).run(trace)
+            counts[multistep] = counter[0]
+            monkeypatch.undo()
+        assert counts[True] < 0.25 * counts[False], counts

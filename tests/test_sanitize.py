@@ -98,6 +98,21 @@ def test_sanitizer_streaming_metrics_mode():
     assert streaming[0].makespan_s == full[0].makespan_s
 
 
+def test_sanitizer_holds_on_folded_heterogeneous_pool():
+    """A heterogeneous least_loaded pool without KV gates folds inert
+    steps (full batches and idle gaps included); every folded event must
+    still pass the checks, and the records stay bit-identical."""
+    config = dict(cluster="4x1n,4x2n,1x4n", router="least_loaded",
+                  max_batch_size=4)
+    assert all(r.allow_multistep and r.fold_full_batch
+               for r in TokenServingEngine(**config)._build_runtimes())
+    trace = synthetic_trace(num_requests=200, seed=7)
+    plain = TokenServingEngine(sanitize=False, **config).run(trace)
+    checked = TokenServingEngine(sanitize=True, **config).run(trace)
+    assert _records(plain) == _records(checked)
+    assert plain[0].summary() == checked[0].summary()
+
+
 # ---------------------------------------------------------------------------
 # activation plumbing
 # ---------------------------------------------------------------------------
