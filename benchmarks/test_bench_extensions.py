@@ -11,11 +11,11 @@
 from repro.analysis.accuracy import alpha_sweep
 from repro.analysis.footprint import footprint_table
 from repro.analysis.report import format_table
+from repro.analysis.serving import run_policy
 from repro.analysis.utilization import architecture_comparison
 from repro.core.config import HardwareConfig
 from repro.core.event_sim import cross_check_attention, cross_check_linear
 from repro.model.config import ModelConfig, layer_linear_specs
-from repro.serving.simulator import ServingSimulator
 from repro.workloads.traces import synthetic_trace
 
 
@@ -63,9 +63,9 @@ def test_bench_serving_pool(benchmark):
     def serve():
         rows = []
         for instances in (1, 2, 4):
-            simulator = ServingSimulator(num_instances=instances,
-                                         num_nodes_per_instance=2)
-            metrics, _ = simulator.run(trace)
+            metrics, _ = run_policy(trace, "fifo-exclusive",
+                                    num_instances=instances,
+                                    num_nodes_per_instance=2)
             summary = metrics.summary()
             rows.append({"Instances (2-node each)": instances,
                          "Throughput (tok/s)": summary["throughput_tok_s"],

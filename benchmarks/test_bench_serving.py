@@ -2,7 +2,7 @@
 reservation vs paged KV admission.
 
 Each benchmark serves the same trace under the whole-request FIFO-exclusive
-compatibility mode and under the continuous-batching engine, measuring the
+preset and under the continuous-batching engine, measuring the
 simulation cost and asserting the serving-quality relationships the engine
 exists to deliver: continuous batching sustains at least the exclusive
 throughput everywhere and strictly wins on the bursty trace (PR 1), and —
@@ -26,8 +26,6 @@ from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.serving.cluster import parse_cluster_spec
 from repro.serving.engine import TokenServingEngine
-from repro.serving.schedulers import KVAdmissionController
-from repro.serving.simulator import ServingSimulator
 from repro.workloads.traces import (
     bursty_multi_tenant_trace,
     bursty_trace,
@@ -59,7 +57,7 @@ TRACES = {
 
 
 def _run_pair(trace):
-    exclusive, _ = ServingSimulator(num_instances=1).run(trace)
+    exclusive, _ = run_policy(trace, "fifo-exclusive")
     batched, _ = TokenServingEngine(num_instances=1, policy="fifo",
                                     max_batch_size=8).run(trace)
     return exclusive, batched
@@ -67,11 +65,10 @@ def _run_pair(trace):
 
 @pytest.mark.parametrize("shape", sorted(TRACES))
 def test_bench_fifo_exclusive(benchmark, shape):
-    """Simulation cost of the whole-request FIFO queue per trace shape."""
+    """Simulation cost of the whole-request FIFO preset per trace shape."""
     trace = TRACES[shape]()
-    simulator = ServingSimulator(num_instances=1)
-    metrics, _ = benchmark.pedantic(simulator.run, args=(trace,), rounds=3,
-                                    iterations=1)
+    metrics, _ = benchmark.pedantic(run_policy, args=(trace, "fifo-exclusive"),
+                                    rounds=3, iterations=1)
     assert metrics.num_requests == len(trace)
 
 
@@ -138,11 +135,9 @@ def test_reservation_mode_reproduces_pr1_exactly():
     budget = _kv_budget_bytes(640)
     helper_metrics, helper_records = run_policy(
         trace, "fifo", kv_budget_bytes=budget, kv_mode="reserve")
-    system = LoopLynxSystem.paper_configuration(num_nodes=2)
     engine = TokenServingEngine(
-        num_instances=1, system=system, policy="fifo", max_batch_size=8,
-        kv_controller=KVAdmissionController.for_system(system,
-                                                       budget_bytes=budget))
+        cluster="1x2n", policy="fifo", max_batch_size=8,
+        kv_mode="reserve", kv_budget_bytes=budget)
     direct_metrics, direct_records = engine.run(trace)
     assert helper_metrics.makespan_s == direct_metrics.makespan_s
     assert helper_metrics.kv_mode == "reserve"

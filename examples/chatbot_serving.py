@@ -66,15 +66,15 @@ def scenario_study(title, scenarios):
 def trace_study():
     """Sustained serving of a synthetic request trace with a pool of
     LoopLynx instances (queueing simulation, see :mod:`repro.serving`)."""
-    from repro.serving.simulator import ServingSimulator
+    from repro.analysis.serving import run_policy
 
     trace = synthetic_trace(num_requests=30, seed=7, mean_prefill=48,
                             mean_decode=192, arrival_rate_per_s=1.5)
     rows = []
     for instances in (1, 2, 4):
-        simulator = ServingSimulator(num_instances=instances,
-                                     num_nodes_per_instance=2)
-        metrics, _ = simulator.run(trace)
+        metrics, _ = run_policy(trace, "fifo-exclusive",
+                                num_instances=instances,
+                                num_nodes_per_instance=2)
         summary = metrics.summary()
         rows.append({
             "2-node instances": instances,

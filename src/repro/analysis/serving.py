@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.multi_node import LoopLynxSystem
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving.cluster import (
     ClusterSpec,
     InstanceSpec,
@@ -19,8 +17,7 @@ from repro.serving.cluster import (
     parse_cluster_spec,
 )
 from repro.serving.engine import PREFILL_MODES, ServedRequest, TokenServingEngine
-from repro.serving.schedulers import KVAdmissionController
-from repro.serving.simulator import FIFO_EXCLUSIVE, ServingSimulator
+from repro.serving.schedulers import FIFO_EXCLUSIVE
 from repro.workloads.traces import RequestTrace
 
 #: KV capacity regimes accepted by :func:`run_policy` and the serve CLI.
@@ -44,10 +41,11 @@ def run_policy(trace: RequestTrace, policy: str,
                ) -> Tuple[ServingMetrics, List[ServedRequest]]:
     """Run ``trace`` under one policy and return ``(metrics, records)``.
 
-    ``policy`` may be ``fifo-exclusive`` (whole-request compatibility mode;
-    it serves one request at a time, so ``max_batch_size`` does not apply and
-    KV options are rejected rather than silently ignored) or any token-level
-    policy.
+    ``policy`` is a token-level policy (``fifo``, ``sjf``, ``priority``) or
+    ``fifo-exclusive``, the whole-request preset: ``fifo`` with one
+    request per instance at a time (``max_batch_size`` does not apply),
+    whole-prompt prefill and exact context timing.  The preset rejects
+    ``prefill_mode="mixed"``, which contradicts it.
 
     ``instances`` optionally replaces the flat ``num_instances`` ×
     ``num_nodes_per_instance`` pool with a cluster spec (e.g.
@@ -62,15 +60,15 @@ def run_policy(trace: RequestTrace, policy: str,
     historical regime, bit-identical to the engine before mixed steps
     existed) or ``"mixed"`` (prompts stream in alongside decodes under a
     per-step token budget, ``mixed_step_token_budget``; ``None`` uses the
-    engine default).  Like the KV options, mixed prefill is rejected for
-    ``fifo-exclusive`` rather than silently ignored.
+    engine default).
 
     KV capacity is controlled by ``kv_mode``:
 
-    * ``"reserve"`` — with ``kv_budget_bytes`` set, the PR 1 worst-case
-      reservation controller gates admission (per-node byte budget); with no
-      budget, admission is unconstrained.  This mode is bit-identical to the
-      engine before paged allocation existed.
+    * ``"reserve"`` — a class with a budget (``kv_budget_bytes`` or its
+      own ``@<size>MiB``) gates admission with the PR 1 worst-case
+      reservation controller (per-node byte budget); a class without one
+      admits unconstrained.  This mode is bit-identical to the engine
+      before paged allocation existed.
     * ``"paged"`` — a :class:`~repro.memory.paged_kv.PagedKVManager` with
       ``kv_block_size``-token blocks allocates on demand;
       ``kv_budget_bytes`` defaults to the node's full HBM share net of
@@ -85,79 +83,26 @@ def run_policy(trace: RequestTrace, policy: str,
     if kv_mode not in KV_MODES:
         raise ValueError(f"unknown kv mode {kv_mode!r}; "
                          f"known: {', '.join(KV_MODES)}")
-    if kv_prefix_sharing and kv_mode != "paged":
-        raise ValueError(
-            "kv_prefix_sharing builds prefix indices into the paged block "
-            "pools; it requires kv_mode='paged'")
     if policy == FIFO_EXCLUSIVE:
-        if kv_budget_bytes is not None or kv_mode == "paged":
-            raise ValueError(
-                "fifo-exclusive has no KV admission control; drop the KV "
-                "options or pick a token-level policy")
         if prefill_mode != "exclusive":
             raise ValueError(
                 "fifo-exclusive serves whole requests and cannot mix "
                 "prefill into decode steps; pick a token-level policy")
-        if instances is not None:
-            raise ValueError(
-                "fifo-exclusive predates the cluster layer; pick a "
-                "token-level policy to use --instances/--router")
-        if swap_priority:
-            raise ValueError(
-                "fifo-exclusive never preempts, so swap_priority has "
-                "nothing to prioritize; pick a token-level policy")
-        if engine_kwargs.get("metrics_mode", "full") != "full":
-            raise ValueError(
-                "fifo-exclusive predates streaming metrics; pick a "
-                "token-level policy to use metrics_mode")
-        simulator = ServingSimulator(num_instances=num_instances,
-                                     num_nodes_per_instance=num_nodes_per_instance)
-        return simulator.run(trace)
+        policy, max_batch_size = "fifo", 1
+        engine_kwargs = dict(engine_kwargs, prefill_chunk_tokens=None,
+                             context_bucket=1)
     if mixed_step_token_budget is not None:
         engine_kwargs = dict(engine_kwargs,
                              mixed_step_token_budget=mixed_step_token_budget)
-    if instances is not None:
-        if isinstance(instances, str):
-            instances = parse_cluster_spec(instances)
-        engine = TokenServingEngine(
-            cluster=instances, router=router,
-            policy=policy, max_batch_size=max_batch_size,
-            prefill_mode=prefill_mode,
-            kv_mode=("paged" if kv_mode == "paged"
-                     else "reserve" if kv_budget_bytes is not None else None),
-            kv_budget_bytes=kv_budget_bytes,
-            kv_block_size=kv_block_size,
-            kv_prefix_sharing=kv_prefix_sharing,
-            preemption_mode=preemption_mode,
-            swap_priority=swap_priority,
-            **engine_kwargs)
-        return engine.run(trace)
-    if swap_priority:
-        engine_kwargs = dict(engine_kwargs, swap_priority=True)
-    kv_controller = None
-    kv_block_manager = None
-    if kv_mode == "paged":
-        system = LoopLynxSystem.paper_configuration(
-            num_nodes=num_nodes_per_instance)
-        kv_block_manager = PagedKVManager.for_system(
-            system, block_size_tokens=kv_block_size,
-            budget_bytes=kv_budget_bytes,
-            prefix_sharing=kv_prefix_sharing)
-        engine_kwargs = dict(engine_kwargs, system=system)
-    elif kv_budget_bytes is not None:
-        system = LoopLynxSystem.paper_configuration(
-            num_nodes=num_nodes_per_instance)
-        kv_controller = KVAdmissionController.for_system(
-            system, budget_bytes=kv_budget_bytes)
-        engine_kwargs = dict(engine_kwargs, system=system)
-    engine = TokenServingEngine(num_instances=num_instances,
-                                num_nodes_per_instance=num_nodes_per_instance,
-                                policy=policy, max_batch_size=max_batch_size,
-                                prefill_mode=prefill_mode,
-                                kv_controller=kv_controller,
-                                kv_block_manager=kv_block_manager,
-                                preemption_mode=preemption_mode,
-                                **engine_kwargs)
+    engine = TokenServingEngine(
+        cluster=instances or ClusterSpec.homogeneous(num_instances,
+                                                     num_nodes_per_instance),
+        router=router, policy=policy, max_batch_size=max_batch_size,
+        prefill_mode=prefill_mode, kv_mode=kv_mode,
+        kv_budget_bytes=kv_budget_bytes, kv_block_size=kv_block_size,
+        kv_prefix_sharing=kv_prefix_sharing,
+        preemption_mode=preemption_mode, swap_priority=swap_priority,
+        **engine_kwargs)
     return engine.run(trace)
 
 
@@ -195,12 +140,17 @@ def _sweep_metrics(trace: RequestTrace,
     the behavior of the old serial for-loops; larger values fan the
     configs over a process pool (results stay in config order and
     bit-identical to serial).  A failing config raises, preserving the
-    comparisons' fail-fast contract.
+    comparisons' fail-fast contract; a rejected configuration re-raises as
+    ``ValueError``, as a direct :func:`run_policy` call would.
     """
     from repro.serving.sweep import SweepJob, run_jobs
     jobs = [SweepJob(index=i, label=label, trace=trace, params=params)
             for i, (label, params) in enumerate(labeled_configs)]
     outcome = run_jobs(jobs, workers=workers, keep_metrics=True)
+    for result in outcome.failures:
+        failure = result.failure
+        if failure is not None and failure.error_type == "ValueError":
+            raise ValueError(f"{result.label}: {failure.message}")
     outcome.raise_failures()
     return [r.metrics for r in outcome.results if r.metrics is not None]
 
@@ -218,14 +168,10 @@ def policy_comparison(trace: RequestTrace,
                       ) -> List[Dict[str, object]]:
     """Serve the same trace under each policy and tabulate the summaries.
 
-    The KV options mirror :func:`run_policy` and apply to every token-level
-    row.  With a KV budget or paged mode, ``fifo-exclusive`` is excluded
-    (it has no admission control, so its row would not be comparable to the
-    constrained ones).  ``workers`` fans the rows over a process pool
-    (bit-identical to serial; see :mod:`repro.serving.sweep`).
+    The KV options mirror :func:`run_policy` and apply to every row,
+    ``fifo-exclusive`` included.  ``workers`` fans the rows over a process
+    pool (bit-identical to serial; see :mod:`repro.serving.sweep`).
     """
-    if kv_budget_bytes is not None or kv_mode == "paged":
-        policies = [p for p in policies if p != FIFO_EXCLUSIVE]
     configs = [(policy, dict(policy=policy, num_instances=num_instances,
                              num_nodes_per_instance=num_nodes_per_instance,
                              max_batch_size=max_batch_size,

@@ -147,9 +147,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    # --instances accepts both a plain count ("4", homogeneous with --nodes)
-    # and a cluster spec ("2x1n,2x2n,1x4n"); the flat form keeps the exact
-    # pre-cluster code path, the spec form goes through the cluster layer
+    # --instances accepts both a plain count ("4", homogeneous with --nodes,
+    # shorthand for the single-class spec "4x<nodes>n") and a cluster spec
+    # ("2x1n,2x2n,1x4n")
     cluster_spec = None
     if args.instances.isdigit():
         num_instances = int(args.instances)
@@ -243,10 +243,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                       "or run a single configuration", file=sys.stderr)
                 return 2
         if args.compare_prefill:
-            if args.policy == "fifo-exclusive":
-                print("serve: --compare-prefill needs a token-level policy "
-                      "(fifo-exclusive serves whole requests)", file=sys.stderr)
-                return 2
             rows = prefill_mode_comparison(
                 trace, policy=args.policy,
                 num_instances=num_instances,
@@ -291,9 +287,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print(format_table(
                 rows, title=f"{title} — policy comparison "
                             f"(KV {args.kv_mode})"))
-            if kv_budget is not None or args.kv_mode == "paged":
-                print("\n(fifo-exclusive omitted: it has no KV admission "
-                      "control to constrain)")
             return 0
         metrics_kwargs = {}
         if args.metrics_mode != "full":
@@ -302,8 +295,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics_kwargs = dict(metrics_mode=args.metrics_mode,
                                   slo=(args.ttft_slo, args.tpot_slo))
         sanitize_kwargs = {"sanitize": True} if args.sanitize else {}
-        if (args.pricing_cache is not None
-                and args.policy != "fifo-exclusive"):
+        if args.pricing_cache is not None:
             sanitize_kwargs = dict(sanitize_kwargs,
                                    pricing_cache=args.pricing_cache)
         metrics, records = run_policy(

@@ -4,7 +4,7 @@ The paper evaluates isolated requests; a downstream user deploying LoopLynx
 for LLM serving cares about sustained behaviour under a stream of requests:
 queueing delay, time-to-first-token, latency percentiles, utilization and
 energy.  This package simulates a pool of LoopLynx instances fed from a
-request trace at two granularities:
+request trace, one serving step at a time:
 
 * :mod:`repro.serving.engine` — the token-level engine: the cluster event
   loop over arrivals, routing and step completions, with continuous
@@ -20,9 +20,9 @@ request trace at two granularities:
   and the pluggable cluster routers (round-robin, least-loaded, KV-aware,
   class-affinity);
 * :mod:`repro.serving.schedulers` — FIFO / SJF / priority policies and the
-  reservation-mode KV admission controller;
-* :mod:`repro.serving.simulator` — the whole-request FIFO queue, kept as the
-  ``fifo-exclusive`` compatibility mode and as the policy-switch front-end;
+  reservation-mode KV admission controller (``fifo-exclusive``, the
+  whole-request FIFO queue, is an engine preset:
+  :func:`repro.analysis.serving.run_policy`);
 * :mod:`repro.serving.metrics` — latency/TTFT/TPOT/throughput/energy
   summaries.
 """
@@ -53,6 +53,7 @@ from repro.serving.metrics import (
     percentile,
 )
 from repro.serving.schedulers import (
+    FIFO_EXCLUSIVE,
     FifoScheduler,
     KVAdmissionController,
     POLICY_NAMES,
@@ -60,11 +61,6 @@ from repro.serving.schedulers import (
     SchedulerPolicy,
     ShortestJobFirstScheduler,
     make_scheduler,
-)
-from repro.serving.simulator import (
-    FIFO_EXCLUSIVE,
-    CompletedRequest,
-    ServingSimulator,
 )
 
 __all__ = [
@@ -96,6 +92,4 @@ __all__ = [
     "ShortestJobFirstScheduler",
     "make_scheduler",
     "FIFO_EXCLUSIVE",
-    "CompletedRequest",
-    "ServingSimulator",
 ]

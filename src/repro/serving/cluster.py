@@ -169,8 +169,9 @@ class ClusterSpec:
 
     @staticmethod
     def homogeneous(num_instances: int, num_nodes: int) -> "ClusterSpec":
-        """The single-class cluster equivalent to the classic
-        ``num_instances`` × ``num_nodes_per_instance`` pool."""
+        """The single-class cluster of ``num_instances`` ×
+        ``num_nodes``-node instances (what the engine's
+        ``num_instances``/``num_nodes_per_instance`` shorthand means)."""
         return ClusterSpec((InstanceSpec(num_instances, num_nodes),))
 
     @property

@@ -1,8 +1,7 @@
 """Token-level serving engine: the cluster event loop.
 
-Where :class:`repro.serving.simulator.ServingSimulator` treats each request
-as one opaque service-time blob, this engine advances a **cluster** of
-instances one *step* at a time.  The machinery is split across two layers:
+The engine advances a **cluster** of instances one *step* at a time.  The
+machinery is split across two layers:
 
 * :class:`~repro.serving.instance.InstanceRuntime` owns everything inside
   one instance — batch formation, KV admission (worst-case reservation or
@@ -30,7 +29,11 @@ golden-timestamp tests:
   with swap-to-host or discard-and-recompute eviction;
 * **bit-identical homogeneous pools** — a single-class cluster runs the
   exact pre-cluster dispatch order regardless of router, so every
-  homogeneous configuration reproduces the PR 1–3 timestamps exactly.
+  homogeneous configuration reproduces the PR 1–3 timestamps exactly;
+* **whole-request preset** — ``max_batch_size=1``,
+  ``prefill_chunk_tokens=None`` and ``context_bucket=1`` serve one whole
+  request per instance at a time, a multi-server FIFO queue (the
+  ``fifo-exclusive`` policy of :func:`repro.analysis.serving.run_policy`).
 
 Request lifecycle (every transition happens at a step boundary)::
 
@@ -78,7 +81,13 @@ from repro.core.pricing_cache import (
 from repro.memory.paged_kv import PagedKVManager
 from repro.serving import lifecycle
 from repro.serving.events import BucketedEventQueue, Event
-from repro.serving.cluster import ClusterSpec, Router, make_router, parse_cluster_spec
+from repro.serving.cluster import (
+    ClusterSpec,
+    InstanceSpec,
+    Router,
+    make_router,
+    parse_cluster_spec,
+)
 from repro.serving.instance import (
     InstanceRuntime,
     InstanceStats,
@@ -115,8 +124,8 @@ PREFILL_MODES = ("exclusive", "mixed")
 #: tokens); production chunked-prefill schedulers run 256–2048.
 DEFAULT_MIXED_STEP_TOKEN_BUDGET = 256
 
-#: KV recipe names accepted by ``TokenServingEngine(kv_mode=...)`` when a
-#: cluster spec is used (``None`` = unconstrained admission).
+#: KV recipe names accepted by ``TokenServingEngine(kv_mode=...)``
+#: (``None`` = unconstrained admission).
 KV_RECIPE_MODES = ("reserve", "paged")
 
 
@@ -201,39 +210,46 @@ class ServedRequest:
         return (self.finish_s - self.first_token_s) / (self.decode_len - 1)
 
 
+@dataclass(frozen=True, slots=True)
+class _ClassProto:
+    """One instance class, resolved at construction: its spec, its cycle
+    model, and the KV admission prototype its instances clone (a
+    reservation controller or an empty paged pool; ``None`` for both when
+    the class admits unconstrained)."""
+
+    spec: InstanceSpec
+    system: LoopLynxSystem
+    controller: Optional[KVAdmissionController]
+    manager: Optional[PagedKVManager]
+
+
 class TokenServingEngine:
     """Discrete-event simulation of a cluster of instances at step
     granularity.
 
-    Two configuration surfaces build the cluster:
+    The cluster is a :class:`~repro.serving.cluster.ClusterSpec` (or its
+    text form, e.g. ``"2x1n,2x2n,1x4n"``) plus a per-class KV recipe
+    (``kv_mode``, ``kv_budget_bytes``, ``kv_block_size``,
+    ``kv_prefix_sharing``).  Each instance class gets its own cycle model
+    and its own KV admission prototype.  ``router`` picks the
+    cluster-routing policy (consulted only on heterogeneous pools;
+    single-class pools run the same dispatch order whatever the router).
 
-    * **classic** (``num_instances`` × ``num_nodes_per_instance``, the PR 1
-      surface): a homogeneous pool sharing one cycle model, with KV
-      admission supplied as prototype objects (``kv_controller`` /
-      ``kv_block_manager``).  This path is bit-identical to the pre-cluster
-      engines;
-    * **cluster spec** (``cluster="2x1n,2x2n,1x4n"`` or a
-      :class:`~repro.serving.cluster.ClusterSpec`): possibly heterogeneous;
-      each instance class gets its own cycle model, and KV admission is
-      built per class from the recipe knobs (``kv_mode``,
-      ``kv_budget_bytes``, ``kv_block_size``) because one prototype cannot
-      fit several cache layouts.  ``router`` picks the cluster-routing
-      policy (consulted only on heterogeneous pools; single-class pools run
-      the exact classic dispatch order whatever the router).
+    The whole-request FIFO queue is the preset ``max_batch_size=1``,
+    ``prefill_chunk_tokens=None``, ``context_bucket=1``: one request per
+    instance at a time, whole-prompt prefill and exact context timing.
 
     Parameters
     ----------
-    num_instances, num_nodes_per_instance, system:
-        Classic pool shape, as in
-        :class:`~repro.serving.simulator.ServingSimulator`.  Ignored when
-        ``cluster`` is given (``system`` is rejected there: each class owns
-        its own).
+    num_instances, num_nodes_per_instance:
+        Shorthand for ``cluster=ClusterSpec.homogeneous(num_instances,
+        num_nodes_per_instance)``.  Ignored when ``cluster`` is given.
     policy:
         Scheduler policy name (``fifo``, ``sjf``, ``priority``); a fresh
         :class:`SchedulerPolicy` instance per run is built from the name.
     max_batch_size:
-        Decode-batch ceiling per instance; 1 disables batching (the
-        compatibility regime matching the whole-request simulator).
+        Decode-batch ceiling per instance; 1 disables batching (part of
+        the whole-request preset).
     prefill_chunk_tokens:
         Prompt tokens processed per prefill step.  Smaller chunks interleave
         prefill with running decodes sooner; ``None`` runs each prompt to
@@ -241,14 +257,6 @@ class TokenServingEngine:
     prefill_mode, mixed_step_token_budget:
         Exclusive vs mixed prefill and the mixed-step token budget (see
         :data:`PREFILL_MODES`).
-    kv_controller:
-        Optional :class:`KVAdmissionController` (classic surface);
-        admission reserves worst-case KV capacity and requests queue while
-        the cache is full.
-    kv_block_manager:
-        Optional :class:`~repro.memory.paged_kv.PagedKVManager` prototype
-        (classic surface); each instance gets its own empty clone.
-        Mutually exclusive with ``kv_controller``.
     preemption_mode:
         What happens to a paged-mode victim's KV state: ``"swap"`` moves its
         blocks to the host tier over PCIe and the request later resumes
@@ -263,12 +271,13 @@ class TokenServingEngine:
         Router name (see :data:`~repro.serving.cluster.ROUTER_NAMES`) or a
         :class:`~repro.serving.cluster.Router` instance.
     kv_mode, kv_budget_bytes, kv_block_size:
-        Per-class KV recipe for the cluster surface: ``None`` (no
-        admission control), ``"reserve"`` (worst-case reservations, needs a
-        budget) or ``"paged"`` (block pool, budget defaults to each node's
-        HBM share net of weights).
+        Per-class KV recipe: ``None`` (no admission control),
+        ``"reserve"`` (worst-case reservations; a class without a budget
+        admits unconstrained) or ``"paged"`` (block pool, budget defaults
+        to each node's HBM share net of weights).  A class's own
+        ``@<size>MiB`` budget overrides ``kv_budget_bytes``.
     kv_prefix_sharing:
-        Paged cluster recipe only: content-hash full prompt blocks into a
+        Paged recipe only: content-hash full prompt blocks into a
         per-pool prefix index so later requests whose
         ``prompt_token_ids`` share a prefix reuse the cached blocks
         (copy-on-write on divergence) and skip the matched prefill
@@ -326,14 +335,11 @@ class TokenServingEngine:
     """
 
     def __init__(self, num_instances: int = 1, num_nodes_per_instance: int = 2,
-                 system: Optional[LoopLynxSystem] = None,
                  policy: str = "fifo",
                  max_batch_size: int = 8,
                  prefill_chunk_tokens: Optional[int] = 64,
                  prefill_mode: str = "exclusive",
                  mixed_step_token_budget: int = DEFAULT_MIXED_STEP_TOKEN_BUDGET,
-                 kv_controller: Optional[KVAdmissionController] = None,
-                 kv_block_manager: Optional[PagedKVManager] = None,
                  preemption_mode: str = "swap",
                  context_bucket: int = 32,
                  cluster: Optional[Union[str, ClusterSpec]] = None,
@@ -351,6 +357,11 @@ class TokenServingEngine:
                  pricing_cache: Optional[
                      Union[str, "os.PathLike[str]", PricingCacheStore]
                  ] = None) -> None:
+        if cluster is None:
+            cluster = ClusterSpec.homogeneous(num_instances,
+                                              num_nodes_per_instance)
+        elif isinstance(cluster, str):
+            cluster = parse_cluster_spec(cluster)
         if metrics_mode not in METRICS_MODES:
             raise ValueError(
                 f"unknown metrics mode {metrics_mode!r}; "
@@ -379,10 +390,6 @@ class TokenServingEngine:
             raise ValueError("mixed_step_token_budget must be positive")
         if context_bucket <= 0:
             raise ValueError("context_bucket must be positive")
-        if kv_controller is not None and kv_block_manager is not None:
-            raise ValueError(
-                "kv_controller (reservation mode) and kv_block_manager "
-                "(paged mode) are mutually exclusive")
         if preemption_mode not in PREEMPTION_MODES:
             raise ValueError(
                 f"unknown preemption mode {preemption_mode!r}; "
@@ -391,20 +398,39 @@ class TokenServingEngine:
             raise ValueError(
                 "swap_priority prioritizes resuming swapped-out requests; "
                 "it requires preemption_mode='swap'")
-        if swap_priority and kv_block_manager is None and kv_mode != "paged":
+        if swap_priority and kv_mode != "paged":
             raise ValueError(
-                "swap_priority requires paged KV (a kv_block_manager "
-                "prototype or kv_mode='paged'); nothing is ever swapped "
-                "out otherwise")
+                "swap_priority requires paged KV (kv_mode='paged'); "
+                "nothing is ever swapped out otherwise")
         if kv_mode is not None and kv_mode not in KV_RECIPE_MODES:
             raise ValueError(f"unknown kv mode {kv_mode!r}; "
                              f"known: {', '.join(KV_RECIPE_MODES)}")
         if kv_prefix_sharing and kv_mode != "paged":
             raise ValueError(
                 "kv_prefix_sharing builds prefix indices into the "
-                "per-class paged block pools; it requires kv_mode='paged' "
-                "(on the classic surface, build the kv_block_manager "
-                "prototype with prefix_sharing=True instead)")
+                "per-class paged block pools; it requires kv_mode='paged'")
+        if kv_mode is None and (
+                kv_budget_bytes is not None
+                or any(spec.kv_budget_bytes is not None
+                       for spec in cluster.specs)):
+            raise ValueError(
+                "a KV budget without kv_mode would be silently "
+                "unenforced; pick kv_mode='reserve' or 'paged'")
+        if cluster.has_roles:
+            if kv_mode != "paged":
+                raise ValueError(
+                    "prefill/decode roles hand off paged KV block "
+                    "tables between instances; role-tagged clusters "
+                    "require kv_mode='paged'")
+            roles = {spec.role for spec in cluster.specs}
+            if not roles & {"prefill", "both"}:
+                raise ValueError(
+                    f"cluster {cluster} has no prefill-capable class; "
+                    "nothing could ever compute a prompt")
+            if not roles & {"decode", "both"}:
+                raise ValueError(
+                    f"cluster {cluster} has no decode-capable class; "
+                    "handed-off prompts could never generate")
         self.policy = policy
         make_scheduler(policy)  # fail fast on unknown names
         self.router = make_router(router)
@@ -412,14 +438,9 @@ class TokenServingEngine:
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.prefill_mode = prefill_mode
         self.mixed_step_token_budget = mixed_step_token_budget
-        self.kv_controller = kv_controller
-        self.kv_block_manager = kv_block_manager
         self.preemption_mode = preemption_mode
         self.context_bucket = context_bucket
-        self.kv_prefix_sharing = (
-            kv_prefix_sharing
-            or (kv_block_manager is not None
-                and kv_block_manager.prefix_sharing))
+        self.kv_prefix_sharing = kv_prefix_sharing
         self.swap_priority = swap_priority
         self.metrics_mode = metrics_mode
         self.slo = slo
@@ -428,88 +449,36 @@ class TokenServingEngine:
         #: resolved at construction: explicit argument wins over the
         #: ``REPRO_SANITIZE`` environment switch (see :mod:`repro.sanitize`)
         self.sanitize = sanitize_enabled(sanitize)
-
-        if cluster is not None:
-            if system is not None:
-                raise ValueError(
-                    "cluster specs build one cycle model per instance "
-                    "class; drop the system argument")
-            if kv_controller is not None or kv_block_manager is not None:
-                raise ValueError(
-                    "cluster specs build KV admission per instance class; "
-                    "use kv_mode/kv_budget_bytes/kv_block_size instead of "
-                    "prototype objects")
-            if isinstance(cluster, str):
-                cluster = parse_cluster_spec(cluster)
-            if kv_mode is None and (
-                    kv_budget_bytes is not None
-                    or any(spec.kv_budget_bytes is not None
-                           for spec in cluster.specs)):
-                raise ValueError(
-                    "a KV budget without kv_mode would be silently "
-                    "unenforced; pick kv_mode='reserve' or 'paged'")
-            if cluster.has_roles:
-                if kv_mode != "paged":
-                    raise ValueError(
-                        "prefill/decode roles hand off paged KV block "
-                        "tables between instances; role-tagged clusters "
-                        "require kv_mode='paged'")
-                roles = {spec.role for spec in cluster.specs}
-                if not roles & {"prefill", "both"}:
-                    raise ValueError(
-                        f"cluster {cluster} has no prefill-capable class; "
-                        "nothing could ever compute a prompt")
-                if not roles & {"decode", "both"}:
-                    raise ValueError(
-                        f"cluster {cluster} has no decode-capable class; "
-                        "handed-off prompts could never generate")
-            self.cluster = cluster
-        else:
-            if num_instances <= 0:
-                raise ValueError("num_instances must be positive")
-            if kv_mode is not None or kv_budget_bytes is not None:
-                raise ValueError(
-                    "kv_mode/kv_budget_bytes describe a cluster-spec KV "
-                    "recipe; pass kv_controller/kv_block_manager on the "
-                    "classic surface")
-            self.cluster = ClusterSpec.homogeneous(num_instances,
-                                                   num_nodes_per_instance)
-        self.num_instances = self.cluster.num_instances
-        # ---- per-class prototypes: (spec, system, controller, manager) ----
-        self._protos = []
-        if cluster is not None:
-            for spec in self.cluster.specs:
-                class_system = LoopLynxSystem.paper_configuration(
-                    num_nodes=spec.num_nodes)
-                budget = (spec.kv_budget_bytes
-                          if spec.kv_budget_bytes is not None
-                          else kv_budget_bytes)
-                controller = manager = None
-                if kv_mode == "paged":
-                    manager = PagedKVManager.for_system(
-                        class_system, block_size_tokens=kv_block_size,
-                        budget_bytes=budget,
-                        prefix_sharing=kv_prefix_sharing)
-                elif kv_mode == "reserve" and budget is not None:
-                    controller = KVAdmissionController.for_system(
-                        class_system, budget_bytes=budget)
-                self._protos.append((spec, class_system, controller, manager))
-            self.system = self._protos[0][1]
-        else:
-            self.system = system or LoopLynxSystem.paper_configuration(
-                num_nodes=num_nodes_per_instance)
-            self._protos.append((self.cluster.specs[0], self.system,
-                                 kv_controller, kv_block_manager))
+        self.cluster = cluster
+        self.num_instances = cluster.num_instances
+        self._protos: List[_ClassProto] = []
+        for spec in cluster.specs:
+            class_system = LoopLynxSystem.paper_configuration(
+                num_nodes=spec.num_nodes)
+            budget = (spec.kv_budget_bytes
+                      if spec.kv_budget_bytes is not None
+                      else kv_budget_bytes)
+            controller = manager = None
+            if kv_mode == "paged":
+                manager = PagedKVManager.for_system(
+                    class_system, block_size_tokens=kv_block_size,
+                    budget_bytes=budget,
+                    prefix_sharing=kv_prefix_sharing)
+            elif kv_mode == "reserve" and budget is not None:
+                controller = KVAdmissionController.for_system(
+                    class_system, budget_bytes=budget)
+            self._protos.append(
+                _ClassProto(spec, class_system, controller, manager))
         spec_nodes = {spec.num_nodes for spec in self.cluster.specs}
         #: Nodes per instance (0 when classes differ — use per-class
         #: metrics then).  pop() is order-independent here: only taken on
         #: a singleton set.
         self.num_nodes_per_instance = (spec_nodes.pop()  # repro-lint: disable=R006
                                        if len(spec_nodes) == 1 else 0)
-        self._paged = any(proto[3] is not None for proto in self._protos)
+        self._paged = any(p.manager is not None for p in self._protos)
         self._kv_mode = ("paged" if self._paged
-                         else "reserve" if any(proto[2] is not None
-                                               for proto in self._protos)
+                         else "reserve" if any(p.controller is not None
+                                               for p in self._protos)
                          else "none")
         # step-timing memo dicts (decode, mixed, prefill-chunk, transfer),
         # shared per class and across runs (the cycle model and the PCIe
@@ -529,11 +498,10 @@ class TokenServingEngine:
                      if isinstance(pricing_cache, PricingCacheStore)
                      else PricingCacheStore(pricing_cache))
             self._pricing_store = store
-            for (_, class_system, _, manager), caches in zip(
-                    self._protos, self._caches):
-                probe = (manager.swap_transfer_s(1)
-                         if manager is not None else None)
-                fp = config_fingerprint(class_system.config, probe)
+            for proto, caches in zip(self._protos, self._caches):
+                probe = (proto.manager.swap_transfer_s(1)
+                         if proto.manager is not None else None)
+                fp = config_fingerprint(proto.system.config, probe)
                 self._pricing_fps.append(fp)
                 loaded = store.load(fp)
                 if loaded is not None:
@@ -595,18 +563,18 @@ class TokenServingEngine:
         # completer) or an admit-all pool (nothing waits while an
         # instance idles).
         allow_multistep = self.multistep and not self._paged
-        for (spec, class_system, controller, manager), caches in zip(
-                self._protos, self._caches):
+        for proto, caches in zip(self._protos, self._caches):
+            spec, manager = proto.spec, proto.manager
             for _ in range(spec.count):
                 runtime = InstanceRuntime(
-                    instance_id, class_system,
+                    instance_id, proto.system,
                     class_label=spec.label,
                     role=spec.role,
                     max_batch_size=self.max_batch_size,
                     prefill_chunk_tokens=self.prefill_chunk_tokens,
                     prefill_mode=self.prefill_mode,
                     mixed_step_token_budget=self.mixed_step_token_budget,
-                    kv_controller=controller,
+                    kv_controller=proto.controller,
                     kv=(manager.clone_empty() if manager is not None
                         else None),
                     preemption_mode=self.preemption_mode,
@@ -631,8 +599,8 @@ class TokenServingEngine:
         """Whether any instance class constrains admission at all (with no
         KV admission anywhere, every request is trivially servable and
         validation can skip the trace scan entirely)."""
-        return any(controller is not None or manager is not None
-                   for _, _, controller, manager in self._protos)
+        return any(p.controller is not None or p.manager is not None
+                   for p in self._protos)
 
     def _validate(self, trace: Iterable[Request]) -> None:
         """Reject traces containing a request no instance class could ever
@@ -647,12 +615,12 @@ class TokenServingEngine:
         validate each request lazily as it is drawn."""
         if len(self._protos) == 1:
             # single class: the prototype's own validation carries the
-            # precise error message (and the classic path stays identical)
-            _, _, controller, manager = self._protos[0]
-            if controller is not None:
-                controller.validate((request,))
-            if manager is not None:
-                manager.validate((request,))
+            # precise error message
+            proto = self._protos[0]
+            if proto.controller is not None:
+                proto.controller.validate((request,))
+            if proto.manager is not None:
+                proto.manager.validate((request,))
             return
         if self.cluster.has_roles:
             # disaggregated: a request needs a place to *start* (a prefill
@@ -660,17 +628,15 @@ class TokenServingEngine:
             # full context) and a place to *finish* (a decode-capable
             # class holding its full context)
             starts = any(
-                kv_capacity_admits(c, m, request, role="prefill")
-                for spec, _, c, m in self._protos
-                if spec.role == "prefill")
+                kv_capacity_admits(p.controller, p.manager, request,
+                                   role="prefill")
+                for p in self._protos if p.spec.role == "prefill")
             finishes = any(
-                kv_capacity_admits(c, m, request)
-                for spec, _, c, m in self._protos
-                if spec.role == "decode")
+                kv_capacity_admits(p.controller, p.manager, request)
+                for p in self._protos if p.spec.role == "decode")
             whole = any(
-                kv_capacity_admits(c, m, request)
-                for spec, _, c, m in self._protos
-                if spec.role == "both")
+                kv_capacity_admits(p.controller, p.manager, request)
+                for p in self._protos if p.spec.role == "both")
             if not ((starts and (finishes or whole)) or whole):
                 raise ValueError(
                     f"request {request.request_id} cannot be served by "
@@ -679,8 +645,8 @@ class TokenServingEngine:
                     "and a decode-capable class holding its full "
                     "context")
             return
-        if not any(kv_capacity_admits(controller, manager, request)
-                   for _, _, controller, manager in self._protos):
+        if not any(kv_capacity_admits(p.controller, p.manager, request)
+                   for p in self._protos):
             raise ValueError(
                 f"request {request.request_id} fits no instance class "
                 f"of cluster {self.cluster} under the KV budget")

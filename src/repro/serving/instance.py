@@ -33,6 +33,7 @@ from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.multi_node import LoopLynxSystem
+from repro.errors import InvariantError
 from repro.memory.paged_kv import PagedKVManager
 from repro.serving import lifecycle
 from repro.serving.cluster import INSTANCE_ROLES
@@ -395,11 +396,14 @@ class InstanceRuntime:
                     prefill_context=key[0])
         return cached
 
-    def _next_prefill_chunk(self, state: RequestState) -> int:
+    def _next_prefill_chunk(self, state: RequestState,
+                            credit: Tokens = 0) -> int:
         """Prompt tokens ``state`` would stream in its next mixed step,
         before the step's token budget is split (per-request chunk cap and
-        the whole-step budget both apply)."""
-        chunk = min(state.prefill_remaining, self.mixed_step_token_budget)
+        the whole-step budget both apply); ``credit`` prompt tokens about
+        to be credited from the prefix cache no longer need streaming."""
+        chunk = min(state.prefill_remaining - credit,
+                    self.mixed_step_token_budget)
         if self.prefill_chunk_tokens is not None:
             chunk = min(chunk, self.prefill_chunk_tokens)
         return chunk
@@ -407,19 +411,23 @@ class InstanceRuntime:
     # ------------------------------------------------------------------
     # KV admission gates (mode-aware)
     # ------------------------------------------------------------------
-    def _paged_admit_target(self, state: RequestState) -> int:
+    def _paged_admit_target(self, state: RequestState,
+                            credit: Tokens = 0) -> int:
         """Cached positions a (non-swapped) request must cover at admission.
 
         Exclusive prefill claims the whole prompt plus one slot for the
         first decode append (the prompt is computed before any other step
         of the instance runs, so its blocks are needed up front).  Mixed
         prefill streams the prompt in chunk by chunk, so admission only
-        claims the first chunk and the table grows per step alongside the
-        decode appends.  Both are clamped to the context window.
+        claims the first chunk — after the ``credit`` prompt tokens the
+        prefix cache is about to supply — and the table grows per step
+        alongside the decode appends.  Both are clamped to the context
+        window.
         """
         request = state.request
         if self.prefill_mode == "mixed" and state.prefill_remaining > 0:
-            tokens = state.context_len + self._next_prefill_chunk(state)
+            tokens = (state.context_len + credit
+                      + self._next_prefill_chunk(state, credit))
         elif self.role == "prefill":
             # a prefill instance never appends a decode token: the prompt
             # hands off the moment it completes, so no +1 growth slot
@@ -446,7 +454,26 @@ class InstanceRuntime:
                 next_tokens = state.context_len + 1
             next_target = min(next_tokens, kv.layout.max_seq_len)
             return restore + max(0, kv.blocks_needed(next_target) - restore)
-        return kv.blocks_missing(rid, self._paged_admit_target(state))
+        # budget the table admit() allocates: in mixed mode its first chunk
+        # starts after the prefix credit (exclusive targets ignore it)
+        credit = (self._prefix_credit(kv, state) or 0
+                  if self.prefill_mode == "mixed" else 0)
+        return kv.blocks_missing(rid, self._paged_admit_target(state, credit))
+
+    def _prefix_credit(self, kv: PagedKVManager,
+                       state: RequestState) -> Optional[Tokens]:
+        """Prompt tokens admission credits as already computed: the cached
+        prefix a fresh request reuses on a prefix-sharing pool (0 without
+        a match), or ``None`` when admission does not go through the
+        prefix cache at all.  :meth:`admit` applies it and the admission
+        gate budgets the table it implies, so both take it from here."""
+        token_ids = state.request.prompt_token_ids
+        if (not kv.prefix_sharing or token_ids is None
+                or state.prefill_done != 0
+                or kv.holds(state.request.request_id)):
+            return None
+        matched = kv.match_prefix_tokens(token_ids)
+        return min(matched, state.prefill_len - 1) if matched > 0 else 0
 
     def _paged_growth_headroom(self, kv: PagedKVManager,
                                batch: Sequence[RequestState]) -> int:
@@ -631,23 +658,24 @@ class InstanceRuntime:
                     self.stats.handoff_in_count += 1
                     self.stats.handoff_time_s += transfer
                 state.swapped_on = None
-            elif (kv.prefix_sharing and state.prefill_done == 0
-                    and not kv.holds(rid)
-                    and state.request.prompt_token_ids is not None):
-                matched = kv.match_prefix_tokens(state.request.prompt_token_ids)
-                if matched > 0:
+            else:
+                credit = self._prefix_credit(kv, state)
+                if credit is None:
+                    allocated = kv.allocate(rid,
+                                            self._paged_admit_target(state))
+                else:
                     # credit the reused prompt positions as already computed:
                     # prefill resumes at the matched offset, so both
                     # prefill_tokens_processed and TTFT genuinely drop
-                    state.prefill_done = min(matched, state.prefill_len - 1)
-                if kv.allocate_prefix(
+                    state.prefill_done = credit
+                    allocated = kv.allocate_prefix(
                         rid, self._paged_admit_target(state),
-                        state.request.prompt_token_ids) is None:
-                    raise RuntimeError("admission gate admitted an "
-                                       "unallocatable request")  # pragma: no cover
-            elif not kv.allocate(rid, self._paged_admit_target(state)):
-                raise RuntimeError("admission gate admitted an "
-                                   "unallocatable request")  # pragma: no cover
+                        state.request.prompt_token_ids) is not None
+                if not allocated:
+                    raise InvariantError(  # pragma: no cover
+                        f"admission gate admitted request {rid} on "
+                        f"instance {self.instance_id}, but its KV table "
+                        "cannot be allocated")
         self.batch.append(state)
         if state.prefill_len > state.prefill_done:
             self._num_prefilling += 1

@@ -259,11 +259,9 @@ class InstanceClassMetrics(_MetricsBase):
 class ServingMetrics(_MetricsBase):
     """Aggregate statistics of one serving simulation.
 
-    The token-level fields (``ttfts_s``, ``tpots_s``, ``preemptions``) are
-    only populated by the step-granular engine
-    (:class:`repro.serving.engine.TokenServingEngine`); the whole-request
-    compatibility path leaves them empty because a request-sized service blob
-    has no interior token timestamps.
+    Engine runs (:class:`repro.serving.engine.TokenServingEngine`) fill
+    every field; hand-built metrics may leave the token-level and step
+    accounting fields empty, and :meth:`summary` then omits them.
 
     ``tpots_s`` is aligned index-for-index with ``ttfts_s`` (one entry per
     request that generated a token); an entry is ``None`` for a request with
@@ -320,7 +318,7 @@ class ServingMetrics(_MetricsBase):
     ttfts_s: List[Seconds] = field(default_factory=list)
     tpots_s: List[Optional[Seconds]] = field(default_factory=list)
     preemptions: int = 0
-    policy: str = "fifo-exclusive"
+    policy: str = "fifo"
     prefill_mode: str = "exclusive"
     busy_time_s: Seconds = 0.0
     prefill_tokens_processed: int = 0
@@ -354,8 +352,7 @@ class ServingMetrics(_MetricsBase):
     #: Time-weighted fraction of the device pools holding shared or
     #: reclaimable cached blocks, normalized by busy time.
     mean_kv_shared_fraction: float = 0.0
-    #: Cluster shape (e.g. ``"2x1n,1x2n"``) and routing policy of the run
-    #: ("" for the whole-request simulator, which has no cluster layer).
+    #: Cluster shape (e.g. ``"2x1n,1x2n"``) and routing policy of the run.
     cluster: str = ""
     router: str = ""
     #: One entry per instance class (engine runs only; single-class pools
@@ -403,23 +400,15 @@ class ServingMetrics(_MetricsBase):
 
     @property
     def instance_utilization(self) -> float:
-        """Fraction of instance-time spent actually serving requests.
-
-        Engine runs report it as ``busy_time_s / pool_time_s`` (``makespan ×
-        instances`` for one run), which is ≤ 1 by construction (steps never
-        overlap on an instance and all finish within the makespan; merged
-        shards sum both sides).  The whole-request simulator has no
-        step clock, so it falls back to the per-request service-time estimate;
-        that estimate would overstate utilization under preemption (a
-        re-queued request's wait is inside its service time), but the
-        simulator never preempts, so there it is exact.
-        """
+        """Fraction of instance-time spent actually serving requests:
+        ``busy_time_s / pool_time_s`` (``makespan × instances`` for one
+        run), which is ≤ 1 by construction (steps never overlap on an
+        instance and all finish within the makespan; merged shards sum
+        both sides)."""
         capacity = self.pool_time_s
         if capacity <= 0:
             return 0.0
-        if self.busy_time_s > 0:
-            return self.busy_time_s / capacity
-        return min(sum(self.service_times_s) / capacity, 1.0)
+        return self.busy_time_s / capacity
 
     @property
     def decode_time_share(self) -> float:

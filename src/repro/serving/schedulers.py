@@ -54,9 +54,13 @@ if TYPE_CHECKING:  # pragma: no cover - schedulers is imported by instance
 #: lexicographically; the policy heap adds a sequence number for ties.
 SortKey = Tuple[float, ...]
 
-#: Policy names accepted by the engine/CLI (`fifo-exclusive` is handled by
-#: :class:`repro.serving.simulator.ServingSimulator`).
+#: Policy names accepted by the engine/CLI.
 POLICY_NAMES = ("fifo", "sjf", "priority")
+
+#: Policy name of the whole-request preset: ``fifo`` with one request per
+#: instance at a time, whole-prompt prefill and exact context timing
+#: (resolved by :func:`repro.analysis.serving.run_policy`, not a scheduler).
+FIFO_EXCLUSIVE = "fifo-exclusive"
 
 
 class SchedulerPolicy:

@@ -24,7 +24,6 @@ from repro.analysis.serving import (
 )
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving.cluster import (
     ClassAffinityRouter,
     ClusterSpec,
@@ -154,12 +153,13 @@ def _timestamps(records):
     return [(r.admitted_s, r.first_token_s, r.finish_s) for r in records]
 
 
-def _paged_manager(tokens=448, num_nodes=2, block=16):
-    system = LoopLynxSystem.paper_configuration(num_nodes=num_nodes)
-    layout = KVCacheLayout.for_model(system.config.model, num_nodes=num_nodes)
-    return system, PagedKVManager(
-        layout, block_size_tokens=block,
-        budget_bytes=tokens * layout.bytes_per_token_per_node())
+def _paged_recipe(tokens=448, num_nodes=2):
+    """Engine kwargs for a paged pool holding ``tokens`` cached positions
+    per node (16-token blocks) for the paper model."""
+    model = LoopLynxSystem.paper_configuration(num_nodes=num_nodes).config.model
+    layout = KVCacheLayout.for_model(model, num_nodes=num_nodes)
+    return dict(kv_mode="paged",
+                kv_budget_bytes=tokens * layout.bytes_per_token_per_node())
 
 
 class TestClusterSpec:
@@ -235,12 +235,11 @@ class TestHomogeneousGoldens:
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_paged_swap_matches_golden(self, router):
-        system, manager = _paged_manager()
         engine = TokenServingEngine(num_instances=4,
-                                    num_nodes_per_instance=2, system=system,
+                                    num_nodes_per_instance=2,
                                     policy="fifo", max_batch_size=4,
-                                    kv_block_manager=manager,
-                                    preemption_mode="swap", router=router)
+                                    preemption_mode="swap", router=router,
+                                    **_paged_recipe())
         metrics, records = engine.run(_bursty24())
         assert _timestamps(records) == GOLDEN["cluster-bursty-fifo-paged"]
         assert metrics.swap_out_count == metrics.swap_in_count == 2
@@ -489,12 +488,11 @@ class TestSwapPriority:
                              burst_size=16)
         results = {}
         for flag in (False, True):
-            system, manager = _paged_manager(tokens=448)
             engine = TokenServingEngine(
-                num_instances=1, num_nodes_per_instance=2, system=system,
+                num_instances=1, num_nodes_per_instance=2,
                 policy="fifo", max_batch_size=8, prefill_mode="mixed",
-                kv_block_manager=manager, preemption_mode="swap",
-                swap_priority=flag)
+                preemption_mode="swap", swap_priority=flag,
+                **_paged_recipe(tokens=448))
             results[flag], _ = engine.run(trace)
         base, prioritized = results[False], results[True]
         assert prioritized.swap_in_count < base.swap_in_count
@@ -506,11 +504,10 @@ class TestSwapPriority:
     def test_swap_priority_off_is_bit_identical(self):
         """The flag defaults off, and off means the PR 3 behaviour."""
         trace = _bursty24()
-        system, manager = _paged_manager()
         engine = TokenServingEngine(
-            num_instances=4, num_nodes_per_instance=2, system=system,
-            policy="fifo", max_batch_size=4, kv_block_manager=manager,
-            preemption_mode="swap")
+            num_instances=4, num_nodes_per_instance=2,
+            policy="fifo", max_batch_size=4, preemption_mode="swap",
+            **_paged_recipe())
         assert engine.swap_priority is False
         _, records = engine.run(trace)
         assert _timestamps(records) == GOLDEN["cluster-bursty-fifo-paged"]
@@ -529,19 +526,39 @@ class TestSwapPriority:
             TokenServingEngine(cluster="2x1n,1x2n", swap_priority=True)
 
 
-class TestEngineClusterValidation:
-    def test_cluster_rejects_prototype_kv_objects(self):
-        system, manager = _paged_manager()
-        with pytest.raises(ValueError):
-            TokenServingEngine(cluster="2x1n,1x2n", kv_block_manager=manager)
-        with pytest.raises(ValueError):
-            TokenServingEngine(cluster="2x1n,1x2n", system=system)
+class TestPerClassReserveBudgets:
+    """Regression: per-class ``@<size>MiB`` budgets are enforced under the
+    default reserve KV mode instead of being rejected as unenforced."""
 
-    def test_kv_recipe_requires_cluster(self):
-        with pytest.raises(ValueError):
-            TokenServingEngine(num_instances=2, kv_mode="paged")
+    SPEC = "2x1n@64MiB,1x2n@128MiB"
+
+    def test_run_policy_reserve_uses_class_budgets(self):
+        metrics, records = run_policy(_bursty24(), "fifo",
+                                      instances=self.SPEC, kv_mode="reserve")
+        assert metrics.kv_mode == "reserve"
+        assert len(records) == 24
+
+    def test_serve_cli_accepts_class_budgets(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--requests", "12",
+                     "--instances", self.SPEC]) == 0
+        assert "KV reserve" in capsys.readouterr().out
+
+
+class TestEngineClusterValidation:
+    def test_shorthand_is_the_homogeneous_cluster(self):
+        """``num_instances``/``num_nodes_per_instance`` resolve to
+        ``ClusterSpec.homogeneous`` and take the KV recipe like any spec."""
+        engine = TokenServingEngine(num_instances=2, num_nodes_per_instance=4,
+                                    kv_mode="paged")
+        assert engine.cluster == ClusterSpec.homogeneous(2, 4)
+        assert engine.num_instances == 2
+        assert engine.num_nodes_per_instance == 4
         with pytest.raises(ValueError):
             TokenServingEngine(num_instances=2, kv_budget_bytes=1 << 20)
+        with pytest.raises(ValueError):
+            TokenServingEngine(num_instances=0)
 
     def test_kv_budget_without_mode_is_rejected(self):
         """A budget that would be silently unenforced is an error, not a

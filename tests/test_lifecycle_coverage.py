@@ -19,7 +19,6 @@ import pytest
 from repro.core.multi_node import LoopLynxSystem
 from repro.errors import InvariantError
 from repro.memory.kv_cache import KVCacheLayout
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving import lifecycle
 from repro.serving.engine import TokenServingEngine
 from repro.workloads.scenarios import Scenario
@@ -36,12 +35,13 @@ def _trace(shapes, gap_s=0.0, priorities=None):
     return RequestTrace(requests=requests)
 
 
-def _tight_manager(system, tokens):
-    layout = KVCacheLayout.for_model(system.config.model,
-                                     num_nodes=system.num_nodes)
-    return PagedKVManager(layout, block_size_tokens=16,
-                          budget_bytes=tokens
-                          * layout.bytes_per_token_per_node())
+def _tight_paged(tokens):
+    """Paged KV recipe holding ``tokens`` cached positions per node of the
+    paper model on a 2-node instance (16-token blocks)."""
+    model = LoopLynxSystem.paper_configuration(num_nodes=2).config.model
+    layout = KVCacheLayout.for_model(model, num_nodes=2)
+    return dict(kv_mode="paged",
+                kv_budget_bytes=tokens * layout.bytes_per_token_per_node())
 
 
 def _observe(engine, trace):
@@ -57,11 +57,7 @@ class TestDeclaredEdgeCoverage:
     """Union of observed edges over the portfolio == declared edges."""
 
     @pytest.fixture(scope="class")
-    def system(self):
-        return LoopLynxSystem.paper_configuration(num_nodes=2)
-
-    @pytest.fixture(scope="class")
-    def observed(self, system):
+    def observed(self):
         runs = {}
         # Disaggregated cluster, prefix sharing, mixed scheduling: the
         # prefill class exports handoffs, the decode class imports them
@@ -75,35 +71,30 @@ class TestDeclaredEdgeCoverage:
         # Capacity pressure with swap preemption: decoding victims are
         # swapped out and later resume without recomputing.
         runs["swap-pressure"] = _observe(
-            TokenServingEngine(num_instances=1, system=system, policy="fifo",
+            TokenServingEngine(num_instances=1, policy="fifo",
                                max_batch_size=4, preemption_mode="swap",
-                               kv_block_manager=_tight_manager(system, 176),
-                               sanitize=True),
+                               sanitize=True, **_tight_paged(176)),
             _trace([(24, 80)] * 5, gap_s=0.01))
         # Same pressure, recompute preemption: victims drop their blocks
         # and re-enter through the queue.
         runs["recompute-pressure"] = _observe(
-            TokenServingEngine(num_instances=1, system=system, policy="fifo",
+            TokenServingEngine(num_instances=1, policy="fifo",
                                max_batch_size=4, preemption_mode="recompute",
-                               kv_block_manager=_tight_manager(system, 176),
-                               sanitize=True),
+                               sanitize=True, **_tight_paged(176)),
             _trace([(24, 80)] * 5, gap_s=0.01))
         # Priority preemption with a single-slot batch and a long chunked
         # prompt: the victim is evicted *mid-prefill*, exercising the
         # prefill-phase eviction/resume edges (swap and recompute).
-        prio = dict(num_instances=1, system=system, policy="priority",
-                    max_batch_size=1, prefill_chunk_tokens=64, sanitize=True)
+        prio = dict(num_instances=1, policy="priority", max_batch_size=1,
+                    prefill_chunk_tokens=64, sanitize=True,
+                    **_tight_paged(1024))
         prio_trace = _trace([(512, 16), (64, 16)], gap_s=0.05,
                             priorities=[0, 5])
         runs["priority-swap"] = _observe(
-            TokenServingEngine(preemption_mode="swap",
-                               kv_block_manager=_tight_manager(system, 1024),
-                               **prio),
+            TokenServingEngine(preemption_mode="swap", **prio),
             prio_trace)
         runs["priority-recompute"] = _observe(
-            TokenServingEngine(preemption_mode="recompute",
-                               kv_block_manager=_tight_manager(system, 1024),
-                               **prio),
+            TokenServingEngine(preemption_mode="recompute", **prio),
             prio_trace)
         # A prompt-only request (decode_len == 0) finishes straight out
         # of prefill.

@@ -15,7 +15,6 @@ import pytest
 from repro.analysis.serving import prefill_mode_comparison, run_policy
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
-from repro.memory.paged_kv import PagedKVManager
 from repro.serving.engine import TokenServingEngine
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
@@ -94,11 +93,13 @@ def _trace(shapes, gap_s=0.0, priorities=None):
     return RequestTrace(requests=requests)
 
 
-def _tight_manager(system, tokens):
-    layout = KVCacheLayout.for_model(system.config.model,
-                                     num_nodes=system.num_nodes)
-    return PagedKVManager(layout, block_size_tokens=16,
-                          budget_bytes=tokens * layout.bytes_per_token_per_node())
+def _tight_paged(tokens):
+    """Paged KV recipe holding ``tokens`` cached positions per node of the
+    paper model on a 2-node instance (16-token blocks)."""
+    model = LoopLynxSystem.paper_configuration(num_nodes=2).config.model
+    layout = KVCacheLayout.for_model(model, num_nodes=2)
+    return dict(kv_mode="paged",
+                kv_budget_bytes=tokens * layout.bytes_per_token_per_node())
 
 
 class TestExclusiveBitIdentical:
@@ -239,14 +240,12 @@ class TestTokenConservation:
     @pytest.mark.parametrize("preemption_mode", ["swap", "recompute"])
     def test_paged_mixed_conserves_tokens_under_preemption(self,
                                                            preemption_mode):
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         trace = bursty_trace(24, seed=3, mean_prefill=48, mean_decode=128,
                              burst_size=8)
         engine = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=8,
-            prefill_mode="mixed",
-            kv_block_manager=_tight_manager(system, 320),
-            preemption_mode=preemption_mode)
+            num_instances=1, policy="fifo", max_batch_size=8,
+            prefill_mode="mixed", preemption_mode=preemption_mode,
+            **_tight_paged(320))
         metrics, records = engine.run(trace)
         assert metrics.num_requests == len(trace)
         assert metrics.preemptions > 0  # the pool really was contended
@@ -270,15 +269,13 @@ class TestTokenConservation:
         each other forever.  Mixed mode restricts equal-priority capacity
         eviction to members admitted no earlier than the grower, so the
         oldest resident always runs to completion."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         # each request peaks at 160 cached positions = 10 of 12 blocks, so
         # the pool can only ever complete them one at a time
         trace = _trace([(32, 128), (32, 128)], gap_s=0.01)
         engine = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=4,
-            prefill_mode="mixed",
-            kv_block_manager=_tight_manager(system, 192),
-            preemption_mode="recompute")
+            num_instances=1, policy="fifo", max_batch_size=4,
+            prefill_mode="mixed", preemption_mode="recompute",
+            **_tight_paged(192))
         metrics, records = engine.run(trace)
         assert metrics.num_requests == 2
         assert metrics.generated_tokens == trace.total_decode_tokens

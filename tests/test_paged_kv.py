@@ -9,7 +9,6 @@ from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import DEFAULT_HOST_LINK, PagedKVManager
 from repro.serving.engine import TokenServingEngine
-from repro.serving.schedulers import KVAdmissionController
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import Request, RequestTrace, bursty_trace
 
@@ -171,20 +170,20 @@ class TestPagedKVManager:
             PagedKVManager(_layout(), nodes_per_card=0)
 
 
-def _tight_manager(system, tokens):
-    layout = _system_layout(system)
-    return PagedKVManager(layout, block_size_tokens=16,
-                          budget_bytes=tokens * layout.bytes_per_token_per_node())
+def _tight_budget(tokens):
+    """Per-node byte budget holding ``tokens`` cached positions of the
+    paper model on a 2-node instance."""
+    system = LoopLynxSystem.paper_configuration(num_nodes=2)
+    return tokens * _system_layout(system).bytes_per_token_per_node()
 
 
 class TestEnginePagedMode:
     def _run(self, trace, tokens=256, policy="fifo", preemption_mode="swap",
              max_batch_size=4):
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         engine = TokenServingEngine(
-            num_instances=1, system=system, policy=policy,
+            num_instances=1, policy=policy,
             max_batch_size=max_batch_size,
-            kv_block_manager=_tight_manager(system, tokens),
+            kv_mode="paged", kv_budget_bytes=_tight_budget(tokens),
             preemption_mode=preemption_mode)
         metrics, records = engine.run(trace)
         return engine, metrics, records
@@ -236,17 +235,14 @@ class TestEnginePagedMode:
     def test_paged_admits_more_than_reservation(self):
         """The tentpole property: with identical capacity, on-demand block
         allocation runs a bigger batch than worst-case reservations."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         trace = _trace([(16, 96)] * 6, gap_s=0.01)
-        tokens = 288
-        layout = _system_layout(system)
+        budget = _tight_budget(288)
         paged = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=8,
-            kv_block_manager=_tight_manager(system, tokens))
+            num_instances=1, policy="fifo", max_batch_size=8,
+            kv_mode="paged", kv_budget_bytes=budget)
         reserve = TokenServingEngine(
-            num_instances=1, system=system, policy="fifo", max_batch_size=8,
-            kv_controller=KVAdmissionController(
-                layout, budget_bytes=tokens * layout.bytes_per_token_per_node()))
+            num_instances=1, policy="fifo", max_batch_size=8,
+            kv_mode="reserve", kv_budget_bytes=budget)
         paged_metrics, _ = paged.run(trace)
         reserve_metrics, _ = reserve.run(trace)
         assert paged_metrics.mean_running_batch > \
@@ -271,12 +267,11 @@ class TestEnginePagedMode:
         its KV cannot teleport to another instance's pool for free.  Every
         swap-out is therefore matched by a swap-in even with multiple
         instances competing for the queue."""
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
         trace = bursty_trace(24, seed=3, mean_prefill=48, mean_decode=128,
                              burst_size=8)
         engine = TokenServingEngine(
-            num_instances=2, system=system, policy="fifo", max_batch_size=8,
-            kv_block_manager=_tight_manager(system, 320),
+            num_instances=2, policy="fifo", max_batch_size=8,
+            kv_mode="paged", kv_budget_bytes=_tight_budget(320),
             preemption_mode="swap")
         metrics, records = engine.run(trace)
         assert metrics.num_requests == len(trace)
@@ -316,12 +311,10 @@ class TestEnginePagedMode:
             self._run(trace, tokens=128)
 
     def test_mutually_exclusive_kv_modes(self):
-        system = LoopLynxSystem.paper_configuration(num_nodes=2)
-        layout = _system_layout(system)
-        with pytest.raises(ValueError):
-            TokenServingEngine(
-                kv_controller=KVAdmissionController(layout),
-                kv_block_manager=_tight_manager(system, 256))
+        """One recipe picks one KV regime: there is no combined mode."""
+        with pytest.raises(ValueError, match="unknown kv mode"):
+            TokenServingEngine(kv_mode="reserve+paged",
+                               kv_budget_bytes=_tight_budget(256))
         with pytest.raises(ValueError):
             TokenServingEngine(preemption_mode="discard")
 
@@ -340,11 +333,9 @@ class TestReservationRegression:
         budget = 640 * layout.bytes_per_token_per_node()
         via_helper, helper_records = run_policy(
             trace, "fifo", kv_budget_bytes=budget, kv_mode="reserve")
-        controller = KVAdmissionController.for_system(system,
-                                                      budget_bytes=budget)
-        engine = TokenServingEngine(num_instances=1, system=system,
-                                    policy="fifo", max_batch_size=8,
-                                    kv_controller=controller)
+        engine = TokenServingEngine(cluster="1x2n", policy="fifo",
+                                    max_batch_size=8, kv_mode="reserve",
+                                    kv_budget_bytes=budget)
         direct, direct_records = engine.run(trace)
         assert via_helper.makespan_s == direct.makespan_s
         assert via_helper.kv_mode == direct.kv_mode == "reserve"

@@ -15,7 +15,7 @@ import dataclasses
 
 import pytest
 
-from test_cluster import GOLDEN, _bursty24, _paged_manager, _timestamps
+from test_cluster import GOLDEN, _bursty24, _paged_recipe, _timestamps
 
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
@@ -65,13 +65,12 @@ class TestGoldenGuardSharingOff:
 
     @pytest.mark.parametrize("router", ROUTER_NAMES)
     def test_paged_swap_golden_with_ids_attached(self, router):
-        system, manager = _paged_manager()
-        assert manager.prefix_sharing is False
         engine = TokenServingEngine(num_instances=4,
-                                    num_nodes_per_instance=2, system=system,
+                                    num_nodes_per_instance=2,
                                     policy="fifo", max_batch_size=4,
-                                    kv_block_manager=manager,
-                                    preemption_mode="swap", router=router)
+                                    preemption_mode="swap", router=router,
+                                    **_paged_recipe())
+        assert engine.kv_prefix_sharing is False
         metrics, records = engine.run(_with_prompt_ids(_bursty24()))
         assert _timestamps(records) == GOLDEN["cluster-bursty-fifo-paged"]
         assert metrics.kv_prefix_sharing is False
@@ -452,3 +451,34 @@ class TestEngineIntegration:
                                 kv_mode="paged", kv_prefix_sharing=True)
         assert metrics.kv_prefix_sharing is True
         assert metrics.prefix_hits > 0
+
+
+class TestMixedPrefillAdmission:
+    """Regression: under mixed prefill the admission gate must budget the
+    table admit() allocates *after* crediting the matched prefix — the
+    first chunk starts at the matched offset, and matched blocks revived
+    from the reclaimable tier consume free capacity too."""
+
+    @pytest.mark.parametrize("num_nodes", [1, 2])
+    @pytest.mark.parametrize("preemption_mode", ["swap", "recompute"])
+    def test_mixed_sharing_admits_only_allocatable(self, num_nodes,
+                                                   preemption_mode):
+        from repro.core.multi_node import LoopLynxSystem
+
+        model = LoopLynxSystem.paper_configuration(
+            num_nodes=num_nodes).config.model
+        layout = KVCacheLayout.for_model(model, num_nodes=num_nodes)
+        trace = multi_turn_trace(40, seed=2)
+        engine = TokenServingEngine(
+            cluster=f"1x{num_nodes}n", policy="fifo", max_batch_size=4,
+            prefill_mode="mixed", kv_mode="paged",
+            kv_budget_bytes=1024 * layout.bytes_per_token_per_node(),
+            kv_prefix_sharing=True, preemption_mode=preemption_mode,
+            sanitize=True)
+        metrics, records = engine.run(trace)
+        assert len(records) == len(trace)
+        assert metrics.generated_tokens == trace.total_decode_tokens
+        assert metrics.prefix_hits > 0
+        assert metrics.preemptions > 0  # the budget really was contended
+        for manager in engine.last_kv_managers:
+            assert manager.used_blocks == 0

@@ -1,11 +1,13 @@
 """Tests for the token-level serving engine, scheduler policies and the
 KV-capacity admission controller."""
 
+import heapq
+
 import pytest
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
-from repro.serving.engine import ServedRequest, TokenServingEngine
+from repro.serving.engine import TokenServingEngine
 from repro.serving.schedulers import (
     FifoScheduler,
     KVAdmissionController,
@@ -13,7 +15,8 @@ from repro.serving.schedulers import (
     ShortestJobFirstScheduler,
     make_scheduler,
 )
-from repro.serving.simulator import FIFO_EXCLUSIVE, ServingSimulator
+from repro.analysis.serving import run_policy
+from repro.serving.schedulers import FIFO_EXCLUSIVE
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
     Request,
@@ -33,6 +36,23 @@ def _trace(shapes, gap_s=0.0, priorities=None):
             scenario=Scenario(prefill, decode),
             priority=0 if priorities is None else priorities[i]))
     return RequestTrace(requests=requests)
+
+
+def _whole_request_fifo(trace, num_instances, num_nodes=2):
+    """Oracle: a multi-server FIFO queue over whole-request service times
+    from the cycle model.  Returns ``{request_id: (start_s, finish_s)}``."""
+    system = LoopLynxSystem.paper_configuration(num_nodes=num_nodes)
+    free_at = [(0.0, instance) for instance in range(num_instances)]
+    heapq.heapify(free_at)
+    served = {}
+    for request in sorted(trace, key=lambda r: r.arrival_s):
+        instance_free_at, instance = heapq.heappop(free_at)
+        start = max(request.arrival_s, instance_free_at)
+        report = system.run_scenario(request.prefill_len, request.decode_len)
+        finish = start + report.total_ms / 1e3
+        heapq.heappush(free_at, (finish, instance))
+        served[request.request_id] = (start, finish)
+    return served
 
 
 class _Entry:
@@ -152,12 +172,11 @@ class TestKVAdmission:
             max_seq_len=system.config.model.max_seq_len,
             num_nodes=2)
         # room for one 64-token reservation plus a little, not two
-        controller = KVAdmissionController(
-            layout, budget_bytes=80 * layout.bytes_per_token_per_node())
         trace = _trace([(16, 48), (16, 48)], gap_s=0.05, priorities=[0, 5])
-        engine = TokenServingEngine(num_instances=1, system=system,
-                                    policy="priority", max_batch_size=4,
-                                    kv_controller=controller)
+        engine = TokenServingEngine(
+            num_instances=1, policy="priority", max_batch_size=4,
+            kv_mode="reserve",
+            kv_budget_bytes=80 * layout.bytes_per_token_per_node())
         metrics, records = engine.run(trace)
         low, high = records
         assert low.preemptions >= 1
@@ -177,15 +196,14 @@ class TestKVAdmission:
         # most recently admitted (the 20-token one), and evicting it cannot
         # fit the 96-token head (150 - 88 + 20 = 82 < 96), so it must be
         # spared and allowed to finish its own decode
-        controller = KVAdmissionController(
-            layout, budget_bytes=150 * layout.bytes_per_token_per_node())
         # gaps wide enough that both lows are resident before the high
         # arrives (admission happens at step boundaries)
         trace = _trace([(8, 60), (8, 12), (16, 80)], gap_s=0.05,
                        priorities=[0, 0, 5])
-        engine = TokenServingEngine(num_instances=1, system=system,
-                                    policy="priority", max_batch_size=4,
-                                    kv_controller=controller)
+        engine = TokenServingEngine(
+            num_instances=1, policy="priority", max_batch_size=4,
+            kv_mode="reserve",
+            kv_budget_bytes=150 * layout.bytes_per_token_per_node())
         metrics, records = engine.run(trace)
         assert metrics.num_requests == 3
         low_long, low_short, high = records
@@ -208,18 +226,17 @@ class TestKVAdmission:
             max_seq_len=system.config.model.max_seq_len,
             num_nodes=2)
         trace = _trace([(16, 48), (16, 48)])
-        controller = KVAdmissionController(
-            layout, budget_bytes=64 * layout.bytes_per_token_per_node())
-        blocked = TokenServingEngine(num_instances=1, system=system,
-                                     policy="fifo", max_batch_size=4,
-                                     kv_controller=controller)
+        blocked = TokenServingEngine(
+            num_instances=1, policy="fifo", max_batch_size=4,
+            kv_mode="reserve",
+            kv_budget_bytes=64 * layout.bytes_per_token_per_node())
         metrics, records = blocked.run(trace)
         assert metrics.num_requests == 2
         # second request admitted only once the first released its KV
         assert records[1].admitted_s == pytest.approx(records[0].finish_s)
 
-        roomy = TokenServingEngine(num_instances=1, system=system,
-                                   policy="fifo", max_batch_size=4)
+        roomy = TokenServingEngine(num_instances=1, policy="fifo",
+                                   max_batch_size=4)
         _, free_records = roomy.run(trace)
         assert free_records[1].admitted_s < records[1].admitted_s
 
@@ -278,7 +295,7 @@ class TestTokenServingEngine:
         strictly lower mean queueing delay on a bursty trace."""
         trace = bursty_trace(24, seed=3, mean_prefill=48, mean_decode=128,
                              burst_size=8)
-        exclusive, _ = ServingSimulator(num_instances=1).run(trace)
+        exclusive, _ = run_policy(trace, FIFO_EXCLUSIVE)
         batched, _ = TokenServingEngine(num_instances=1, policy="fifo",
                                         max_batch_size=8).run(trace)
         assert (batched.throughput_tokens_per_second
@@ -287,25 +304,29 @@ class TestTokenServingEngine:
 
     def test_compatibility_mode_reproduces_simulator_exactly(self):
         """Property test: batching disabled (batch=1, whole-prompt prefill,
-        exact context timing) reproduces the whole-request FIFO simulator."""
+        exact context timing) reproduces an in-test whole-request queue."""
         for seed, instances in ((4, 1), (5, 2)):
             trace = synthetic_trace(10, seed=seed, mean_prefill=24,
                                     mean_decode=48)
-            old_metrics, old_records = ServingSimulator(
-                num_instances=instances).run(trace)
+            expected = _whole_request_fifo(trace, instances)
             engine = TokenServingEngine(num_instances=instances, policy="fifo",
                                         max_batch_size=1,
                                         prefill_chunk_tokens=None,
                                         context_bucket=1)
-            new_metrics, new_records = engine.run(trace)
-            old_records = sorted(old_records, key=lambda r: r.request_id)
-            for old, new in zip(old_records, new_records):
-                assert new.admitted_s == pytest.approx(old.start_s, rel=1e-9)
-                assert new.finish_s == pytest.approx(old.finish_s, rel=1e-9)
-            assert new_metrics.makespan_s == pytest.approx(
-                old_metrics.makespan_s, rel=1e-9)
-            assert new_metrics.mean_queueing_delay_s == pytest.approx(
-                old_metrics.mean_queueing_delay_s, rel=1e-9, abs=1e-12)
+            metrics, records = engine.run(trace)
+            for record in records:
+                start, finish = expected[record.request_id]
+                assert record.admitted_s == pytest.approx(start, rel=1e-9)
+                assert record.finish_s == pytest.approx(finish, rel=1e-9)
+            assert metrics.makespan_s == pytest.approx(
+                max(finish for _, finish in expected.values()), rel=1e-9)
+            assert metrics.mean_queueing_delay_s == pytest.approx(
+                sum(expected[r.request_id][0] - r.arrival_s for r in trace)
+                / len(trace), rel=1e-9, abs=1e-12)
+            # the fifo-exclusive preset is exactly this engine configuration
+            _, preset_records = run_policy(trace, FIFO_EXCLUSIVE,
+                                           num_instances=instances)
+            assert preset_records == records
 
     def test_join_and_leave_at_step_boundaries(self):
         """A request arriving mid-flight joins the running batch instead of
@@ -365,15 +386,6 @@ class TestTokenServingEngine:
         assert mean_ttft["interactive"] < mean_ttft["batch"]
         assert mean_ttft["interactive"] < mean_ttft["background"]
 
-    def test_simulator_policy_delegation(self):
-        trace = synthetic_trace(6, seed=1, mean_decode=48)
-        simulator = ServingSimulator(num_instances=1, policy="sjf",
-                                     max_batch_size=4)
-        metrics, records = simulator.run(trace)
-        assert metrics.policy == "sjf"
-        assert isinstance(records[0], ServedRequest)
-        assert metrics.ttfts_s
-
     def test_validation(self):
         with pytest.raises(ValueError):
             TokenServingEngine(num_instances=0)
@@ -387,19 +399,6 @@ class TestTokenServingEngine:
             TokenServingEngine(policy="lifo")
         with pytest.raises(ValueError):
             TokenServingEngine().run(RequestTrace())
-        with pytest.raises(ValueError):
-            ServingSimulator(policy=FIFO_EXCLUSIVE, max_batch_size=4)
-
-    def test_run_policy_rejects_kv_budget_for_exclusive(self):
-        from repro.analysis.serving import policy_comparison, run_policy
-
-        trace = synthetic_trace(4, seed=1, mean_decode=32)
-        with pytest.raises(ValueError):
-            run_policy(trace, FIFO_EXCLUSIVE, kv_budget_bytes=1 << 30)
-        # comparison drops the exclusive row instead of mixing regimes
-        rows = policy_comparison(trace, policies=(FIFO_EXCLUSIVE, "fifo"),
-                                 kv_budget_bytes=1 << 30)
-        assert [row["Policy"] for row in rows] == ["fifo"]
 
     def test_metrics_slo_goodput(self):
         trace = synthetic_trace(8, seed=6, mean_decode=48)

@@ -1,4 +1,5 @@
-"""Tests for the utilization analysis, the serving simulator and the CLI."""
+"""Tests for the utilization analysis, the whole-request serving preset
+and the CLI."""
 
 import pytest
 
@@ -14,8 +15,8 @@ from repro.analysis.utilization import (
 )
 from repro.cli import build_parser, main
 from repro.serving.metrics import ServingMetrics, percentile
-from repro.serving.simulator import ServingSimulator
-from repro.workloads.traces import synthetic_trace
+from repro.analysis.serving import run_policy
+from repro.workloads.traces import RequestTrace, synthetic_trace
 
 
 class TestUtilizationAnalysis:
@@ -83,6 +84,7 @@ class TestServingMetrics:
             queueing_delays_s=[0.0, 1.0],
             end_to_end_latencies_s=[4.0, 6.0],
             service_times_s=[4.0, 5.0],
+            busy_time_s=9.0,
         )
         assert metrics.throughput_tokens_per_second == pytest.approx(20.0)
         assert metrics.requests_per_second == pytest.approx(0.2)
@@ -95,53 +97,58 @@ class TestServingMetrics:
         assert summary["p99_latency_s"] >= summary["p50_latency_s"]
 
 
-class TestServingSimulator:
+class TestFifoExclusivePreset:
+    """``fifo-exclusive``: one whole request per instance at a time."""
+
     def test_serves_every_request_once(self):
         trace = synthetic_trace(12, seed=4, mean_prefill=32, mean_decode=64)
-        simulator = ServingSimulator(num_instances=2, num_nodes_per_instance=2)
-        metrics, completed = simulator.run(trace)
+        metrics, served = run_policy(trace, "fifo-exclusive", num_instances=2,
+                                     num_nodes_per_instance=2)
         assert metrics.num_requests == 12
-        assert len(completed) == 12
-        assert {record.request_id for record in completed} == {r.request_id for r in trace}
+        assert len(served) == 12
+        assert {record.request_id for record in served} == {r.request_id for r in trace}
         assert metrics.generated_tokens == trace.total_decode_tokens
 
     def test_requests_never_start_before_arrival(self):
         trace = synthetic_trace(10, seed=5, mean_decode=64)
-        _, completed = ServingSimulator(num_instances=1).run(trace)
-        assert all(record.start_s >= record.arrival_s for record in completed)
-        assert all(record.finish_s > record.start_s for record in completed)
+        _, served = run_policy(trace, "fifo-exclusive")
+        assert all(record.admitted_s >= record.arrival_s for record in served)
+        assert all(record.finish_s > record.admitted_s for record in served)
 
     def test_instance_never_overlaps_requests(self):
         trace = synthetic_trace(15, seed=6, mean_decode=64)
-        _, completed = ServingSimulator(num_instances=2).run(trace)
+        _, served = run_policy(trace, "fifo-exclusive", num_instances=2)
         by_instance = {}
-        for record in completed:
+        for record in served:
             by_instance.setdefault(record.instance_id, []).append(record)
+        assert len(by_instance) == 2
         for records in by_instance.values():
-            records.sort(key=lambda r: r.start_s)
+            records.sort(key=lambda r: r.admitted_s)
             for earlier, later in zip(records, records[1:]):
-                assert later.start_s >= earlier.finish_s - 1e-9
+                assert later.admitted_s >= earlier.finish_s - 1e-9
 
     def test_more_instances_reduce_queueing(self):
         trace = synthetic_trace(20, seed=7, mean_decode=128, arrival_rate_per_s=2.0)
-        single, _ = ServingSimulator(num_instances=1).run(trace)
-        quad, _ = ServingSimulator(num_instances=4).run(trace)
+        single, _ = run_policy(trace, "fifo-exclusive", num_instances=1)
+        quad, _ = run_policy(trace, "fifo-exclusive", num_instances=4)
         assert quad.mean_queueing_delay_s <= single.mean_queueing_delay_s
         assert quad.latency_percentile_s(0.95) <= single.latency_percentile_s(0.95)
 
     def test_faster_instances_increase_capacity(self):
-        two = ServingSimulator(num_instances=1, num_nodes_per_instance=2)
-        four = ServingSimulator(num_instances=1, num_nodes_per_instance=4)
-        assert (four.capacity_requests_per_second(64, 256)
-                > two.capacity_requests_per_second(64, 256))
+        """Under saturation the makespan is the summed service time, so
+        4-node instances sustain more requests per second than 2-node."""
+        trace = synthetic_trace(8, seed=8, mean_prefill=64, mean_decode=256,
+                                arrival_rate_per_s=100.0)
+        two, _ = run_policy(trace, "fifo-exclusive", num_nodes_per_instance=2)
+        four, _ = run_policy(trace, "fifo-exclusive", num_nodes_per_instance=4)
+        assert four.requests_per_second > two.requests_per_second
 
     def test_validation(self):
+        trace = synthetic_trace(2, seed=1)
         with pytest.raises(ValueError):
-            ServingSimulator(num_instances=0)
-        simulator = ServingSimulator(num_instances=1)
-        from repro.workloads.traces import RequestTrace
+            run_policy(trace, "fifo-exclusive", num_instances=0)
         with pytest.raises(ValueError):
-            simulator.run(RequestTrace())
+            run_policy(RequestTrace(), "fifo-exclusive")
 
 
 class TestCli:
