@@ -165,6 +165,12 @@ class PagedKVManager:
         #: ref==0 registered blocks, insertion order == LRU reclaim order
         self._reclaimable: Dict[int, None] = {}
         self._multi_ref = 0                      # blocks with refcount >= 2
+        #: Running totals behind :attr:`internal_fragmentation_fraction`
+        #: (read-only outside this class): device blocks summed over block
+        #: tables, a shared block once per holder, and the cached positions
+        #: of device-resident tables.
+        self.table_blocks = 0
+        self.device_cached_tokens = 0
         # lifetime counters (monotonic; survive free())
         self.peak_used_blocks = 0
         self.swap_out_count = 0
@@ -231,6 +237,12 @@ class PagedKVManager:
         return len(self._free) + len(self._reclaimable)
 
     @property
+    def free_list_blocks(self) -> Blocks:
+        """Blocks on the free list alone: what an allocation can take
+        without reclaiming a cached prefix block (and touching the index)."""
+        return len(self._free)
+
+    @property
     def cached_blocks(self) -> Blocks:
         """Device-resident prefix-cache blocks no request references."""
         return len(self._reclaimable)
@@ -259,14 +271,10 @@ class PagedKVManager:
     def internal_fragmentation_fraction(self) -> float:
         """Fraction of allocated block capacity not covering cached tokens
         (partially-filled tail blocks of device-resident requests)."""
-        allocated_tokens = sum(
-            len(t.device_blocks) for t in self._tables.values()
-        ) * self.block_size_tokens
+        allocated_tokens = self.table_blocks * self.block_size_tokens
         if allocated_tokens == 0:
             return 0.0
-        cached = sum(t.cached_tokens for t in self._tables.values()
-                     if not t.is_swapped)
-        return 1.0 - cached / allocated_tokens
+        return 1.0 - self.device_cached_tokens / allocated_tokens
 
     def blocks_needed(self, num_tokens: Tokens) -> int:
         """Blocks covering ``num_tokens`` cached positions."""
@@ -313,15 +321,19 @@ class PagedKVManager:
             return False
         if table is None:
             table = self._tables[request_id] = BlockTable(request_id)
-        if self.prefix_sharing:
-            for _ in range(max(missing, 0)):
-                block = self._take_block()
-                self._ref[block] = 1
-                table.device_blocks.append(block)
-        else:
-            for _ in range(max(missing, 0)):
-                table.device_blocks.append(self._free.pop())
-        table.cached_tokens = max(table.cached_tokens, target_tokens)
+        if missing > 0:
+            if self.prefix_sharing:
+                for _ in range(missing):
+                    block = self._take_block()
+                    self._ref[block] = 1
+                    table.device_blocks.append(block)
+            else:
+                for _ in range(missing):
+                    table.device_blocks.append(self._free.pop())
+            self.table_blocks += missing
+        if target_tokens > table.cached_tokens:
+            self.device_cached_tokens += target_tokens - table.cached_tokens
+            table.cached_tokens = target_tokens
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         return True
 
@@ -334,6 +346,9 @@ class PagedKVManager:
         table = self._tables.pop(request_id, None)
         if table is None:
             return 0
+        self.table_blocks -= len(table.device_blocks)
+        if not table.is_swapped:
+            self.device_cached_tokens -= table.cached_tokens
         if not self.prefix_sharing:
             released = len(table.device_blocks)
             self._free.extend(reversed(table.device_blocks))
@@ -464,6 +479,8 @@ class PagedKVManager:
                                             BlockTable(request_id))
         table.device_blocks = blocks
         table.cached_tokens = max(target_tokens, matched_tokens)
+        self.table_blocks += len(blocks)
+        self.device_cached_tokens += table.cached_tokens
         self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         if matched_tokens > 0:
             self.prefix_hits += 1
@@ -524,6 +541,9 @@ class PagedKVManager:
             self._free.extend(reversed(table.device_blocks))
         table.device_blocks = []
         table.host_blocks = num_blocks
+        self.table_blocks -= num_blocks
+        if num_blocks:
+            self.device_cached_tokens -= table.cached_tokens
         bytes_total = self._swap_bytes_total(num_blocks)
         self.swap_out_count += 1
         self.swapped_bytes_total += bytes_total
@@ -561,6 +581,8 @@ class PagedKVManager:
             for _ in range(num_blocks):
                 table.device_blocks.append(self._free.pop())
         table.host_blocks = 0
+        self.table_blocks += num_blocks
+        self.device_cached_tokens += table.cached_tokens
         bytes_total = self._swap_bytes_total(num_blocks)
         self.swap_in_count += 1
         self.swapped_bytes_total += bytes_total
@@ -582,6 +604,8 @@ class PagedKVManager:
         """
         num_blocks, bytes_total = self.swap_out(request_id)
         table = self._tables.pop(request_id)
+        if not table.is_swapped:  # an empty table stayed device-resident
+            self.device_cached_tokens -= table.cached_tokens
         return num_blocks, table.cached_tokens, bytes_total
 
     def import_handoff(self, request_id: int, cached_tokens: Tokens) -> int:

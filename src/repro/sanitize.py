@@ -11,7 +11,8 @@ re-verifies its structural invariants after **every** event it processes:
   (``event-time-monotonic``);
 * **paged-KV block/refcount conservation** — the free list, reclaimable
   cache, and live block tables partition every pool exactly, refcounts
-  equal table references, and the prefix index mirrors the block-hash map
+  equal table references, the prefix index mirrors the block-hash map,
+  and the running fragmentation counters match a rescan of the tables
   (``kv-*`` checks, promoted from ``tests/test_paged_kv_fuzz.py``);
 * **queue/request conservation** — every arrival is accounted for:
   queued, batched, parked, mid-handoff, or completed
@@ -96,6 +97,17 @@ def check_kv_invariants(manager: "PagedKVManager", *,
         for block in blocks:
             table_refs[block] += 1
     held = set(table_refs)
+
+    # the running totals behind internal_fragmentation_fraction
+    table_blocks = sum(table_refs.values())
+    cached = sum(t.cached_tokens for t in manager._tables.values()
+                 if not t.is_swapped)
+    if (manager.table_blocks, manager.device_cached_tokens) != (
+            table_blocks, cached):
+        _fail(f"fragmentation counters report {manager.table_blocks} "
+              f"table blocks and {manager.device_cached_tokens} cached "
+              f"tokens; the tables hold {table_blocks} and {cached}",
+              check="kv-fragmentation-counters", event=event)
 
     # invariant 1: no block simultaneously free/reclaimable and in a table
     if free_set & held:

@@ -309,8 +309,11 @@ class TokenServingEngine:
         Allow the event loop to fast-forward provably identical
         consecutive pure-decode steps into single events (see
         :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  Only
-        engaged where it is exact — never on paged KV; while requests wait
-        only where no idle instance could take them at a skipped boundary
+        engaged where it is exact — never on prefill/decode role pools;
+        on a paged pool only as far as the free block list covers the
+        fold's block growth, and on its empty queue only under swap
+        preemption or with a single instance; while requests wait only
+        where no idle instance could take them at a skipped boundary
         (single-class pools, or heterogeneous pools without role/KV gates
         whose router never vetoes a placement) — and produces
         bit-identical timestamps there; the switch exists so equivalence
@@ -551,18 +554,27 @@ class TokenServingEngine:
         runtimes: List[InstanceRuntime] = []
         instance_id = 0
         # Fast-forwarding is exact only where the skipped step boundaries
-        # are inert.  Paged KV never folds: block growth at a boundary can
-        # evict, and handoffs enqueue work, even when the queue is empty.
-        # Otherwise an empty queue stays empty until the next arrival
-        # (preemption needs a head), so empty-queue folds are exact on
-        # every pool.  A full-batch fold skips boundaries while requests
+        # are inert.  Role pools never fold: a handoff lands in one decode
+        # instance's host tier at a time the arrival horizon cannot bound.
+        # Elsewhere an empty queue stays empty until the next arrival
+        # (preemption needs a head), except that paged block growth may
+        # evict.  A fold's own growth is capped to what its free list
+        # covers (see ``InstanceRuntime.dispatch``), but another paged
+        # instance may still evict at its boundary: a swapped victim can
+        # only resume on its own instance, while a recompute victim
+        # re-enters the shared queue as fresh work this instance could
+        # admit.  So paged empty-queue folds need swap preemption or a
+        # pool of one.  A full-batch fold skips boundaries while requests
         # wait, and a heterogeneous pump re-offers the queue to every idle
         # instance at every boundary: a head one vetoed or could not hold
         # might land there at a skipped boundary.  So full-batch folds
         # need a single-class pool (its pump offers a boundary only to the
         # completer) or an admit-all pool (nothing waits while an
         # instance idles).
-        allow_multistep = self.multistep and not self._paged
+        fold = self.multistep and not self.cluster.has_roles
+        allow_multistep = fold and (not self._paged
+                                    or self.preemption_mode == "swap"
+                                    or self.num_instances == 1)
         for proto, caches in zip(self._protos, self._caches):
             spec, manager = proto.spec, proto.manager
             for _ in range(spec.count):
@@ -587,7 +599,7 @@ class TokenServingEngine:
                 runtime.allow_multistep = allow_multistep
                 runtimes.append(runtime)
                 instance_id += 1
-        fold_full_batch = allow_multistep and (
+        fold_full_batch = fold and (
             not self.cluster.is_heterogeneous
             or self._admit_all_pool(runtimes))
         for runtime in runtimes:
@@ -698,7 +710,7 @@ class TokenServingEngine:
         push_event, pop_event = events.push, events.pop
         peek_event_time = events.peek_time
         seq = itertools.count()
-        _STEP_DONE, _HANDOFF = 1, 2
+        _STEP_DONE, _HANDOFF, _WAKE = 1, 2, 3
 
         # ---- arrival stream ----------------------------------------------
         # Arrivals never enter the event heap: the loop below lazy-merges
@@ -880,6 +892,51 @@ class TokenServingEngine:
                 # step's timestamp base and resolve buckets in one pass)
                 events.push_many(batch)
 
+        # ---- wakes at folded boundaries (paged pools) --------------------
+        # A pump offers the queue to idle instances one after another, so
+        # an idle instance may refuse the head (a victim swapped out on
+        # another instance) just before a later one admits that head and
+        # exposes one the first could take.  The per-step loop lets it
+        # take that head at the next event of any kind, which may be a
+        # boundary some fold skips.  So while an idle instance would admit
+        # the head, the earliest skipped boundary of any in-flight fold
+        # gets a wake event that re-offers the queue, exactly as that
+        # boundary's pump would; the fold itself stays inert there.  Only
+        # paged pools of several instances can leave an instance idle
+        # while it could admit the head.
+        watch_idle = (self._paged and len(runtimes) > 1
+                      and (runtimes[0].allow_multistep
+                           or runtimes[0].fold_full_batch))
+        wakes: Dict[float, None] = {}  # times of the pending wake events
+
+        def idle_would_admit() -> bool:
+            head = scheduler.peek()
+            if head is None:
+                return False
+            for r in runtimes:
+                if (not r.busy and r.role_admits(head)
+                        and (gate is None or gate(r, head))
+                        and r.kv_admits(head)):
+                    return True
+            return False
+
+        def wake_idle(now: float) -> None:
+            """Post a wake at the earliest boundary after ``now`` that an
+            in-flight fold skips, counting the folds that skip it."""
+            if not idle_would_admit():
+                return
+            first, count = float("inf"), 0
+            for r in runtimes:
+                boundary = r.next_skipped_boundary(now)
+                if boundary is None or boundary > first:
+                    continue
+                if boundary < first:
+                    first, count = boundary, 0
+                count += 1
+            if count and first not in wakes:
+                wakes[first] = None
+                push_event((first, next(seq), _WAKE, count))
+
         # ---- shadow validation (opt-in, read-only) -----------------------
         sanitizer = EngineSanitizer() if self.sanitize else None
 
@@ -909,6 +966,8 @@ class TokenServingEngine:
                                   if next_state is not None
                                   else float("inf"))
                 pump(None, now)
+                if watch_idle:
+                    wake_idle(now)
                 if sanitizer is not None:
                     sanitize_check(now, ("arrival",
                                          arrived.request.request_id, now))
@@ -916,7 +975,19 @@ class TokenServingEngine:
             if not events:
                 break
             now, _, kind, payload = pop_event()
-            if kind == _HANDOFF:
+            if kind == _STEP_DONE:
+                runtime = payload[1]
+                for state in runtime.complete_step(payload, now):
+                    record(state, now)
+                if has_roles:
+                    launch_handoffs(runtime, now)
+                pump(runtime, now)
+                if watch_idle:
+                    wake_idle(now)
+                if sanitizer is not None:
+                    sanitize_check(now, ("step-done",
+                                         runtime.instance_id, now))
+            elif kind == _HANDOFF:
                 lifecycle.transition(payload, "handoff_arrive")
                 scheduler.push(payload)
                 pump(None, now)
@@ -924,15 +995,16 @@ class TokenServingEngine:
                     sanitize_check(now, ("handoff",
                                          payload.request.request_id, now))
             else:
-                runtime = payload[1]
-                for state in runtime.complete_step(payload, now):
-                    record(state, now)
-                if has_roles:
-                    launch_handoffs(runtime, now)
-                pump(runtime, now)
+                # a wake: one re-offer per fold skipping this boundary, as
+                # the per-step loop's pumps there would make
+                del wakes[now]
+                for _ in range(payload):
+                    pump(None, now)
+                    if not idle_would_admit():
+                        break
+                wake_idle(now)
                 if sanitizer is not None:
-                    sanitize_check(now, ("step-done",
-                                         runtime.instance_id, now))
+                    sanitize_check(now, ("wake", payload, now))
 
         completed = len(records) if collector is None else collector.count
         if completed != num_arrivals:

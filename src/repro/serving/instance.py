@@ -245,6 +245,7 @@ class InstanceRuntime:
                  "preemption_mode", "context_bucket", "swap_priority",
                  "_step_cache", "_mixed_step_cache", "_prefill_cache",
                  "_transfer_cache", "allow_multistep", "fold_full_batch",
+                 "fold_chain",
                  "_admits_all", "batch", "_num_prefilling", "kv_used_tokens",
                  "busy", "pending_delay_s", "parked", "admission_count",
                  "pending_handoffs", "stats")
@@ -294,18 +295,26 @@ class InstanceRuntime:
             prefill_cache if prefill_cache is not None else {})
         self._transfer_cache: Dict[int, float] = (
             transfer_cache if transfer_cache is not None else {})
-        #: Set by the engine when fast-forwarding batched decode steps is
-        #: provably identical to one-event-per-step execution: pools
-        #: without paged KV, where a boundary skipped while the queue is
-        #: empty is inert (see :meth:`dispatch`).
+        #: Set by the engine when a boundary skipped while the queue is
+        #: empty is inert, so a fast-forwarded run of steps is provably
+        #: identical to one-event-per-step execution (see :meth:`dispatch`):
+        #: every pool without prefill/decode roles, except a paged pool of
+        #: several instances under recompute preemption, where another
+        #: instance's growth eviction re-queues work this one could admit.
         self.allow_multistep = False
         #: Set by the engine when boundaries skipped while requests *wait*
-        #: are inert too: no other instance could take the head there
-        #: (single-class pools, whose pump offers a boundary only to the
-        #: completer, or admit-all pools, where nothing waits while an
-        #: instance idles).  On other heterogeneous pools a head vetoed or
-        #: refused by an idle instance is re-offered at every boundary.
+        #: behind a full batch are inert too: role-free pools where no
+        #: other instance could take the head there (single-class pools,
+        #: whose pump offers a boundary only to the completer, or admit-all
+        #: pools, where nothing waits while an instance idles).  On other
+        #: heterogeneous pools a head vetoed or refused by an idle instance
+        #: is re-offered at every boundary.
         self.fold_full_batch = False
+        #: The latest fold's ``(dispatch time, [[step seconds, steps],
+        #: ...])`` chain, whose skipped boundaries
+        #: :meth:`next_skipped_boundary` walks (all of them precede the
+        #: fold's completion, so a completed fold names none).
+        self.fold_chain: Optional[Tuple[float, List[List[float]]]] = None
         #: True when every waiting request is trivially admissible here —
         #: no role constraint and no KV gate of either kind — letting the
         #: admission loop skip the per-head checks.
@@ -786,9 +795,11 @@ class InstanceRuntime:
                and not kv.allocate(state.request.request_id, target)):
             others = [s for s in self.batch if s is not state]
             if not others:
-                raise RuntimeError(
-                    "KV block pool cannot hold a single request; "
-                    "validate() should have rejected this trace")
+                raise InvariantError(
+                    f"request {state.request.request_id} cannot grow to "
+                    f"{target} cached positions alone in instance "
+                    f"{self.instance_id}'s KV block pool; validation "
+                    "should have rejected it")
             candidates = [
                 s for s in others
                 if s.request.priority < state.request.priority
@@ -861,6 +872,113 @@ class InstanceRuntime:
             if not evicted:
                 return decoders, chunks
 
+    def _fold_growth_window(self, kv: PagedKVManager,
+                            members: Sequence[RequestState], kmax: int
+                            ) -> Tuple[int, List[Tuple[int, int]]]:
+        """Bound a paged decode fold of at most ``kmax`` steps by its
+        block growth.
+
+        Step 0 of the fold already grew every member (the ordinary
+        capacity pass).  At fold step ``j`` a member with context ``c``
+        needs ``min(c + j + 1, max_seq)`` cached positions, so holding
+        ``held`` blocks it claims one more at step ``held * bs - c`` and
+        every ``bs`` steps after that, until its target reaches the
+        context window.  Only the free list pays for claims: a fold never
+        reclaims a cached prefix block, so the prefix index stays as the
+        per-step chain leaves it.  Returns the step bound, cut just before
+        the first step whose claims the free list cannot cover, and the
+        ``(step, member index)`` claims inside it in the order the
+        per-step chain makes them: step by step, batch order within one.
+        """
+        bs = kv.block_size_tokens
+        max_seq = kv.layout.max_seq_len
+        claims: List[Tuple[int, int]] = []
+        for i, s in enumerate(members):
+            c = s.prefill_done + s.decode_done
+            held = len(kv.table(s.request.request_id).device_blocks)
+            last = min(kmax, max_seq - c) - 1
+            claims.extend((j, i) for j in range(held * bs - c, last + 1, bs))
+        claims.sort()
+        free = kv.free_list_blocks
+        if len(claims) > free:
+            kmax = claims[free][0]
+            del claims[free:]
+            while claims and claims[-1][0] >= kmax:
+                claims.pop()
+        return kmax, claims
+
+    def _replay_fold_growth(self, kv: PagedKVManager,
+                            members: Sequence[RequestState],
+                            claims: Sequence[Tuple[int, int]],
+                            segments: Sequence[Sequence[float]], steps: int
+                            ) -> Tuple[float, float, float]:
+        """Apply the block growth of a paged decode fold of ``steps``
+        steps and return its KV aggregates.
+
+        The pool ends as the per-step chain leaves it on the fold's last
+        step: ``claims`` (from :meth:`_fold_growth_window`) are allocated
+        in the chain's order, then every member's table covers its last
+        step's context.  The aggregates walk the steps on integer
+        counters — step ``j`` holds the blocks claimed so far, and each
+        member below the context window caches one more position per step
+        — and are summed per run of equal step price (``segments``, as
+        ``(duration, count)``).  Returns ``(occupancy time,
+        fragmentation time, peak occupancy)``; like busy time, the two
+        times may differ from per-step adds in the last float bits.
+        """
+        bs = kv.block_size_tokens
+        max_seq = kv.layout.max_seq_len
+        # fold step -> [blocks claimed, change in members growing]
+        delta: Dict[int, List[int]] = {}
+        for j, _ in claims:
+            if j >= steps:
+                break
+            delta.setdefault(j, [0, 0])[0] += 1
+        for s in members:
+            c = s.prefill_done + s.decode_done
+            # step j caches c + j + 1 positions once that passes what the
+            # table already covers, and never more than the window
+            first = max(1, kv.table(s.request.request_id).cached_tokens - c)
+            stop = min(max_seq - c, steps)
+            if first < stop:
+                delta.setdefault(first, [0, 0])[1] += 1
+                if stop < steps:
+                    delta.setdefault(stop, [0, 0])[1] -= 1
+        used = kv.used_blocks
+        blocks = kv.table_blocks
+        cached = kv.device_cached_tokens
+        growing = 0
+        used_time = 0.0
+        frag_time = 0.0
+        j = 0
+        for d, n in segments:
+            used_sum = 0
+            frag_sum = 0.0
+            for _ in range(int(n)):
+                if j:
+                    change = delta.get(j)
+                    if change is not None:
+                        used += change[0]
+                        blocks += change[0]
+                        growing += change[1]
+                    cached += growing
+                used_sum += used
+                frag_sum += 1.0 - cached / (blocks * bs)
+                j += 1
+            used_time += used_sum * d
+            frag_time += frag_sum * d
+        grows = [(members[i], j + 1) for j, i in claims if j < steps]
+        grows += [(s, steps) for s in members]
+        for s, ahead in grows:
+            target = min(s.prefill_done + s.decode_done + ahead, max_seq)
+            if not kv.allocate(s.request.request_id, target):
+                raise InvariantError(  # pragma: no cover
+                    f"fold growth of request {s.request.request_id} to "
+                    f"{target} positions overran instance "
+                    f"{self.instance_id}'s free block list")
+        total = kv.total_blocks
+        return used_time / total, frag_time, used / total
+
     # ------------------------------------------------------------------
     # step boundary: admission, preemption, step formation
     # ------------------------------------------------------------------
@@ -882,14 +1000,16 @@ class InstanceRuntime:
         at run end.
 
         ``horizon_s`` is the next trace arrival's timestamp (None when the
-        engine cannot bound it).  With :attr:`allow_multistep` set, a pure
-        decode step whose following step boundaries are provably inert —
-        the waiting queue is empty until the horizon, or (with
-        :attr:`fold_full_batch`) the batch is full under a scheduler that
-        never preempts — is fast-forwarded: up to k identical steps fold
-        into one event, with k bounded so no batch member finishes early
-        and the context stays inside one pricing bucket.  The folded
-        launch carries its absolute completion time in
+        engine cannot bound it).  A pure decode step (or a chunk of an
+        exclusive prefill) whose following step boundaries are provably
+        inert — the waiting queue is empty until the horizon (with
+        :attr:`allow_multistep`), or the batch is full under a scheduler
+        that never preempts (with :attr:`fold_full_batch`) — is
+        fast-forwarded: up to k steps fold into one event, with k bounded
+        so no batch member finishes early and, on a paged pool, so the
+        free block list covers every block the members claim meanwhile
+        (:meth:`_fold_growth_window`).  The folded launch carries its
+        absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
         """
@@ -1038,8 +1158,8 @@ class InstanceRuntime:
         steps = 1
         completes_at = None
         ff_segments = None
-        if (self.allow_multistep and pending == 0.0
-                and horizon_s is not None
+        ff_kv = None        # a paged decode fold's KV aggregates
+        if (pending == 0.0 and not self.parked and horizon_s is not None
                 and (ff_members is not None or ff_prefill is not None)):
             # Fast-forward: fold provably inert step boundaries into one
             # event.  Boundaries inside the fold must change nothing —
@@ -1051,9 +1171,13 @@ class InstanceRuntime:
             # cross context-bucket boundaries and a prefill fold marches
             # the prompt chunk by chunk: every per-step price is a
             # memoized pure function of shape, so repricing at each window
-            # or chunk edge reproduces the per-event chain exactly.
+            # or chunk edge reproduces the per-event chain exactly.  On a
+            # paged pool a decode fold stops before its block growth
+            # outruns the free list, so no boundary inside it can evict,
+            # and an instance with parked victims (retried at every
+            # boundary) does not fold at all.
             limit = None
-            if scheduler.peek() is None:
+            if self.allow_multistep and scheduler.peek() is None:
                 # the engine's idle-gap horizon (when eligible) extends
                 # the fold past arrivals that other idle instances are
                 # guaranteed to absorb; it is only ever >= horizon_s
@@ -1088,12 +1212,17 @@ class InstanceRuntime:
                         ff_segments.append([d, 1])
                     payload = ("prefill", self, state, total)
                     completes_at = t
+                    self.fold_chain = (now, ff_segments)
             elif limit is not None:
                 kmax = ff_members[0].decode_len - ff_members[0].decode_done
                 for s in ff_members:
                     r = s.decode_len - s.decode_done
                     if r < kmax:
                         kmax = r
+                kv = self.kv
+                if kv is not None:
+                    kmax, claims = self._fold_growth_window(kv, ff_members,
+                                                            kmax)
                 # chain the completion times one step at a time: each
                 # boundary before the last must fall strictly before the
                 # limit (an arrival at exactly the boundary is processed
@@ -1132,6 +1261,10 @@ class InstanceRuntime:
                     payload = ("decode_k", self,
                                (ff_members, steps, now + duration), 0)
                     completes_at = t
+                    self.fold_chain = (now, ff_segments)
+                    if kv is not None:
+                        ff_kv = self._replay_fold_growth(
+                            kv, ff_members, claims, ff_segments, steps)
         if steps == 1:
             bd = advancing * duration
             kvm = self.kv
@@ -1165,8 +1298,7 @@ class InstanceRuntime:
             # per-event execution in the last float bits, while every
             # timestamp, token count and per-request record stays exact
             # (the completion chain above still walks step by step).
-            # Fast-forward requires kv is None and pending == 0, so only
-            # the three time accumulators apply.
+            # Fast-forward requires pending == 0, so no swap time applies.
             td = 0.0
             for d_seg, n_seg in ff_segments:
                 td += d_seg * n_seg
@@ -1177,9 +1309,44 @@ class InstanceRuntime:
                 acc.prefill_time += td
             acc.batch_time += advancing * td
             acc.busy_time += td
+            kvm = self.kv
+            if kvm is not None:
+                if ff_kv is None:
+                    # a prefill fold claims no blocks: the pool holds still
+                    occupancy = kvm.occupancy_fraction
+                    ff_kv = (occupancy * td,
+                             kvm.internal_fragmentation_fraction * td,
+                             occupancy)
+                occ_time, frag_time, occupancy = ff_kv
+                acc.kv_occ_time += occ_time
+                acc.frag_time += frag_time
+                if kvm.prefix_sharing:
+                    # growth comes off the free list, so neither shared
+                    # nor reclaimable blocks change inside a fold
+                    acc.shared_kv_time += kvm.shared_block_fraction * td
+                if occupancy > acc.peak_kv_occupancy:
+                    acc.peak_kv_occupancy = occupancy
         self.busy = True
         return StepLaunch(duration_s=duration, payload=payload,
                           completes_at_s=completes_at)
+
+    def next_skipped_boundary(self, after: float) -> Optional[float]:
+        """The first step boundary later than ``after`` that the latest
+        fold skips (None without one), accumulated exactly like the
+        fold's completion time."""
+        if self.fold_chain is None:
+            return None
+        t, segments = self.fold_chain
+        remaining = sum(int(n) for _, n in segments)
+        for d, n in segments:
+            for _ in range(int(n)):
+                t += d
+                remaining -= 1
+                if remaining == 0:
+                    return None  # the completion is a real event
+                if t > after:
+                    return t
+        return None
 
     def _finish(self, state: RequestState,
                 finished: List[RequestState]) -> None:

@@ -310,6 +310,30 @@ class TestEnginePagedMode:
         with pytest.raises(ValueError):
             self._run(trace, tokens=128)
 
+    def test_growth_past_the_whole_pool_raises_typed_error(self):
+        """A lone member whose growth the empty pool cannot cover has no
+        one to evict: the runtime raises an InvariantError naming the
+        request and the instance (validation keeps engine runs away from
+        this)."""
+        from repro.errors import InvariantError
+        from repro.serving import lifecycle
+        from repro.serving.instance import InstanceRuntime, RequestState
+        from repro.serving.schedulers import make_scheduler
+
+        system = LoopLynxSystem.paper_configuration(num_nodes=2)
+        kv = PagedKVManager(
+            _system_layout(system), block_size_tokens=16,
+            budget_bytes=_tight_budget(64))  # 4 blocks
+        runtime = InstanceRuntime(3, system, kv=kv)
+        state = RequestState(Request(request_id=7, arrival_s=0.0,
+                                     scenario=Scenario(32, 64)))
+        lifecycle.transition(state, "admit")
+        runtime.batch.append(state)
+        assert kv.allocate(7, 33)
+        with pytest.raises(InvariantError,
+                           match=r"request 7 .* instance 3"):
+            runtime._grow_to(state, 80, 0.0, make_scheduler("fifo"))
+
     def test_mutually_exclusive_kv_modes(self):
         """One recipe picks one KV regime: there is no combined mode."""
         with pytest.raises(ValueError, match="unknown kv mode"):

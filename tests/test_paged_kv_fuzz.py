@@ -14,7 +14,9 @@ operation:
 * with sharing on, every block's refcount equals the number of block
   tables referencing it (and ``shared_blocks`` counts the ≥2 ones);
 * freeing or handing off a request never releases a block another
-  request still holds.
+  request still holds;
+* the running counters behind ``internal_fragmentation_fraction`` give
+  exactly the value a rescan of every block table gives.
 
 The whole battery runs with prefix sharing both off (the historical
 private-blocks manager) and on (hash-indexed reuse + copy-on-write), 100
@@ -57,6 +59,18 @@ def check_invariants(manager):
     apply exactly what this battery pins; the fuzz harness now drives the
     promoted checker (a violation surfaces as ``SanitizerError``)."""
     check_kv_invariants(manager)
+
+
+def _fragmentation_by_rescan(manager):
+    """``internal_fragmentation_fraction`` recomputed from the block
+    tables (the manager keeps running counters instead)."""
+    allocated_tokens = sum(len(t.device_blocks)
+                           for t in manager._tables.values()) * BLOCK_SIZE
+    if allocated_tokens == 0:
+        return 0.0
+    cached = sum(t.cached_tokens for t in manager._tables.values()
+                 if not t.is_swapped)
+    return 1.0 - cached / allocated_tokens
 
 
 def _blocks_held_by_others(manager, request_id):
@@ -102,6 +116,8 @@ class Reference:
         for pool, manager in enumerate(managers):
             for rid in manager._tables:
                 assert rid in self.state and self.state[rid][0] == pool
+            assert (manager.internal_fragmentation_fraction
+                    == _fragmentation_by_rescan(manager))
 
 
 @pytest.mark.parametrize("prefix_sharing", [False, True],

@@ -7,9 +7,10 @@ here so a future optimisation cannot quietly trade correctness for speed:
    executes decode/prefill steps, never what the simulation records:
    per-request records — every timestamp, token count, preemption and
    handoff — are bit-identical with folding on or off.  The one permitted
-   relaxation is the time-weighted step aggregates (busy/decode/prefill/
-   batch time), which folding sums per price segment in closed form —
-   equal to within float round-off, not bit-for-bit.
+   relaxation is the time-weighted aggregates (busy/decode/prefill/batch
+   time, and KV occupancy/fragmentation/shared fraction on paged pools),
+   which folding sums per price segment — equal to within float
+   round-off, not bit-for-bit.
 2. The step-pricing caches shared across runs are pure memoization: a run
    against a warm cache is bit-identical to a cold-cache run, under paged
    KV, mixed prefill and disaggregated prefill/decode configurations
@@ -31,26 +32,37 @@ from repro.workloads.traces import (
     RequestTrace,
     StreamingTrace,
     bursty_trace,
+    multi_turn_trace,
     synthetic_azure_trace,
 )
 
-#: Step-time aggregates folding may reassemble in closed form (summed per
-#: price segment rather than step by step); everything else must be exact.
+#: Time-weighted aggregates folding may reassemble in closed form (summed
+#: per price segment rather than step by step): step times and, on paged
+#: pools, KV occupancy, fragmentation and shared fraction; everything else
+#: must be exact.
 _FOLDED_AGGREGATES = frozenset({
     "busy_time_s", "decode_step_time_s", "prefill_step_time_s",
     "mixed_step_time_s", "utilization", "instance_utilization",
     "decode_time_share", "prefill_time_share", "mixed_time_share",
-    "mean_running_batch",
+    "mean_running_batch", "mean_kv_occupancy", "mean_kv_fragmentation",
+    "mean_kv_shared_fraction",
 })
+
+#: KV bytes one cached token occupies on a 1-node instance.
+_BYTES_PER_TOKEN_1N = KVCacheLayout.for_model(
+    LoopLynxSystem.paper_configuration(num_nodes=1).config.model,
+    num_nodes=1).bytes_per_token_per_node()
 
 #: A reservation budget of 640 tokens per 1-node instance (1,280 per node
 #: of a 2-node one): room for about three azure-sized requests, so KV
 #: capacity, not the batch ceiling, often refuses the head.
-_TIGHT_RESERVE = dict(
-    kv_mode="reserve",
-    kv_budget_bytes=640 * KVCacheLayout.for_model(
-        LoopLynxSystem.paper_configuration(num_nodes=1).config.model,
-        num_nodes=1).bytes_per_token_per_node())
+_TIGHT_RESERVE = dict(kv_mode="reserve",
+                      kv_budget_bytes=640 * _BYTES_PER_TOKEN_1N)
+
+#: A paged pool of 768 tokens per 1-node instance (1,536 per node of a
+#: 2-node one, 48 or 96 blocks of 16): growth evicts on every cluster.
+_TIGHT_PAGED = dict(kv_mode="paged",
+                    kv_budget_bytes=768 * _BYTES_PER_TOKEN_1N)
 
 
 def _azure(num_requests, seed):
@@ -66,6 +78,30 @@ def _assert_summaries_match(summary_a, summary_b, exact=True):
             assert value == pytest.approx(summary_b[key], rel=1e-9), key
         else:
             assert value == summary_b[key], key
+
+
+def _count_posted_events(monkeypatch, trace, **kwargs):
+    """Events the engine posts replaying ``trace`` (pushes onto its event
+    queue, batched handoff posts included)."""
+    from repro.serving import engine as engine_module
+    real_queue = engine_module.BucketedEventQueue
+    counter = [0]
+
+    class CountingQueue(real_queue):
+        def push(self, event):
+            counter[0] += 1
+            super().push(event)
+
+        def push_many(self, batch):
+            counter[0] += len(batch)
+            super().push_many(batch)
+
+    monkeypatch.setattr(engine_module, "BucketedEventQueue", CountingQueue)
+    try:
+        TokenServingEngine(**kwargs).run(trace)
+    finally:
+        monkeypatch.undo()
+    return counter[0]
 
 
 class TestMultistepFolding:
@@ -111,12 +147,31 @@ class TestMultistepFolding:
             runs = het._build_runtimes()
             assert all(r.allow_multistep for r in runs), router
             assert all(r.fold_full_batch == full_batch for r in runs), router
-        # paged KV keeps it off, on single-class and heterogeneous pools
-        for cluster in ("1x2n", "2x1n,2x2n"):
+        # paged pools fold under swap preemption, on single-class and
+        # heterogeneous pools (full batches only where a single class
+        # means no idle instance could take the head)
+        for cluster, full_batch in (("1x2n", True), ("3x2n", True),
+                                    ("2x1n,2x2n", False)):
             paged = TokenServingEngine(cluster=cluster, kv_mode="paged",
                                        kv_budget_bytes=64 << 20)
-            assert not any(r.allow_multistep
-                           for r in paged._build_runtimes()), cluster
+            runs = paged._build_runtimes()
+            assert all(r.allow_multistep for r in runs), cluster
+            assert all(r.fold_full_batch == full_batch for r in runs), cluster
+        # under recompute a pool of several paged instances does no
+        # empty-queue folds (another instance's growth eviction re-queues
+        # work at a skipped boundary); a pool of one still does
+        for cluster, empty_queue in (("1x2n", True), ("3x2n", False),
+                                     ("2x1n,2x2n", False)):
+            paged = TokenServingEngine(cluster=cluster, kv_mode="paged",
+                                       kv_budget_bytes=64 << 20,
+                                       preemption_mode="recompute")
+            assert all(r.allow_multistep == empty_queue
+                       for r in paged._build_runtimes()), cluster
+        # prefill/decode role pools never fold
+        roles = TokenServingEngine(cluster="1x2n:prefill,2x1n:decode",
+                                   kv_mode="paged", kv_budget_bytes=64 << 20)
+        assert not any(r.allow_multistep or r.fold_full_batch
+                       for r in roles._build_runtimes())
 
 
 class TestWarmCacheBitIdentity:
@@ -204,23 +259,15 @@ class TestIdleGapFolding:
     TRACE_KW = dict(seed=7, arrival_rate_per_s=0.5, mean_prefill=48,
                     mean_decode=96)
 
-    def _run(self, multistep, monkeypatch=None, counter=None):
-        from repro.serving import engine as engine_module
-        if monkeypatch is not None:
-            real_queue = engine_module.BucketedEventQueue
+    ENGINE_KW = dict(num_instances=4, max_batch_size=4, policy="fifo")
 
-            class CountingQueue(real_queue):
-                def push(self, event):
-                    counter[0] += 1
-                    super().push(event)
-
-            monkeypatch.setattr(engine_module, "BucketedEventQueue",
-                                CountingQueue)
+    def _trace(self):
         from repro.workloads.traces import synthetic_trace
-        trace = synthetic_trace(400, **self.TRACE_KW)
-        engine = TokenServingEngine(num_instances=4, max_batch_size=4,
-                                    policy="fifo", multistep=multistep)
-        return engine.run(trace)
+        return synthetic_trace(400, **self.TRACE_KW)
+
+    def _run(self, multistep):
+        engine = TokenServingEngine(multistep=multistep, **self.ENGINE_KW)
+        return engine.run(self._trace())
 
     def test_idle_pool_records_bit_identical_with_folding(self):
         metrics_on, records_on = self._run(True)
@@ -235,12 +282,9 @@ class TestIdleGapFolding:
         """Folding across idle-cluster gaps must post measurably fewer
         events than the per-step loop on the same quiet workload — the
         equivalence above must not pass because nothing folded."""
-        counts = {}
-        for multistep in (True, False):
-            counter = [0]
-            self._run(multistep, monkeypatch, counter)
-            counts[multistep] = counter[0]
-            monkeypatch.undo()
+        counts = {multistep: _count_posted_events(
+            monkeypatch, self._trace(), multistep=multistep,
+            **self.ENGINE_KW) for multistep in (True, False)}
         assert counts[True] < 0.85 * counts[False], counts
 
 
@@ -295,23 +339,95 @@ class TestHeterogeneousFolding:
         """An admit-all heterogeneous pool folds full batches and idle
         gaps like a single-class one: folding must post under a quarter
         of the per-step loop's events."""
-        from repro.serving import engine as engine_module
-        real_queue = engine_module.BucketedEventQueue
         trace = _azure(600, seed=0)
-        counts = {}
-        for multistep in (True, False):
-            counter = [0]
-
-            class CountingQueue(real_queue):
-                def push(self, event):
-                    counter[0] += 1
-                    super().push(event)
-
-            monkeypatch.setattr(engine_module, "BucketedEventQueue",
-                                CountingQueue)
-            TokenServingEngine(cluster="4x1n,4x2n,1x4n", max_batch_size=8,
-                               router="least_loaded",
-                               multistep=multistep).run(trace)
-            counts[multistep] = counter[0]
-            monkeypatch.undo()
+        counts = {multistep: _count_posted_events(
+            monkeypatch, trace, cluster="4x1n,4x2n,1x4n", max_batch_size=8,
+            router="least_loaded", multistep=multistep)
+            for multistep in (True, False)}
         assert counts[True] < 0.25 * counts[False], counts
+
+
+class TestPagedFolding:
+    """Paged pools fold pure-decode runs and chunked exclusive prefills
+    as far as the free block list covers their growth, so no boundary
+    inside a fold can evict; the fold then replays the growth at
+    dispatch.  Same claim as above — records bit-identical with folding
+    on or off, KV aggregates within float round-off — over the cluster ×
+    policy × preemption × prefill × prefix-sharing matrix under a budget
+    tight enough to evict, plus an exact count of posted events.
+    """
+
+    CLUSTERS = ("1x2n", "3x2n", "2x1n,2x2n")
+
+    @staticmethod
+    def _assert_folding_invisible(trace, **kwargs):
+        runs, pools = {}, {}
+        for multistep in (True, False):
+            engine = TokenServingEngine(multistep=multistep, **kwargs)
+            runs[multistep] = engine.run(trace)
+            # block ids record the allocation order: a fold must claim
+            # its growth blocks in the per-step chain's order
+            pools[multistep] = [
+                (m._free, list(m._reclaimable), m._prefix_index,
+                 m.peak_used_blocks) for m in engine.last_kv_managers]
+        (metrics_on, records_on), (metrics_off, records_off) = (
+            runs[True], runs[False])
+        assert records_on == records_off, kwargs
+        assert pools[True] == pools[False], kwargs
+        _assert_summaries_match(metrics_on.summary(), metrics_off.summary(),
+                                exact=False)
+
+    def test_records_bit_identical_with_folding_on_or_off(self):
+        azure = _azure(100, seed=2)
+        multi_turn = multi_turn_trace(80, seed=2, session_rate_per_s=2.0)
+        matrix = itertools.product(
+            self.CLUSTERS, ("fifo", "sjf", "priority"),
+            (("swap", False), ("swap", True), ("recompute", False)),
+            ("exclusive", "mixed"), (False, True))
+        for (cluster, policy, (preemption, swap_priority), prefill_mode,
+                sharing) in matrix:
+            self._assert_folding_invisible(
+                multi_turn if sharing else azure, cluster=cluster,
+                policy=policy, preemption_mode=preemption,
+                swap_priority=swap_priority, prefill_mode=prefill_mode,
+                kv_prefix_sharing=sharing, max_batch_size=6,
+                prefill_chunk_tokens=32, **_TIGHT_PAGED)
+
+    def test_recompute_victim_requeued_by_another_instance(self):
+        """Regression: under recompute, another instance's growth eviction
+        puts a reset request back in the shared queue, and a per-step run
+        admits it at a boundary an empty-queue fold would skip."""
+        self._assert_folding_invisible(
+            multi_turn_trace(150, seed=0, session_rate_per_s=2.0),
+            cluster="2x1n,2x2n", policy="fifo",
+            preemption_mode="recompute", prefill_mode="exclusive",
+            kv_prefix_sharing=True, max_batch_size=6, **_TIGHT_PAGED)
+
+    def test_idle_instance_reoffered_at_a_folded_boundary(self):
+        """Regression: at 72.572 s an idle instance refuses a head swapped
+        out elsewhere, a later idle instance in the same pump resumes that
+        head, and request 366 becomes the head.  The per-step run admits
+        366 on the first instance at the next event, a boundary another
+        instance's fold skips (72.587 s); without a wake there it was
+        placed at 72.587 s on another instance after the fold's end."""
+        trace = RequestTrace(requests=list(synthetic_azure_trace(
+            1_200, seed=63, mean_rate_per_s=16.0, diurnal_amplitude=0.3)))
+        self._assert_folding_invisible(
+            trace, cluster="6x1n", policy="fifo", preemption_mode="swap",
+            max_batch_size=4, kv_mode="paged",
+            kv_budget_bytes=1024 * _BYTES_PER_TOKEN_1N)
+
+    def test_posted_event_count_is_pinned(self, monkeypatch):
+        """The exact number of events a small paged swap replay posts, so
+        folding cannot silently stop engaging: the per-step loop posts
+        24,812 here, and the run swaps 8 requests out."""
+        system = LoopLynxSystem.paper_configuration(num_nodes=2)
+        bytes_per_token = KVCacheLayout.for_model(
+            system.config.model, num_nodes=2).bytes_per_token_per_node()
+        trace = RequestTrace(requests=list(synthetic_azure_trace(
+            400, seed=0, mean_rate_per_s=4.0, diurnal_amplitude=0.3)))
+        posted = _count_posted_events(
+            monkeypatch, trace, cluster="4x2n", max_batch_size=8,
+            policy="fifo", preemption_mode="swap", kv_mode="paged",
+            kv_budget_bytes=1024 * bytes_per_token)
+        assert posted == 1_819

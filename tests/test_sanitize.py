@@ -113,6 +113,23 @@ def test_sanitizer_holds_on_folded_heterogeneous_pool():
     assert plain[0].summary() == checked[0].summary()
 
 
+def test_sanitizer_holds_on_folded_paged_pool():
+    """A paged swap pool folds decode runs as far as its free list covers
+    their growth (full batches too); every event of the folded run must
+    pass the KV checks, and the records stay bit-identical."""
+    config = dict(cluster="4x2n", kv_mode="paged",
+                  kv_budget_bytes=24 << 20,  # 1,024 tokens per node
+                  max_batch_size=4)
+    assert all(r.allow_multistep and r.fold_full_batch
+               for r in TokenServingEngine(**config)._build_runtimes())
+    trace = synthetic_trace(num_requests=200, seed=7)
+    plain = TokenServingEngine(sanitize=False, **config).run(trace)
+    checked = TokenServingEngine(sanitize=True, **config).run(trace)
+    assert plain[0].swap_out_count > 0
+    assert _records(plain) == _records(checked)
+    assert plain[0].summary() == checked[0].summary()
+
+
 # ---------------------------------------------------------------------------
 # activation plumbing
 # ---------------------------------------------------------------------------
@@ -247,3 +264,12 @@ def test_kv_checker_rejects_duplicate_free_entry():
     with pytest.raises(SanitizerError) as excinfo:
         check_kv_invariants(manager)
     assert excinfo.value.check == "kv-free-list-unique"
+
+
+def test_kv_checker_rejects_fragmentation_counter_drift():
+    manager = _manager()
+    assert manager.allocate(1, 10)
+    manager.device_cached_tokens += 1
+    with pytest.raises(SanitizerError) as excinfo:
+        check_kv_invariants(manager)
+    assert excinfo.value.check == "kv-fragmentation-counters"
