@@ -43,7 +43,7 @@ class SanitizerError(InvariantError):
     Attributes
     ----------
     event:
-        The ``(time_s, seq, kind, payload)`` engine event (or a
+        The ``(time_s, posted_s, seq, kind, payload)`` engine event (or a
         human-readable stand-in such as ``("arrival", request_id)``)
         after which the violation was detected; ``None`` when the
         violation was found outside event handling.

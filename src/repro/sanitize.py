@@ -17,6 +17,10 @@ re-verifies its structural invariants after **every** event it processes:
 * **queue/request conservation** — every arrival is accounted for:
   queued, batched, parked, mid-handoff, or completed
   (``request-conservation``);
+* **one live step per busy instance** — every busy instance has exactly
+  one step completion of its current generation queued and no idle one
+  has any; a cut fold's original completion is stale and does not count
+  (``one-live-step``);
 * **lifecycle-phase consistency** — each request's declared lifecycle
   phase (:mod:`repro.serving.lifecycle`) matches where the engine
   actually holds it: batch members are prefilling or decoding (whichever
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Sized
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Sized
 
 from repro.errors import SanitizerError
 
@@ -193,9 +197,13 @@ class EngineSanitizer:
                     scheduler: Sized,
                     runtimes: Sequence["InstanceRuntime"],
                     num_arrivals: int, completed: int,
-                    in_flight_handoffs: int) -> None:
+                    in_flight_handoffs: int,
+                    live_steps: Optional[Dict[int, int]] = None) -> None:
         """Validate engine state just after ``event`` was processed at
-        simulated time ``now``."""
+        simulated time ``now``.  ``live_steps`` maps an instance id to its
+        pending step completions of the current generation (a cut fold's
+        original completion is stale and not counted); None skips that
+        check."""
         if now < self.last_time_s:
             _fail(f"simulated time moved backwards: {now} after "
                   f"{self.last_time_s}", check="event-time-monotonic",
@@ -210,6 +218,15 @@ class EngineSanitizer:
             _fail(f"request conservation broke: {num_arrivals} arrivals != "
                   f"{completed} completed + {in_system} in the system",
                   check="request-conservation", event=event)
+
+        if live_steps is not None:
+            for runtime in runtimes:
+                live = live_steps.get(runtime.instance_id, 0)
+                if live != (1 if runtime.busy else 0):
+                    _fail(f"instance {runtime.instance_id} is "
+                          f"{'busy' if runtime.busy else 'idle'} with "
+                          f"{live} live step completions queued",
+                          check="one-live-step", event=event)
 
         lifecycle = self._lifecycle
         for runtime in runtimes:

@@ -54,8 +54,9 @@ swap machinery.
 
 The discrete-event loop lazy-merges the sorted arrival stream with a
 :class:`~repro.serving.events.BucketedEventQueue` of step completions and
-handoff arrivals, ordered by ``(time, seq)``, so results are exact and
-reproducible (no wall-clock time).
+handoff arrivals, ordered by time and then by the order the per-step loop
+would have posted them, so results are exact and reproducible (no
+wall-clock time).
 
 Units, throughout this module: timestamps and durations are **seconds** on
 the simulated clock, lengths are **tokens**, KV quantities are **cached
@@ -66,6 +67,7 @@ node** (paged mode), and swap traffic is **bytes summed over all nodes**.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -307,17 +309,20 @@ class TokenServingEngine:
         (default 0.5% — see :class:`~repro.serving.metrics.StreamingQuantile`).
     multistep:
         Allow the event loop to fast-forward provably identical
-        consecutive pure-decode steps into single events (see
+        consecutive pure-decode steps (and chunks of one exclusive
+        prefill) into single events (see
         :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  Only
-        engaged where it is exact — never on prefill/decode role pools;
-        on a paged pool only as far as the free block list covers the
-        fold's block growth, and on its empty queue only under swap
-        preemption or with a single instance; while requests wait only
-        where no idle instance could take them at a skipped boundary
-        (single-class pools, or heterogeneous pools without role/KV gates
-        whose router never vetoes a placement) — and produces
-        bit-identical timestamps there; the switch exists so equivalence
-        tests can compare against the one-event-per-step execution.
+        engaged where it is exact: on prefill/decode role pools while the
+        instance would not take the queue head, with the fold cut at the
+        first skipped boundary a later event makes live; on a paged pool
+        only as far as the free block list covers the fold's block
+        growth, and on its empty queue only under swap preemption or with
+        a single instance; while requests wait only where no idle
+        instance could take them at a skipped boundary (single-class
+        pools, or heterogeneous pools without role/KV gates whose router
+        never vetoes a placement) — and produces bit-identical timestamps
+        there; the switch exists so equivalence tests can compare against
+        the one-event-per-step execution.
     sanitize:
         Opt-in shadow validation (see :mod:`repro.sanitize`): re-verify
         event-time monotonicity, paged-KV block/refcount conservation and
@@ -554,24 +559,28 @@ class TokenServingEngine:
         runtimes: List[InstanceRuntime] = []
         instance_id = 0
         # Fast-forwarding is exact only where the skipped step boundaries
-        # are inert.  Role pools never fold: a handoff lands in one decode
-        # instance's host tier at a time the arrival horizon cannot bound.
-        # Elsewhere an empty queue stays empty until the next arrival
-        # (preemption needs a head), except that paged block growth may
-        # evict.  A fold's own growth is capped to what its free list
-        # covers (see ``InstanceRuntime.dispatch``), but another paged
-        # instance may still evict at its boundary: a swapped victim can
-        # only resume on its own instance, while a recompute victim
-        # re-enters the shared queue as fresh work this instance could
-        # admit.  So paged empty-queue folds need swap preemption or a
-        # pool of one.  A full-batch fold skips boundaries while requests
-        # wait, and a heterogeneous pump re-offers the queue to every idle
-        # instance at every boundary: a head one vetoed or could not hold
-        # might land there at a skipped boundary.  So full-batch folds
-        # need a single-class pool (its pump offers a boundary only to the
-        # completer) or an admit-all pool (nothing waits while an
-        # instance idles).
-        fold = self.multistep and not self.cluster.has_roles
+        # are inert.  Role pools fold under the engine's cut rule: a fold
+        # runs while the instance would not take the queue head, and an
+        # event that makes one of its skipped boundaries live (a handoff
+        # landing on it, a recompute victim re-queued as fresh work) cuts
+        # it there.  Pools without roles keep two launch-time rules.  An
+        # empty queue stays empty until the next arrival (preemption needs
+        # a head), except that paged block growth may evict.  A fold's own
+        # growth is capped to what its free list covers (see
+        # ``InstanceRuntime.dispatch``), but another paged instance may
+        # still evict at its boundary: a swapped victim can only resume on
+        # its own instance, while a recompute victim re-enters the shared
+        # queue as fresh work this instance could admit.  So paged
+        # empty-queue folds need swap preemption or a pool of one.  A
+        # full-batch fold skips boundaries while requests wait, and a
+        # heterogeneous pump re-offers the queue to every idle instance at
+        # every boundary: a head one vetoed or could not hold might land
+        # there at a skipped boundary.  So full-batch folds need a
+        # single-class pool (its pump offers a boundary only to the
+        # completer) or an admit-all pool (nothing waits while an instance
+        # idles).
+        has_roles = self.cluster.has_roles
+        fold = self.multistep and not has_roles
         allow_multistep = fold and (not self._paged
                                     or self.preemption_mode == "swap"
                                     or self.num_instances == 1)
@@ -597,6 +606,7 @@ class TokenServingEngine:
                     prefill_cache=caches[2],
                     transfer_cache=caches[3])
                 runtime.allow_multistep = allow_multistep
+                runtime.fold_unless_taken = self.multistep and has_roles
                 runtimes.append(runtime)
                 instance_id += 1
         fold_full_batch = fold and (
@@ -704,13 +714,13 @@ class TokenServingEngine:
             # not consume the engine's arrival stream
             router.prepare(runtimes, trace)
         # two-level bucketed queue (near-future ring + far heap); pops
-        # come out in exactly heapq's (time, seq) order, so the replay
+        # come out in exactly heapq's tuple order, so the replay
         # is bit-identical to the old global heap
         events = BucketedEventQueue()
         push_event, pop_event = events.push, events.pop
         peek_event_time = events.peek_time
         seq = itertools.count()
-        _STEP_DONE, _HANDOFF, _WAKE = 1, 2, 3
+        _STEP_DONE, _HANDOFF = 1, 2
 
         # ---- arrival stream ----------------------------------------------
         # Arrivals never enter the event heap: the loop below lazy-merges
@@ -815,6 +825,14 @@ class TokenServingEngine:
 
             horizon_fn = _fold_horizon
 
+        # Events are ``(time, posted, seq, kind, payload)``: equal-time
+        # events run in the order the per-step loop would have posted
+        # them.  A step completion counts as posted at the boundary before
+        # it (for a fold, the last one it skips), so a fold or a cut sorts
+        # among same-time events as its per-step twin would, then by its
+        # launch's sequence number, which a cut keeps.
+        launch_seqs = [0] * len(runtimes)
+
         def dispatch(runtime: InstanceRuntime, now: float) -> None:
             launch = runtime.dispatch(scheduler, now, gate=gate,
                                       horizon_s=next_arrival_t,
@@ -822,9 +840,13 @@ class TokenServingEngine:
             if launch is not None:
                 completes = launch.completes_at_s
                 if completes is None:
-                    completes = now + launch.duration_s
-                push_event((completes, next(seq), _STEP_DONE,
-                            launch.payload))
+                    push_event((now + launch.duration_s, now, next(seq),
+                                _STEP_DONE, launch.payload))
+                else:
+                    # a fold: a cut re-posts it under this sequence number
+                    launch_seqs[runtime.instance_id] = launch_seq = next(seq)
+                    push_event((completes, launch.posted_at_s, launch_seq,
+                                _STEP_DONE, launch.payload))
 
         def pump(completer: Optional[InstanceRuntime], now: float) -> None:
             """Offer the queue to every instance at a step boundary.
@@ -836,24 +858,26 @@ class TokenServingEngine:
             Heterogeneous pools let the router order all boundary
             instances (idle ones are always woken: a vetoed head must be
             able to reach its preferred class the moment it has a
-            boundary).
+            boundary).  Once the queue is empty an idle instance without
+            parked victims has nothing to admit, so it is not offered.
             """
+            qlen = scheduler.__len__
             if not multi_class:
                 if completer is not None:
                     dispatch(completer, now)
-                    if self._paged and len(scheduler):
+                    if self._paged and qlen():
                         for runtime in runtimes:
-                            if not runtime.busy:
+                            if not runtime.busy and (qlen()
+                                                     or runtime.parked):
                                 dispatch(runtime, now)
                 elif self._paged:
                     for runtime in runtimes:
-                        if not runtime.busy:
+                        if not runtime.busy and (qlen() or runtime.parked):
                             dispatch(runtime, now)
                 else:
                     # without paged KV an idle instance holds no batch and
                     # no parked work, so once the queue drains the
                     # remaining idle dispatches would be no-ops — skip them
-                    qlen = scheduler.__len__
                     for runtime in runtimes:
                         if not qlen():
                             break
@@ -863,7 +887,8 @@ class TokenServingEngine:
             candidates = [r for r in runtimes
                           if r is completer or not r.busy]
             for runtime in router.dispatch_order(candidates, scheduler.peek()):
-                if runtime is completer or not runtime.busy:
+                if runtime is completer or (not runtime.busy
+                                            and (qlen() or runtime.parked)):
                     dispatch(runtime, now)
 
         def launch_handoffs(runtime: InstanceRuntime, now: float) -> None:
@@ -886,33 +911,31 @@ class TokenServingEngine:
                                          cached_tokens)
                 state.swapped_on = target.instance_id
                 state.handoff_pending = True
-                batch.append((now + ready_s, next(seq), _HANDOFF, state))
+                batch.append((now + ready_s, now, next(seq), _HANDOFF,
+                              state))
             if batch:
                 # one boundary's handoffs post together (they share the
                 # step's timestamp base and resolve buckets in one pass)
                 events.push_many(batch)
 
-        # ---- wakes at folded boundaries (paged pools) --------------------
-        # A pump offers the queue to idle instances one after another, so
-        # an idle instance may refuse the head (a victim swapped out on
-        # another instance) just before a later one admits that head and
-        # exposes one the first could take.  The per-step loop lets it
-        # take that head at the next event of any kind, which may be a
-        # boundary some fold skips.  So while an idle instance would admit
-        # the head, the earliest skipped boundary of any in-flight fold
-        # gets a wake event that re-offers the queue, exactly as that
-        # boundary's pump would; the fold itself stays inert there.  Only
-        # paged pools of several instances can leave an instance idle
-        # while it could admit the head.
-        watch_idle = (self._paged and len(runtimes) > 1
-                      and (runtimes[0].allow_multistep
-                           or runtimes[0].fold_full_batch))
-        wakes: Dict[float, None] = {}  # times of the pending wake events
+        # ---- cuts: interrupting in-flight folds ---------------------------
+        # A fold skips boundaries its launch judged inert, but a later event
+        # can make one live: the queue head becomes one the folding
+        # instance would take there (a handoff landing on it, a recompute
+        # victim re-queued as fresh work), or one an idle instance would
+        # take (an idle instance may refuse a head just before a later one
+        # in the same pump admits it and exposes one the first could
+        # take, and the per-step loop offers it that head at the next
+        # boundary of any instance whose pump offers idle ones).  After
+        # every event's pump the earliest such skipped boundary is cut:
+        # its fold is truncated there and re-posted under a new
+        # generation, and the stale completion is dropped when popped.
+        # Only the head matters (a boundary's admissions stop at the first
+        # refusal), and it cannot change between events without a cut.
+        never_preempts = scheduler.never_preempts
+        offers_idle = multi_class or self._paged
 
-        def idle_would_admit() -> bool:
-            head = scheduler.peek()
-            if head is None:
-                return False
+        def idle_would_take(head: RequestState) -> bool:
             for r in runtimes:
                 if (not r.busy and r.role_admits(head)
                         and (gate is None or gate(r, head))
@@ -920,22 +943,27 @@ class TokenServingEngine:
                     return True
             return False
 
-        def wake_idle(now: float) -> None:
-            """Post a wake at the earliest boundary after ``now`` that an
-            in-flight fold skips, counting the folds that skip it."""
-            if not idle_would_admit():
+        def cut_live_boundary(now: float) -> None:
+            head = scheduler.peek()
+            if head is None:
                 return
-            first, count = float("inf"), 0
+            first, posted, steps = float("inf"), 0.0, 0
+            folder: Optional[InstanceRuntime] = None
+            idle_takes: Optional[bool] = None
             for r in runtimes:
-                boundary = r.next_skipped_boundary(now)
-                if boundary is None or boundary > first:
+                if r.fold is None:
                     continue
-                if boundary < first:
-                    first, count = boundary, 0
-                count += 1
-            if count and first not in wakes:
-                wakes[first] = None
-                push_event((first, next(seq), _WAKE, count))
+                if not r.would_take(head, gate, never_preempts):
+                    if idle_takes is None:
+                        idle_takes = offers_idle and idle_would_take(head)
+                    if not idle_takes:
+                        continue
+                boundary = r.next_skipped_boundary(now)
+                if boundary is not None and boundary[0] < first:
+                    (first, steps, posted), folder = boundary, r
+            if folder is not None:
+                push_event((first, posted, launch_seqs[folder.instance_id],
+                            _STEP_DONE, folder.cut_fold(steps, posted)))
 
         # ---- shadow validation (opt-in, read-only) -----------------------
         sanitizer = EngineSanitizer() if self.sanitize else None
@@ -945,12 +973,27 @@ class TokenServingEngine:
             (only ever called with the sanitizer enabled)."""
             assert sanitizer is not None  # mypy narrowing  # repro-lint: disable=R005
             completed = len(records) if collector is None else collector.count
-            in_flight = sum(1 for entry in events if entry[2] == _HANDOFF)
+            in_flight = 0
+            live_steps: Dict[int, int] = {}
+            for entry in events:
+                if entry[3] == _HANDOFF:
+                    in_flight += 1
+                elif entry[4][4] == entry[4][1].generation:
+                    owner = entry[4][1].instance_id
+                    live_steps[owner] = live_steps.get(owner, 0) + 1
             sanitizer.after_event(
                 now, event, scheduler=scheduler, runtimes=runtimes,
                 num_arrivals=num_arrivals, completed=completed,
-                in_flight_handoffs=in_flight)
+                in_flight_handoffs=in_flight, live_steps=live_steps)
 
+        # Single-class pools without paged KV never need the rule: there
+        # a fold either has a full batch under a scheduler that never
+        # preempts or skips only boundaries before the next arrival,
+        # nothing but an arrival feeds an empty queue (no growth
+        # evictions, and preemption needs a waiting head), and a
+        # boundary's pump offers no idle instance.
+        cut = (cut_live_boundary
+               if self.multistep and (multi_class or self._paged) else None)
         while True:
             if next_state is not None and (
                     not events or next_arrival_t <= peek_event_time()):
@@ -966,45 +1009,40 @@ class TokenServingEngine:
                                   if next_state is not None
                                   else float("inf"))
                 pump(None, now)
-                if watch_idle:
-                    wake_idle(now)
+                if cut is not None:
+                    # an arrival precedes every event at its own time, so
+                    # a boundary at exactly ``now`` has not happened yet
+                    cut(math.nextafter(now, -math.inf))
                 if sanitizer is not None:
                     sanitize_check(now, ("arrival",
                                          arrived.request.request_id, now))
                 continue
             if not events:
                 break
-            now, _, kind, payload = pop_event()
+            now, _, _, kind, payload = pop_event()
             if kind == _STEP_DONE:
                 runtime = payload[1]
+                if payload[4] != runtime.generation:
+                    continue  # a cut fold's original completion
                 for state in runtime.complete_step(payload, now):
                     record(state, now)
                 if has_roles:
                     launch_handoffs(runtime, now)
                 pump(runtime, now)
-                if watch_idle:
-                    wake_idle(now)
+                if cut is not None:
+                    cut(now)
                 if sanitizer is not None:
                     sanitize_check(now, ("step-done",
                                          runtime.instance_id, now))
-            elif kind == _HANDOFF:
+            else:
                 lifecycle.transition(payload, "handoff_arrive")
                 scheduler.push(payload)
                 pump(None, now)
+                if cut is not None:
+                    cut(now)
                 if sanitizer is not None:
                     sanitize_check(now, ("handoff",
                                          payload.request.request_id, now))
-            else:
-                # a wake: one re-offer per fold skipping this boundary, as
-                # the per-step loop's pumps there would make
-                del wakes[now]
-                for _ in range(payload):
-                    pump(None, now)
-                    if not idle_would_admit():
-                        break
-                wake_idle(now)
-                if sanitizer is not None:
-                    sanitize_check(now, ("wake", payload, now))
 
         completed = len(records) if collector is None else collector.count
         if completed != num_arrivals:

@@ -1,8 +1,8 @@
 """Two-level bucketed event queue for the serving engine's main loop.
 
 The engine's event loop is dominated by pushes and pops of
-``(time, seq, kind, payload)`` tuples.  A single global binary heap pays
-``O(log n)`` per operation with ``n`` = every pending event in the
+``(time, posted, seq, kind, payload)`` tuples.  A single global binary
+heap pays ``O(log n)`` per operation with ``n`` = every pending event in the
 simulation.  But the event stream of a serving simulation is strongly
 *near-sorted*: almost every event posted lands within a few step
 durations of the current clock, with a thin tail (KV handoffs, far-out
@@ -19,9 +19,10 @@ style split:
   while the queue is still auto-tuning its bucket width).
 
 Ordering contract — identical to ``heapq`` over the same tuples: pops
-come out sorted by ``(time, seq)``.  Equal-time events are ordered by
-their monotone sequence number, which is exactly the tie-break the
-engine's golden-timestamp tests pin.  The queue is a drop-in
+come out sorted by the whole tuple, time first.  Equal-time events are
+ordered by the engine's tie-break fields (the time an event was posted,
+then a sequence number), which is exactly the order the engine's
+golden-timestamp tests pin.  The queue is a drop-in
 replacement: the replay is bit-identical to the heap version.
 
 Bucket width is auto-tuned from the first events observed (a deterministic
@@ -43,7 +44,8 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from typing import Any, Iterable, Iterator, List, Optional, Tuple
 
-Event = Tuple[float, int, int, Any]
+#: An event tuple: time first, then the tie-break fields and the payload.
+Event = Tuple[Any, ...]
 
 # Number of distinct event times buffered before the bucket width is
 # derived from their spread; until then the queue runs in plain-heap
@@ -57,7 +59,7 @@ _DEFAULT_RING_BUCKETS = 256
 
 
 class BucketedEventQueue:
-    """Min-queue over ``(time, seq, kind, payload)`` event tuples."""
+    """Min-queue over event tuples whose first field is the time."""
 
     __slots__ = (
         "_nb",

@@ -30,7 +30,8 @@ positions or blocks per node (KV), bytes summed over nodes (swap traffic).
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.errors import InvariantError
@@ -183,12 +184,14 @@ class StepLaunch:
     provably identical decode steps folded into one event) carries the
     absolute completion time in ``completes_at_s`` — accumulated one step
     at a time so the float arithmetic matches the event-per-step chain
-    bit for bit.
+    bit for bit — and in ``posted_at_s`` the last boundary it skips, where
+    the event-per-step chain would have posted that completion.
     """
 
     duration_s: Seconds
     payload: Tuple
     completes_at_s: Optional[Seconds] = None
+    posted_at_s: Optional[Seconds] = None
 
 
 class InstanceRuntime:
@@ -245,7 +248,7 @@ class InstanceRuntime:
                  "preemption_mode", "context_bucket", "swap_priority",
                  "_step_cache", "_mixed_step_cache", "_prefill_cache",
                  "_transfer_cache", "allow_multistep", "fold_full_batch",
-                 "fold_chain",
+                 "fold_unless_taken", "fold", "generation",
                  "_admits_all", "batch", "_num_prefilling", "kv_used_tokens",
                  "busy", "pending_delay_s", "parked", "admission_count",
                  "pending_handoffs", "stats")
@@ -310,11 +313,25 @@ class InstanceRuntime:
         #: heterogeneous pools a head vetoed or refused by an idle instance
         #: is re-offered at every boundary.
         self.fold_full_batch = False
-        #: The latest fold's ``(dispatch time, [[step seconds, steps],
-        #: ...])`` chain, whose skipped boundaries
-        #: :meth:`next_skipped_boundary` walks (all of them precede the
-        #: fold's completion, so a completed fold names none).
-        self.fold_chain: Optional[Tuple[float, List[List[float]]]] = None
+        #: Set by the engine on prefill/decode role pools, which fold
+        #: under the cut rule instead of the two flags above: fold whenever
+        #: this runtime would not take the current queue head
+        #: (:meth:`would_take`), with no arrival horizon; the engine cuts
+        #: the fold at the first skipped boundary an event makes live.
+        self.fold_unless_taken = False
+        #: The in-flight fold, ``(dispatch time, steps, [[step seconds,
+        #: steps], ...], stat field, advancing requests, members or the
+        #: prefilling request and its chunk size, paged growth claims,
+        #: transfer seconds ahead of the first step, last skipped
+        #: boundary)`` — None outside one.
+        #: :meth:`complete_step` accounts its steps, so a cut fold
+        #: (:meth:`cut_fold`) touches the pool and stats only for the
+        #: steps it actually ran.
+        self.fold: Optional[Tuple[Any, ...]] = None
+        #: Launch counter stamped into every step payload: a cut re-posts
+        #: the fold's completion under a new generation, and the engine
+        #: drops an event whose generation is stale.
+        self.generation = 0
         #: True when every waiting request is trivially admissible here —
         #: no role constraint and no KV gate of either kind — letting the
         #: admission loop skip the per-head checks.
@@ -535,6 +552,25 @@ class InstanceRuntime:
         if self.role == "decode":
             return state.prefill_remaining == 0
         return True
+
+    def would_take(self, head: RequestState,
+                   gate: Optional[Callable[["InstanceRuntime", RequestState],
+                                           bool]],
+                   never_preempts: bool) -> bool:
+        """Could this instance take ``head`` at its next step boundary?
+
+        True when there is a free batch slot or a scheduler that may
+        preempt for it, its role and the router ``gate`` accept the head,
+        and the head's KV does not live on another instance.  KV capacity
+        is ignored: the answer may be yes where :meth:`dispatch` would
+        refuse, never the other way round, so a fold the engine keeps only
+        while this says no skips nothing a boundary would have done."""
+        return ((len(self.batch) < self.max_batch_size
+                 or not never_preempts)
+                and self.role_admits(head)
+                and (head.swapped_on is None
+                     or head.swapped_on == self.instance_id)
+                and (gate is None or gate(self, head)))
 
     def kv_admits(self, state: RequestState) -> bool:
         """Does the instance's KV capacity admit ``state`` right now?
@@ -996,20 +1032,23 @@ class InstanceRuntime:
         Returns the planned step, or None when the batch is empty (the
         instance goes idle).  The step's time-weighted accounting (busy,
         batch, step-kind, swap and KV-occupancy time) lands in this
-        runtime's own :attr:`stats`; the engine sums those across runtimes
-        at run end.
+        runtime's own :attr:`stats` — a fold's when it completes (see
+        :meth:`complete_step`); the engine sums those across runtimes at
+        run end.
 
         ``horizon_s`` is the next trace arrival's timestamp (None when the
         engine cannot bound it).  A pure decode step (or a chunk of an
         exclusive prefill) whose following step boundaries are provably
         inert — the waiting queue is empty until the horizon (with
-        :attr:`allow_multistep`), or the batch is full under a scheduler
-        that never preempts (with :attr:`fold_full_batch`) — is
-        fast-forwarded: up to k steps fold into one event, with k bounded
-        so no batch member finishes early and, on a paged pool, so the
-        free block list covers every block the members claim meanwhile
-        (:meth:`_fold_growth_window`).  The folded launch carries its
-        absolute completion time in
+        :attr:`allow_multistep`), the batch is full under a scheduler
+        that never preempts (with :attr:`fold_full_batch`), or this role
+        instance would not take the queue head (with
+        :attr:`fold_unless_taken`; the engine cuts the fold if an event
+        makes a skipped boundary live) — is fast-forwarded: up to k steps
+        fold into one event, with k bounded so no batch member finishes
+        early and, on a paged pool, so the free block list covers every
+        block the members claim meanwhile (:meth:`_fold_growth_window`).
+        The folded launch carries its absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
         """
@@ -1075,6 +1114,7 @@ class InstanceRuntime:
         if not batch:
             self.busy = False
             return None
+        gen = self.generation = self.generation + 1
         ff_members = None   # pure-decode members, when fast-forwardable
         ff_context = 0
         ff_mixed = False    # price folded steps through the mixed model
@@ -1092,7 +1132,8 @@ class InstanceRuntime:
                        for s, chunk in chunks])
                 duration = self.mixed_step_latency_s(
                     max_context, len(decoders), prefill_tokens)
-                payload = ("mixed", self, (decoders, chunks), prefill_tokens)
+                payload = ("mixed", self, (decoders, chunks), prefill_tokens,
+                           gen)
                 advancing = len(decoders) + len(chunks)
                 kind_attr = "mixed_time" if decoders else "prefill_time"
             else:
@@ -1106,7 +1147,7 @@ class InstanceRuntime:
                         context = c
                 duration = self.mixed_step_latency_s(context,
                                                      len(decoders), 0)
-                payload = ("mixed", self, (decoders, chunks), 0)
+                payload = ("mixed", self, (decoders, chunks), 0, gen)
                 advancing = len(decoders)
                 kind_attr = "decode_time"
                 ff_members = decoders
@@ -1128,7 +1169,7 @@ class InstanceRuntime:
                     ff_prefill = prefilling
                 duration = self.prefill_chunk_latency_s(
                     prefilling.prefill_done, chunk)
-                payload = ("prefill", self, prefilling, chunk)
+                payload = ("prefill", self, prefilling, chunk, gen)
                 # only the prefilling request advances; co-resident
                 # decodes stall for the duration of the chunk
                 advancing = 1
@@ -1143,7 +1184,7 @@ class InstanceRuntime:
                         context = c
                 members = batch.copy()
                 duration = self.step_latency_s(context, len(members))
-                payload = ("decode", self, members, 0)
+                payload = ("decode", self, members, 0, gen)
                 advancing = len(members)
                 kind_attr = "decode_time"
                 ff_members = members
@@ -1157,17 +1198,20 @@ class InstanceRuntime:
             self.pending_delay_s = 0.0
         steps = 1
         completes_at = None
-        ff_segments = None
-        ff_kv = None        # a paged decode fold's KV aggregates
-        if (pending == 0.0 and not self.parked and horizon_s is not None
+        posted_at = None
+        if ((pending == 0.0 or self.fold_unless_taken)
+                and not self.parked and horizon_s is not None
                 and (ff_members is not None or ff_prefill is not None)):
             # Fast-forward: fold provably inert step boundaries into one
             # event.  Boundaries inside the fold must change nothing —
             # no admission, preemption or step-shape change could happen at
-            # them.  Two regimes qualify: the waiting queue is empty until
-            # the next arrival (``horizon_s``), or the batch is full under
-            # a scheduler that never preempts (a boundary then has nothing
-            # to do even when requests are waiting).  A decode fold may
+            # them.  Two regimes qualify on pools without roles: the
+            # waiting queue is empty until the next arrival (``horizon_s``),
+            # or the batch is full under a scheduler that never preempts (a
+            # boundary then has nothing to do even when requests are
+            # waiting).  Role pools fold whenever this instance would not
+            # take the head, and the engine cuts the fold where an event
+            # makes a skipped boundary live.  A decode fold may
             # cross context-bucket boundaries and a prefill fold marches
             # the prompt chunk by chunk: every per-step price is a
             # memoized pure function of shape, so repricing at each window
@@ -1175,9 +1219,18 @@ class InstanceRuntime:
             # paged pool a decode fold stops before its block growth
             # outruns the free list, so no boundary inside it can evict,
             # and an instance with parked victims (retried at every
-            # boundary) does not fold at all.
+            # boundary) does not fold at all.  A pending swap or handoff
+            # transfer only lengthens the first step; role pools fold
+            # through it (every handoff leaves one at both ends), while
+            # the launch rules of pools without roles fold only without
+            # one.
             limit = None
-            if self.allow_multistep and scheduler.peek() is None:
+            if self.fold_unless_taken:
+                head = scheduler.peek()
+                if head is None or not self.would_take(
+                        head, gate, scheduler.never_preempts):
+                    limit = float("inf")
+            elif self.allow_multistep and scheduler.peek() is None:
                 # the engine's idle-gap horizon (when eligible) extends
                 # the fold past arrivals that other idle instances are
                 # guaranteed to absorb; it is only ever >= horizon_s
@@ -1200,19 +1253,21 @@ class InstanceRuntime:
                 remaining = state.prefill_len - done
                 t = now + duration
                 if remaining > 0 and t < limit:
-                    ff_segments = [[duration, 1]]
+                    segments = [[duration, 1]]
                     while remaining > 0 and t < limit:
                         c = cap if cap < remaining else remaining
                         d = self.prefill_chunk_latency_s(done, c)
+                        posted_at = t
                         t += d
                         done += c
                         total += c
                         remaining -= c
                         steps += 1
-                        ff_segments.append([d, 1])
-                    payload = ("prefill", self, state, total)
+                        segments.append([d, 1])
+                    payload = ("prefill", self, state, total, gen)
                     completes_at = t
-                    self.fold_chain = (now, ff_segments)
+                    self.fold = (now, steps, segments, kind_attr, advancing,
+                                 (state, cap), None, pending, posted_at)
             elif limit is not None:
                 kmax = ff_members[0].decode_len - ff_members[0].decode_done
                 for s in ff_members:
@@ -1220,6 +1275,7 @@ class InstanceRuntime:
                     if r < kmax:
                         kmax = r
                 kv = self.kv
+                claims = None
                 if kv is not None:
                     kmax, claims = self._fold_growth_window(kv, ff_members,
                                                             kmax)
@@ -1227,18 +1283,22 @@ class InstanceRuntime:
                 # boundary before the last must fall strictly before the
                 # limit (an arrival at exactly the boundary is processed
                 # first by the engine, so that boundary is a real event).
-                # ff_segments collects (step duration, step count) runs so
-                # the stats replay below walks the identical float chain.
+                # segments collects (step duration, step count) runs so the
+                # completion's stats replay walks the identical float chain.
                 t = now + duration
                 if steps < kmax and t < limit:
                     bucket = self.context_bucket
-                    d = duration
+                    d = step_duration
                     # steps after the first that still price in its window
                     # (bucket arithmetic inlined from _bucketed)
                     win = ((-(-ff_context // bucket) * bucket - ff_context)
                            if bucket > 1 and ff_context else 0)
-                    seg = [d, 1]
-                    ff_segments = [seg]
+                    seg = [duration, 1]
+                    segments = [seg]
+                    if pending > 0.0:
+                        # the transfer only lengthened the first step
+                        seg = [d, 0]
+                        segments.append(seg)
                     while steps < kmax and t < limit:
                         if win == 0:
                             c = ff_context + steps
@@ -1252,19 +1312,18 @@ class InstanceRuntime:
                             if nd != d:
                                 d = nd
                                 seg = [d, 0]
-                                ff_segments.append(seg)
+                                segments.append(seg)
+                        posted_at = t
                         t += d
                         steps += 1
                         seg[1] += 1
                         win -= 1
                 if steps > 1:
                     payload = ("decode_k", self,
-                               (ff_members, steps, now + duration), 0)
+                               (ff_members, steps, now + duration), 0, gen)
                     completes_at = t
-                    self.fold_chain = (now, ff_segments)
-                    if kv is not None:
-                        ff_kv = self._replay_fold_growth(
-                            kv, ff_members, claims, ff_segments, steps)
+                    self.fold = (now, steps, segments, kind_attr, advancing,
+                                 ff_members, claims, pending, posted_at)
         if steps == 1:
             bd = advancing * duration
             kvm = self.kv
@@ -1290,63 +1349,101 @@ class InstanceRuntime:
                 acc.shared_kv_time += shared_term
                 if occupancy > acc.peak_kv_occupancy:
                     acc.peak_kv_occupancy = occupancy
-        else:
-            # k folded steps: the per-step stat adds collapse to one
-            # closed-form add per pricing segment (duration × count).
-            # This is the one fast-forward shortcut that is not replayed
-            # add-by-add: time-weighted aggregates may differ from
-            # per-event execution in the last float bits, while every
-            # timestamp, token count and per-request record stays exact
-            # (the completion chain above still walks step by step).
-            # Fast-forward requires pending == 0, so no swap time applies.
-            td = 0.0
-            for d_seg, n_seg in ff_segments:
-                td += d_seg * n_seg
-            acc = self.stats
-            if kind_attr == "decode_time":
-                acc.decode_time += td
-            else:
-                acc.prefill_time += td
-            acc.batch_time += advancing * td
-            acc.busy_time += td
-            kvm = self.kv
-            if kvm is not None:
-                if ff_kv is None:
-                    # a prefill fold claims no blocks: the pool holds still
-                    occupancy = kvm.occupancy_fraction
-                    ff_kv = (occupancy * td,
-                             kvm.internal_fragmentation_fraction * td,
-                             occupancy)
-                occ_time, frag_time, occupancy = ff_kv
-                acc.kv_occ_time += occ_time
-                acc.frag_time += frag_time
-                if kvm.prefix_sharing:
-                    # growth comes off the free list, so neither shared
-                    # nor reclaimable blocks change inside a fold
-                    acc.shared_kv_time += kvm.shared_block_fraction * td
-                if occupancy > acc.peak_kv_occupancy:
-                    acc.peak_kv_occupancy = occupancy
         self.busy = True
         return StepLaunch(duration_s=duration, payload=payload,
-                          completes_at_s=completes_at)
+                          completes_at_s=completes_at, posted_at_s=posted_at)
 
-    def next_skipped_boundary(self, after: float) -> Optional[float]:
-        """The first step boundary later than ``after`` that the latest
-        fold skips (None without one), accumulated exactly like the
-        fold's completion time."""
-        if self.fold_chain is None:
+    def _account_fold(self, fold: Tuple[Any, ...]) -> None:
+        """Apply the steps the completed ``fold`` (an :attr:`fold` record)
+        ran: its paged block growth and its time-weighted stats.
+
+        The per-step stat adds collapse to one closed-form add per pricing
+        segment (duration × count).  This is the one fast-forward shortcut
+        that is not replayed add-by-add: time-weighted aggregates may
+        differ from per-event execution in the last float bits, while
+        every timestamp, token count and per-request record stays exact
+        (the completion chain still walks step by step).  ``pending``
+        transfer seconds ran ahead of the first step, inside its segment.
+        """
+        _, steps, segments, kind_attr, advancing, members, claims, \
+            pending, _ = fold
+        td = 0.0
+        for d_seg, n_seg in segments:
+            td += d_seg * n_seg
+        acc = self.stats
+        if kind_attr == "decode_time":
+            acc.decode_time += td - pending
+        else:
+            acc.prefill_time += td - pending
+        if pending > 0.0:
+            acc.swap_time_s += pending
+        acc.batch_time += advancing * td
+        acc.busy_time += td
+        kvm = self.kv
+        if kvm is None:
+            return
+        if claims is None:
+            # a prefill fold claims no blocks: the pool holds still
+            occupancy = kvm.occupancy_fraction
+            occ_time = occupancy * td
+            frag_time = kvm.internal_fragmentation_fraction * td
+        else:
+            occ_time, frag_time, occupancy = self._replay_fold_growth(
+                kvm, members, claims, segments, steps)
+        acc.kv_occ_time += occ_time
+        acc.frag_time += frag_time
+        if kvm.prefix_sharing:
+            # growth comes off the free list, so neither shared nor
+            # reclaimable blocks change inside a fold
+            acc.shared_kv_time += kvm.shared_block_fraction * td
+        if occupancy > acc.peak_kv_occupancy:
+            acc.peak_kv_occupancy = occupancy
+
+    def next_skipped_boundary(self, after: float
+                              ) -> Optional[Tuple[float, int, float]]:
+        """The first step boundary later than ``after`` that the in-flight
+        fold skips, as ``(time, steps run by then, the boundary before
+        it)`` (None without one), accumulated exactly like the fold's
+        completion time."""
+        fold = self.fold
+        if fold is None or after >= fold[8]:
             return None
-        t, segments = self.fold_chain
-        remaining = sum(int(n) for _, n in segments)
+        t, steps, segments = fold[0], fold[1], fold[2]
+        j = 0
         for d, n in segments:
             for _ in range(int(n)):
+                prev = t
                 t += d
-                remaining -= 1
-                if remaining == 0:
+                j += 1
+                if j == steps:
                     return None  # the completion is a real event
                 if t > after:
-                    return t
+                    return t, j, prev
         return None
+
+    def cut_fold(self, steps: int, last_skipped: float) -> Tuple[Any, ...]:
+        """Truncate the in-flight fold to its first ``steps`` steps (a
+        boundary :meth:`next_skipped_boundary` named, whose predecessor is
+        ``last_skipped``) and return the step payload to post there, under
+        a new generation."""
+        t0, _, segments, kind_attr, advancing, target, claims, pending, _ = \
+            self.fold
+        kept: List[List[float]] = []
+        left = steps
+        for d, n in segments:
+            if n >= left:
+                kept.append([d, left])
+                break
+            kept.append([d, n])
+            left -= n
+        self.fold = (t0, steps, kept, kind_attr, advancing, target, claims,
+                     pending, last_skipped)
+        gen = self.generation = self.generation + 1
+        if kind_attr == "prefill_time":
+            # every chunk before a fold's last one is a full chunk
+            state, cap = target
+            return ("prefill", self, state, steps * cap, gen)
+        return ("decode_k", self, (target, steps, t0 + segments[0][0]), 0, gen)
 
     def _finish(self, state: RequestState,
                 finished: List[RequestState]) -> None:
@@ -1377,8 +1474,14 @@ class InstanceRuntime:
 
     def complete_step(self, payload: Tuple, now: float) -> List[RequestState]:
         """Apply one finished step's token bookkeeping and return the
-        requests that completed with it (the engine records them)."""
-        kind, _, target, chunk = payload
+        requests that completed with it (the engine records them).  A
+        fold's steps are accounted here, before the token bookkeeping, so
+        a cut fold only ever charges the steps it ran."""
+        fold = self.fold
+        if fold is not None:
+            self.fold = None
+            self._account_fold(fold)
+        kind, _, target, chunk, _ = payload
         finished: List[RequestState] = []
         if kind == "decode":
             for state in target:

@@ -28,7 +28,9 @@ from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.serving.cluster import ROUTER_NAMES
 from repro.serving.engine import TokenServingEngine
+from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
+    Request,
     RequestTrace,
     StreamingTrace,
     bursty_trace,
@@ -167,11 +169,15 @@ class TestMultistepFolding:
                                        preemption_mode="recompute")
             assert all(r.allow_multistep == empty_queue
                        for r in paged._build_runtimes()), cluster
-        # prefill/decode role pools never fold
+        # prefill/decode role pools fold under the cut rule instead of the
+        # two launch-time rules above (see TestDisaggregatedFolding)
         roles = TokenServingEngine(cluster="1x2n:prefill,2x1n:decode",
                                    kv_mode="paged", kv_budget_bytes=64 << 20)
-        assert not any(r.allow_multistep or r.fold_full_batch
-                       for r in roles._build_runtimes())
+        runs = roles._build_runtimes()
+        assert all(r.fold_unless_taken for r in runs)
+        assert not any(r.allow_multistep or r.fold_full_batch for r in runs)
+        assert not any(r.fold_unless_taken
+                       for r in engine._build_runtimes())
 
 
 class TestWarmCacheBitIdentity:
@@ -431,3 +437,84 @@ class TestPagedFolding:
             policy="fifo", preemption_mode="swap", kv_mode="paged",
             kv_budget_bytes=1024 * bytes_per_token)
         assert posted == 1_819
+
+
+class TestDisaggregatedFolding:
+    """Prefill/decode role pools fold under the cut rule: a fold runs while
+    its instance would not take the queue head, and the engine cuts it at
+    the first skipped boundary an event makes live (a handoff landing on a
+    decode instance, a fresh arrival or recompute victim for a prefill
+    instance, a head an idle instance would take).  Same claim as above —
+    records bit-identical with folding on or off, KV aggregates within
+    float round-off, end-of-run pool state equal — over the cluster ×
+    router × prefill × preemption × KV-budget matrix, plus an exact count
+    of posted events and the float-tie order a cut must keep.
+    """
+
+    CLUSTERS = ("1x2n:prefill,2x1n:decode", "2x4n:prefill,3x1n:decode",
+                "1x2n:prefill,1x1n:decode,1x1n")
+
+    def test_records_bit_identical_with_folding_on_or_off(self, monkeypatch):
+        from repro.serving.instance import InstanceRuntime
+        counts = {"cut_fold": 0, "evict": 0}
+        for name in counts:
+            original = getattr(InstanceRuntime, name)
+
+            def counted(self, *args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(InstanceRuntime, name, counted)
+        trace = _azure(64, seed=2)
+        matrix = itertools.product(
+            self.CLUSTERS, ("disaggregated", "least_loaded", "round_robin"),
+            ("exclusive", "mixed"), ("swap", "recompute"),
+            (dict(kv_mode="paged", kv_budget_bytes=64 << 20), _TIGHT_PAGED))
+        for cluster, router, prefill_mode, preemption, kv in matrix:
+            TestPagedFolding._assert_folding_invisible(
+                trace, cluster=cluster, router=router,
+                prefill_mode=prefill_mode, preemption_mode=preemption,
+                max_batch_size=6, prefill_chunk_tokens=32, **kv)
+        # not vacuous: folds were cut and tight budgets evicted
+        assert counts["cut_fold"] > 0 and counts["evict"] > 0, counts
+
+    def test_float_tie_with_a_cut_boundary_keeps_per_step_order(self):
+        """Two prefill instances start identical chunk chains at 0 s, so
+        the first one's second boundary and the second one's prompt
+        completion fall on the same float.  A request arriving between
+        the two boundaries cuts the first instance's fold there.  The
+        per-step loop posted the first instance's event first (its chain
+        was launched first), so that instance takes the new request and
+        prefills it behind its own long prompt; the cut must keep that
+        order rather than sort behind the other completion."""
+        engine_kw = dict(cluster="2x2n:prefill,1x1n:decode",
+                         kv_mode="paged", kv_budget_bytes=64 << 20,
+                         max_batch_size=4, prefill_chunk_tokens=64)
+        runtime = TokenServingEngine(**engine_kw)._build_runtimes()[0]
+        first = runtime.prefill_chunk_latency_s(0, 64)
+        second = first + runtime.prefill_chunk_latency_s(64, 64)
+        trace = RequestTrace(requests=[
+            Request(0, 0.0, Scenario(prefill_len=256, decode_len=4)),
+            Request(1, 0.0, Scenario(prefill_len=128, decode_len=4)),
+            Request(2, (first + second) / 2,
+                    Scenario(prefill_len=64, decode_len=4))])
+        runs = {multistep: TokenServingEngine(
+            multistep=multistep, **engine_kw).run(trace)[1]
+            for multistep in (True, False)}
+        assert runs[True] == runs[False]
+        records = runs[False]
+        # request 2 queued behind request 0's prompt on the first instance
+        assert records[2].admitted_s == second
+        assert records[2].first_token_s > records[0].first_token_s
+
+    def test_posted_event_count_is_pinned(self, monkeypatch):
+        """The exact number of events a small disaggregated replay posts,
+        so role-pool folding cannot silently stop engaging: the per-step
+        loop posts 18,644 here, and every request hands off once."""
+        trace = RequestTrace(requests=list(synthetic_azure_trace(
+            300, seed=0, mean_rate_per_s=4.0, diurnal_amplitude=0.3)))
+        posted = _count_posted_events(
+            monkeypatch, trace, cluster="2x2n:prefill,2x1n:decode",
+            max_batch_size=8, policy="fifo", router="disaggregated",
+            kv_mode="paged")
+        assert posted == 1_840

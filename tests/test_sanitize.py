@@ -11,8 +11,9 @@ Four contracts:
   (off); the ``serve --sanitize`` CLI flag reaches the engine;
 * **violation detection** — seeded corruptions (a double-free injected
   into the block manager mid-run, a backwards event time, a dropped
-  request) raise :class:`~repro.errors.SanitizerError` whose message
-  names the offending event and whose ``check`` names the invariant;
+  request, a fold cut that keeps its generation) raise
+  :class:`~repro.errors.SanitizerError` whose message names the
+  offending event and whose ``check`` names the invariant;
 * **promotion** — the checker the paged-KV fuzz battery pins is the same
   :func:`~repro.sanitize.check_kv_invariants` the engine applies.
 """
@@ -133,6 +134,49 @@ def test_sanitizer_holds_on_folded_paged_pool():
 # ---------------------------------------------------------------------------
 # activation plumbing
 # ---------------------------------------------------------------------------
+def test_sanitizer_holds_on_folded_disaggregated_pool():
+    """Prefill/decode role pools fold under the cut rule: a handoff landing
+    on a folding decode instance (or an arrival for a folding prefill
+    instance) cuts its fold at the next boundary.  Every event of the
+    folded run, cut re-posts and dropped stale completions included, must
+    pass the checks (one live step per busy instance among them), and the
+    records stay bit-identical."""
+    config = dict(cluster="2x2n:prefill,2x1n:decode", router="disaggregated",
+                  kv_mode="paged", kv_budget_bytes=1 << 26, max_batch_size=4)
+    runtimes = TokenServingEngine(**config)._build_runtimes()
+    assert all(r.fold_unless_taken for r in runtimes)
+    trace = synthetic_trace(num_requests=200, seed=7)
+    plain = TokenServingEngine(sanitize=False, **config).run(trace)
+    checked = TokenServingEngine(sanitize=True, **config).run(trace)
+    assert plain[0].handoff_count == 200
+    assert _records(plain) == _records(checked)
+    assert plain[0].summary() == checked[0].summary()
+
+
+def test_cut_without_a_new_generation_is_caught(monkeypatch):
+    """A cut that re-posts its fold's completion without bumping the
+    generation leaves two live completions for one instance; the
+    one-live-step check names the instance at the cut's event."""
+    from repro.serving.instance import InstanceRuntime
+
+    original = InstanceRuntime.cut_fold
+
+    def stale_cut(self, *args):
+        payload = original(self, *args)
+        self.generation -= 1
+        return payload[:4] + (self.generation,)
+
+    monkeypatch.setattr(InstanceRuntime, "cut_fold", stale_cut)
+    engine = TokenServingEngine(
+        cluster="2x2n:prefill,2x1n:decode", router="disaggregated",
+        kv_mode="paged", kv_budget_bytes=1 << 26, max_batch_size=4,
+        sanitize=True)
+    with pytest.raises(SanitizerError) as excinfo:
+        engine.run(synthetic_trace(num_requests=200, seed=7))
+    assert excinfo.value.check == "one-live-step"
+    assert "2 live step completions" in str(excinfo.value)
+
+
 def test_explicit_argument_wins_over_environment(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     assert sanitize_enabled(None) is True
