@@ -69,10 +69,9 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.core.pricing_cache import (
@@ -308,21 +307,14 @@ class TokenServingEngine:
         Guaranteed relative error of streaming-mode percentile estimates
         (default 0.5% — see :class:`~repro.serving.metrics.StreamingQuantile`).
     multistep:
-        Allow the event loop to fast-forward provably identical
-        consecutive pure-decode steps (and chunks of one exclusive
-        prefill) into single events (see
-        :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  Only
-        engaged where it is exact: on prefill/decode role pools while the
-        instance would not take the queue head, with the fold cut at the
-        first skipped boundary a later event makes live; on a paged pool
-        only as far as the free block list covers the fold's block
-        growth, and on its empty queue only under swap preemption or with
-        a single instance; while requests wait only where no idle
-        instance could take them at a skipped boundary (single-class
-        pools, or heterogeneous pools without role/KV gates whose router
-        never vetoes a placement) — and produces bit-identical timestamps
-        there; the switch exists so equivalence tests can compare against
-        the one-event-per-step execution.
+        Allow the event loop to fast-forward consecutive pure-decode steps
+        (and chunks of one exclusive prefill) into single events (see
+        :meth:`~repro.serving.instance.InstanceRuntime.dispatch`).  A fold
+        launches whenever its instance would not take the queue head and
+        is cut at the first skipped boundary a later event makes live, so
+        the timestamps are bit-identical; the switch exists so
+        equivalence tests can compare against the one-event-per-step
+        execution.
     sanitize:
         Opt-in shadow validation (see :mod:`repro.sanitize`): re-verify
         event-time monotonicity, paged-KV block/refcount conservation and
@@ -547,43 +539,10 @@ class TokenServingEngine:
         return (self.cluster.is_heterogeneous
                 and type(self.router).placement_ok is not Router.placement_ok)
 
-    def _admit_all_pool(self, runtimes: List[InstanceRuntime]) -> bool:
-        """True on an *admit-all pool*: no instance has a role or KV gate
-        and the router never vetoes, so an idle instance always takes the
-        queue head the moment it is offered."""
-        return (not self._router_vetoes
-                and all(r._admits_all for r in runtimes))
-
     def _build_runtimes(self) -> List[InstanceRuntime]:
         """Fresh per-run instance runtimes, ids in spec order."""
         runtimes: List[InstanceRuntime] = []
         instance_id = 0
-        # Fast-forwarding is exact only where the skipped step boundaries
-        # are inert.  Role pools fold under the engine's cut rule: a fold
-        # runs while the instance would not take the queue head, and an
-        # event that makes one of its skipped boundaries live (a handoff
-        # landing on it, a recompute victim re-queued as fresh work) cuts
-        # it there.  Pools without roles keep two launch-time rules.  An
-        # empty queue stays empty until the next arrival (preemption needs
-        # a head), except that paged block growth may evict.  A fold's own
-        # growth is capped to what its free list covers (see
-        # ``InstanceRuntime.dispatch``), but another paged instance may
-        # still evict at its boundary: a swapped victim can only resume on
-        # its own instance, while a recompute victim re-enters the shared
-        # queue as fresh work this instance could admit.  So paged
-        # empty-queue folds need swap preemption or a pool of one.  A
-        # full-batch fold skips boundaries while requests wait, and a
-        # heterogeneous pump re-offers the queue to every idle instance at
-        # every boundary: a head one vetoed or could not hold might land
-        # there at a skipped boundary.  So full-batch folds need a
-        # single-class pool (its pump offers a boundary only to the
-        # completer) or an admit-all pool (nothing waits while an instance
-        # idles).
-        has_roles = self.cluster.has_roles
-        fold = self.multistep and not has_roles
-        allow_multistep = fold and (not self._paged
-                                    or self.preemption_mode == "swap"
-                                    or self.num_instances == 1)
         for proto, caches in zip(self._protos, self._caches):
             spec, manager = proto.spec, proto.manager
             for _ in range(spec.count):
@@ -605,15 +564,9 @@ class TokenServingEngine:
                     mixed_step_cache=caches[1],
                     prefill_cache=caches[2],
                     transfer_cache=caches[3])
-                runtime.allow_multistep = allow_multistep
-                runtime.fold_unless_taken = self.multistep and has_roles
+                runtime.multistep = self.multistep
                 runtimes.append(runtime)
                 instance_id += 1
-        fold_full_batch = fold and (
-            not self.cluster.is_heterogeneous
-            or self._admit_all_pool(runtimes))
-        for runtime in runtimes:
-            runtime.fold_full_batch = fold_full_batch
         return runtimes
 
     @property
@@ -759,9 +712,6 @@ class TokenServingEngine:
             raise ValueError("trace is empty")
         next_arrival_t = next_state.request.arrival_s
         num_arrivals = 0
-        # arrivals already drawn past next_state (at most num_instances - 1,
-        # for the idle-gap fold horizon below); the loop drains them first
-        ahead: Deque[RequestState] = deque()
 
         records: List[ServedRequest] = []
         collector: Optional[StreamingMetricsCollector] = None
@@ -791,40 +741,6 @@ class TokenServingEngine:
                     handoffs=state.handoffs,
                 ))
 
-        # ---- idle-gap fold horizon ---------------------------------------
-        # On an admit-all pool (see ``_admit_all_pool``), an arrival that
-        # lands while some *other* instance is idle is absorbed by an idle
-        # instance the moment it arrives (the arrival pump offers every
-        # idle instance the queue, and an admit-all idle instance always
-        # takes the head), so the queue stays empty and none of the
-        # folding instance's skipped boundaries could have admitted
-        # anything.  A folding instance may therefore run past the next
-        # ``spare`` arrivals — one per other idle instance, drawn ahead
-        # into ``ahead`` — and stop only at the first arrival that could
-        # actually reach *its* queue.  This extends fast-forward folding
-        # across idle-cluster gaps; timestamps are unchanged because the
-        # fold still walks boundary by boundary, it just stops later.
-        horizon_fn: Optional[Callable[[InstanceRuntime], float]] = None
-        if self.multistep and self._admit_all_pool(runtimes):
-
-            def _fold_horizon(active: InstanceRuntime) -> float:
-                if next_state is None:
-                    return float("inf")
-                spare = 0
-                for r in runtimes:
-                    if not r.busy and r is not active:
-                        spare += 1
-                if spare == 0:
-                    return next_arrival_t
-                while len(ahead) < spare:
-                    drawn = next(arrivals, None)
-                    if drawn is None:
-                        return float("inf")
-                    ahead.append(drawn)
-                return ahead[spare - 1].request.arrival_s
-
-            horizon_fn = _fold_horizon
-
         # Events are ``(time, posted, seq, kind, payload)``: equal-time
         # events run in the order the per-step loop would have posted
         # them.  A step completion counts as posted at the boundary before
@@ -834,9 +750,7 @@ class TokenServingEngine:
         launch_seqs = [0] * len(runtimes)
 
         def dispatch(runtime: InstanceRuntime, now: float) -> None:
-            launch = runtime.dispatch(scheduler, now, gate=gate,
-                                      horizon_s=next_arrival_t,
-                                      horizon_fn=horizon_fn)
+            launch = runtime.dispatch(scheduler, now, gate=gate)
             if launch is not None:
                 completes = launch.completes_at_s
                 if completes is None:
@@ -919,19 +833,22 @@ class TokenServingEngine:
                 events.push_many(batch)
 
         # ---- cuts: interrupting in-flight folds ---------------------------
-        # A fold skips boundaries its launch judged inert, but a later event
-        # can make one live: the queue head becomes one the folding
-        # instance would take there (a handoff landing on it, a recompute
-        # victim re-queued as fresh work), or one an idle instance would
-        # take (an idle instance may refuse a head just before a later one
-        # in the same pump admits it and exposes one the first could
-        # take, and the per-step loop offers it that head at the next
-        # boundary of any instance whose pump offers idle ones).  After
-        # every event's pump the earliest such skipped boundary is cut:
-        # its fold is truncated there and re-posted under a new
-        # generation, and the stale completion is dropped when popped.
-        # Only the head matters (a boundary's admissions stop at the first
-        # refusal), and it cannot change between events without a cut.
+        # A fold launches while its instance would not take the queue head
+        # (see ``InstanceRuntime.dispatch``), but a later event can make a
+        # skipped boundary live: the queue head becomes one the folding
+        # instance would take there (an arrival, a handoff landing on it, a
+        # recompute victim re-queued as fresh work, a completion elsewhere
+        # that admits the old head), or one an idle instance would take
+        # (an idle instance may refuse a head just before a later one in
+        # the same pump admits it and exposes one the first could take,
+        # and the per-step loop offers it that head at the next boundary of
+        # any instance whose pump offers idle ones: paged or heterogeneous
+        # pools).  After every event's pump the earliest such skipped
+        # boundary is cut: its fold is truncated there and re-posted under
+        # a new generation, and the stale completion is dropped when
+        # popped.  Only the head matters (a boundary's admissions stop at
+        # the first refusal), and it cannot change between events without
+        # a cut.
         never_preempts = scheduler.never_preempts
         offers_idle = multi_class or self._paged
 
@@ -986,14 +903,8 @@ class TokenServingEngine:
                 num_arrivals=num_arrivals, completed=completed,
                 in_flight_handoffs=in_flight, live_steps=live_steps)
 
-        # Single-class pools without paged KV never need the rule: there
-        # a fold either has a full batch under a scheduler that never
-        # preempts or skips only boundaries before the next arrival,
-        # nothing but an arrival feeds an empty queue (no growth
-        # evictions, and preemption needs a waiting head), and a
-        # boundary's pump offers no idle instance.
-        cut = (cut_live_boundary
-               if self.multistep and (multi_class or self._paged) else None)
+        # no pool is exempt: every fold relies on this cut for exactness
+        cut = cut_live_boundary if self.multistep else None
         while True:
             if next_state is not None and (
                     not events or next_arrival_t <= peek_event_time()):
@@ -1001,10 +912,7 @@ class TokenServingEngine:
                 scheduler.push(next_state)
                 num_arrivals += 1
                 arrived = next_state
-                # peel the following arrival *before* pumping so the
-                # dispatch horizon already points past this one
-                next_state = (ahead.popleft() if ahead
-                              else next(arrivals, None))
+                next_state = next(arrivals, None)
                 next_arrival_t = (next_state.request.arrival_s
                                   if next_state is not None
                                   else float("inf"))

@@ -247,8 +247,7 @@ class InstanceRuntime:
                  "mixed_step_token_budget", "kv_controller", "kv",
                  "preemption_mode", "context_bucket", "swap_priority",
                  "_step_cache", "_mixed_step_cache", "_prefill_cache",
-                 "_transfer_cache", "allow_multistep", "fold_full_batch",
-                 "fold_unless_taken", "fold", "generation",
+                 "_transfer_cache", "multistep", "fold", "generation",
                  "_admits_all", "batch", "_num_prefilling", "kv_used_tokens",
                  "busy", "pending_delay_s", "parked", "admission_count",
                  "pending_handoffs", "stats")
@@ -298,27 +297,11 @@ class InstanceRuntime:
             prefill_cache if prefill_cache is not None else {})
         self._transfer_cache: Dict[int, float] = (
             transfer_cache if transfer_cache is not None else {})
-        #: Set by the engine when a boundary skipped while the queue is
-        #: empty is inert, so a fast-forwarded run of steps is provably
-        #: identical to one-event-per-step execution (see :meth:`dispatch`):
-        #: every pool without prefill/decode roles, except a paged pool of
-        #: several instances under recompute preemption, where another
-        #: instance's growth eviction re-queues work this one could admit.
-        self.allow_multistep = False
-        #: Set by the engine when boundaries skipped while requests *wait*
-        #: behind a full batch are inert too: role-free pools where no
-        #: other instance could take the head there (single-class pools,
-        #: whose pump offers a boundary only to the completer, or admit-all
-        #: pools, where nothing waits while an instance idles).  On other
-        #: heterogeneous pools a head vetoed or refused by an idle instance
-        #: is re-offered at every boundary.
-        self.fold_full_batch = False
-        #: Set by the engine on prefill/decode role pools, which fold
-        #: under the cut rule instead of the two flags above: fold whenever
-        #: this runtime would not take the current queue head
-        #: (:meth:`would_take`), with no arrival horizon; the engine cuts
-        #: the fold at the first skipped boundary an event makes live.
-        self.fold_unless_taken = False
+        #: Set by the engine when folding is on: fold whenever this
+        #: runtime would not take the current queue head (:meth:`would_take`);
+        #: the engine cuts the fold at the first skipped boundary an event
+        #: makes live (see :meth:`dispatch`).
+        self.multistep = False
         #: The in-flight fold, ``(dispatch time, steps, [[step seconds,
         #: steps], ...], stat field, advancing requests, members or the
         #: prefilling request and its chunk size, paged growth claims,
@@ -1020,10 +1003,8 @@ class InstanceRuntime:
     # ------------------------------------------------------------------
     def dispatch(self, scheduler: SchedulerPolicy, now: float,
                  gate: Optional[Callable[["InstanceRuntime", RequestState],
-                                         bool]] = None,
-                 horizon_s: Optional[Seconds] = None,
-                 horizon_fn: Optional[Callable[["InstanceRuntime"], float]]
-                 = None) -> Optional[StepLaunch]:
+                                         bool]] = None
+                 ) -> Optional[StepLaunch]:
         """Admit/preempt at a step boundary, then form the next step.
 
         ``gate`` is the cluster router's placement veto (None on
@@ -1036,19 +1017,15 @@ class InstanceRuntime:
         :meth:`complete_step`); the engine sums those across runtimes at
         run end.
 
-        ``horizon_s`` is the next trace arrival's timestamp (None when the
-        engine cannot bound it).  A pure decode step (or a chunk of an
-        exclusive prefill) whose following step boundaries are provably
-        inert — the waiting queue is empty until the horizon (with
-        :attr:`allow_multistep`), the batch is full under a scheduler
-        that never preempts (with :attr:`fold_full_batch`), or this role
-        instance would not take the queue head (with
-        :attr:`fold_unless_taken`; the engine cuts the fold if an event
-        makes a skipped boundary live) — is fast-forwarded: up to k steps
-        fold into one event, with k bounded so no batch member finishes
-        early and, on a paged pool, so the free block list covers every
-        block the members claim meanwhile (:meth:`_fold_growth_window`).
-        The folded launch carries its absolute completion time in
+        With :attr:`multistep`, a pure decode step (or a chunk of an
+        exclusive prefill) launched while this instance would not take the
+        queue head (:meth:`would_take`) and has no parked victims is
+        fast-forwarded: up to k steps fold into one event, with k bounded
+        so no batch member finishes early and, on a paged pool, so the
+        free block list covers every block the members claim meanwhile
+        (:meth:`_fold_growth_window`).  The engine cuts the fold at the
+        first skipped boundary an event makes live.  The folded launch
+        carries its absolute completion time in
         :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
         so the timestamps match the event-per-step chain bit for bit.
         """
@@ -1199,47 +1176,27 @@ class InstanceRuntime:
         steps = 1
         completes_at = None
         posted_at = None
-        if ((pending == 0.0 or self.fold_unless_taken)
-                and not self.parked and horizon_s is not None
-                and (ff_members is not None or ff_prefill is not None)):
-            # Fast-forward: fold provably inert step boundaries into one
-            # event.  Boundaries inside the fold must change nothing —
-            # no admission, preemption or step-shape change could happen at
-            # them.  Two regimes qualify on pools without roles: the
-            # waiting queue is empty until the next arrival (``horizon_s``),
-            # or the batch is full under a scheduler that never preempts (a
-            # boundary then has nothing to do even when requests are
-            # waiting).  Role pools fold whenever this instance would not
-            # take the head, and the engine cuts the fold where an event
-            # makes a skipped boundary live.  A decode fold may
-            # cross context-bucket boundaries and a prefill fold marches
-            # the prompt chunk by chunk: every per-step price is a
-            # memoized pure function of shape, so repricing at each window
-            # or chunk edge reproduces the per-event chain exactly.  On a
-            # paged pool a decode fold stops before its block growth
-            # outruns the free list, so no boundary inside it can evict,
-            # and an instance with parked victims (retried at every
-            # boundary) does not fold at all.  A pending swap or handoff
-            # transfer only lengthens the first step; role pools fold
-            # through it (every handoff leaves one at both ends), while
-            # the launch rules of pools without roles fold only without
-            # one.
-            limit = None
-            if self.fold_unless_taken:
-                head = scheduler.peek()
-                if head is None or not self.would_take(
-                        head, gate, scheduler.never_preempts):
-                    limit = float("inf")
-            elif self.allow_multistep and scheduler.peek() is None:
-                # the engine's idle-gap horizon (when eligible) extends
-                # the fold past arrivals that other idle instances are
-                # guaranteed to absorb; it is only ever >= horizon_s
-                limit = (horizon_s if horizon_fn is None
-                         else horizon_fn(self))
-            elif (self.fold_full_batch and scheduler.never_preempts
-                    and len(batch) >= max_batch):
-                limit = float("inf")
-            if limit is not None and ff_prefill is not None:
+        foldable = (self.multistep and not self.parked
+                    and (ff_members is not None or ff_prefill is not None))
+        if foldable:
+            # Fast-forward: fold the following step boundaries into one
+            # event while this instance would not take the queue head.
+            # Such a boundary changes nothing (no admission, preemption or
+            # step-shape change) until an event makes it live, and the
+            # engine then cuts the fold there.  A decode fold may cross
+            # context-bucket boundaries and a prefill fold marches the
+            # prompt chunk by chunk: every per-step price is a memoized
+            # pure function of shape, so repricing at each window or chunk
+            # edge reproduces the per-event chain exactly.  On a paged
+            # pool a decode fold stops before its block growth outruns the
+            # free list, so no boundary inside it can evict, and an
+            # instance with parked victims (retried at every boundary)
+            # does not fold at all.  A pending swap or handoff transfer
+            # only lengthens the first step.
+            head = scheduler.peek()
+            foldable = head is None or not self.would_take(
+                head, gate, scheduler.never_preempts)
+            if foldable and ff_prefill is not None:
                 # chunked exclusive prefill: successive chunks of the same
                 # prompt (the batch-order scan re-picks this member at
                 # every inert boundary, and stalled decoders never change).
@@ -1252,9 +1209,9 @@ class InstanceRuntime:
                 done = state.prefill_done + total
                 remaining = state.prefill_len - done
                 t = now + duration
-                if remaining > 0 and t < limit:
+                if remaining > 0:
                     segments = [[duration, 1]]
-                    while remaining > 0 and t < limit:
+                    while remaining > 0:
                         c = cap if cap < remaining else remaining
                         d = self.prefill_chunk_latency_s(done, c)
                         posted_at = t
@@ -1268,7 +1225,7 @@ class InstanceRuntime:
                     completes_at = t
                     self.fold = (now, steps, segments, kind_attr, advancing,
                                  (state, cap), None, pending, posted_at)
-            elif limit is not None:
+            elif foldable:
                 kmax = ff_members[0].decode_len - ff_members[0].decode_done
                 for s in ff_members:
                     r = s.decode_len - s.decode_done
@@ -1279,14 +1236,11 @@ class InstanceRuntime:
                 if kv is not None:
                     kmax, claims = self._fold_growth_window(kv, ff_members,
                                                             kmax)
-                # chain the completion times one step at a time: each
-                # boundary before the last must fall strictly before the
-                # limit (an arrival at exactly the boundary is processed
-                # first by the engine, so that boundary is a real event).
-                # segments collects (step duration, step count) runs so the
+                # chain the completion times one step at a time; segments
+                # collects (step duration, step count) runs so the
                 # completion's stats replay walks the identical float chain.
                 t = now + duration
-                if steps < kmax and t < limit:
+                if steps < kmax:
                     bucket = self.context_bucket
                     d = step_duration
                     # steps after the first that still price in its window
@@ -1299,7 +1253,7 @@ class InstanceRuntime:
                         # the transfer only lengthened the first step
                         seg = [d, 0]
                         segments.append(seg)
-                    while steps < kmax and t < limit:
+                    while steps < kmax:
                         if win == 0:
                             c = ff_context + steps
                             if ff_mixed:

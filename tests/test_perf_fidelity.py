@@ -132,52 +132,34 @@ class TestMultistepFolding:
         _assert_summaries_match(metrics_on.summary(), metrics_off.summary(),
                                 exact=False)
 
-    def test_folding_actually_engages(self):
-        """The equivalence above must not pass vacuously: a quiet queue on
-        a fifo pool is exactly where folding fires."""
-        engine = TokenServingEngine(num_instances=2, max_batch_size=4)
-        runs = engine._build_runtimes()
-        assert all(r.allow_multistep and r.fold_full_batch for r in runs)
-        # heterogeneous pools without paged KV fold too; only where no
-        # idle instance can refuse the head do they fold full batches
-        for router, kv, full_batch in (("least_loaded", {}, True),
-                                       ("round_robin", {}, True),
-                                       ("class_affinity", {}, False),
-                                       ("least_loaded", _TIGHT_RESERVE,
-                                        False)):
-            het = TokenServingEngine(cluster="2x1n,2x2n", router=router, **kv)
-            runs = het._build_runtimes()
-            assert all(r.allow_multistep for r in runs), router
-            assert all(r.fold_full_batch == full_batch for r in runs), router
-        # paged pools fold under swap preemption, on single-class and
-        # heterogeneous pools (full batches only where a single class
-        # means no idle instance could take the head)
-        for cluster, full_batch in (("1x2n", True), ("3x2n", True),
-                                    ("2x1n,2x2n", False)):
-            paged = TokenServingEngine(cluster=cluster, kv_mode="paged",
-                                       kv_budget_bytes=64 << 20)
-            runs = paged._build_runtimes()
-            assert all(r.allow_multistep for r in runs), cluster
-            assert all(r.fold_full_batch == full_batch for r in runs), cluster
-        # under recompute a pool of several paged instances does no
-        # empty-queue folds (another instance's growth eviction re-queues
-        # work at a skipped boundary); a pool of one still does
-        for cluster, empty_queue in (("1x2n", True), ("3x2n", False),
-                                     ("2x1n,2x2n", False)):
-            paged = TokenServingEngine(cluster=cluster, kv_mode="paged",
-                                       kv_budget_bytes=64 << 20,
-                                       preemption_mode="recompute")
-            assert all(r.allow_multistep == empty_queue
-                       for r in paged._build_runtimes()), cluster
-        # prefill/decode role pools fold under the cut rule instead of the
-        # two launch-time rules above (see TestDisaggregatedFolding)
-        roles = TokenServingEngine(cluster="1x2n:prefill,2x1n:decode",
-                                   kv_mode="paged", kv_budget_bytes=64 << 20)
-        runs = roles._build_runtimes()
-        assert all(r.fold_unless_taken for r in runs)
-        assert not any(r.allow_multistep or r.fold_full_batch for r in runs)
-        assert not any(r.fold_unless_taken
-                       for r in engine._build_runtimes())
+    def test_folding_actually_engages(self, monkeypatch):
+        """The equivalence above must not pass vacuously: every pool folds
+        under the one rule (single-class, heterogeneous with or without a
+        vetoing router or KV gate, paged under swap and recompute, and
+        prefill/decode roles), so each posts far fewer events with folding
+        on than the per-step loop."""
+        trace = _azure(80, seed=0)
+        paged = dict(kv_mode="paged", kv_budget_bytes=64 << 20)
+        for kwargs in (dict(num_instances=2),
+                       dict(cluster="2x1n,2x2n", router="least_loaded"),
+                       dict(cluster="2x1n,2x2n", router="class_affinity"),
+                       dict(cluster="2x1n,2x2n", router="least_loaded",
+                            **_TIGHT_RESERVE),
+                       dict(cluster="1x2n", **paged),
+                       dict(cluster="3x2n", **paged),
+                       dict(cluster="3x2n", preemption_mode="recompute",
+                            **paged),
+                       dict(cluster="2x1n,2x2n", preemption_mode="recompute",
+                            **paged),
+                       dict(cluster="1x2n:prefill,2x1n:decode", **paged)):
+            runs = TokenServingEngine(**kwargs)._build_runtimes()
+            assert all(r.multistep for r in runs), kwargs
+            counts = {multistep: _count_posted_events(
+                monkeypatch, trace, max_batch_size=4, multistep=multistep,
+                **kwargs) for multistep in (True, False)}
+            assert counts[True] < 0.5 * counts[False], (kwargs, counts)
+        assert not any(r.multistep for r in TokenServingEngine(
+            multistep=False)._build_runtimes())
 
 
 class TestWarmCacheBitIdentity:
@@ -436,7 +418,7 @@ class TestPagedFolding:
             monkeypatch, trace, cluster="4x2n", max_batch_size=8,
             policy="fifo", preemption_mode="swap", kv_mode="paged",
             kv_budget_bytes=1024 * bytes_per_token)
-        assert posted == 1_819
+        assert posted == 1_188
 
 
 class TestDisaggregatedFolding:

@@ -105,7 +105,7 @@ def test_sanitizer_holds_on_folded_heterogeneous_pool():
     still pass the checks, and the records stay bit-identical."""
     config = dict(cluster="4x1n,4x2n,1x4n", router="least_loaded",
                   max_batch_size=4)
-    assert all(r.allow_multistep and r.fold_full_batch
+    assert all(r.multistep
                for r in TokenServingEngine(**config)._build_runtimes())
     trace = synthetic_trace(num_requests=200, seed=7)
     plain = TokenServingEngine(sanitize=False, **config).run(trace)
@@ -121,7 +121,7 @@ def test_sanitizer_holds_on_folded_paged_pool():
     config = dict(cluster="4x2n", kv_mode="paged",
                   kv_budget_bytes=24 << 20,  # 1,024 tokens per node
                   max_batch_size=4)
-    assert all(r.allow_multistep and r.fold_full_batch
+    assert all(r.multistep
                for r in TokenServingEngine(**config)._build_runtimes())
     trace = synthetic_trace(num_requests=200, seed=7)
     plain = TokenServingEngine(sanitize=False, **config).run(trace)
@@ -144,7 +144,7 @@ def test_sanitizer_holds_on_folded_disaggregated_pool():
     config = dict(cluster="2x2n:prefill,2x1n:decode", router="disaggregated",
                   kv_mode="paged", kv_budget_bytes=1 << 26, max_batch_size=4)
     runtimes = TokenServingEngine(**config)._build_runtimes()
-    assert all(r.fold_unless_taken for r in runtimes)
+    assert all(r.multistep for r in runtimes)
     trace = synthetic_trace(num_requests=200, seed=7)
     plain = TokenServingEngine(sanitize=False, **config).run(trace)
     checked = TokenServingEngine(sanitize=True, **config).run(trace)
