@@ -658,8 +658,7 @@ class TokenServingEngine:
         multi_class = self.cluster.is_heterogeneous
         has_roles = self.cluster.has_roles
         router = self.router
-        # a router that never vetoes needs no per-head gate call, which
-        # also opens the runtimes' admit-everything fast path
+        # a router that never vetoes needs no per-head gate call
         gate = router.placement_ok if self._router_vetoes else None
         if multi_class:
             # routers may precompute placement from the trace; a
@@ -766,12 +765,17 @@ class TokenServingEngine:
             """Offer the queue to every instance at a step boundary.
 
             Single-class pools replay the exact pre-cluster order: the
-            completing instance first, then — paged mode only, where
-            swap affinity can strand work on an idle instance — every idle
-            instance; arrivals offer to idle instances in id order.
-            Heterogeneous pools let the router order all boundary
-            instances (idle ones are always woken: a vetoed head must be
-            able to reach its preferred class the moment it has a
+            completing instance first, then, while the queue is non-empty,
+            every idle instance in id order (arrivals offer to idle
+            instances only).  Pools without paged KV need no separate
+            branch: there an idle instance admits any validated head (its
+            batch is empty, its role is ``both`` and no router gate
+            applies), so no idle instance ever coexists with a waiting
+            request and the idle loop finds nothing to offer.  Paged pools
+            need it, because swap affinity can strand work on an idle
+            instance.  Heterogeneous pools let the router order all
+            boundary instances (idle ones are always woken: a vetoed head
+            must be able to reach its preferred class the moment it has a
             boundary).  Once the queue is empty an idle instance without
             parked victims has nothing to admit, so it is not offered.
             """
@@ -779,23 +783,9 @@ class TokenServingEngine:
             if not multi_class:
                 if completer is not None:
                     dispatch(completer, now)
-                    if self._paged and qlen():
-                        for runtime in runtimes:
-                            if not runtime.busy and (qlen()
-                                                     or runtime.parked):
-                                dispatch(runtime, now)
-                elif self._paged:
+                if qlen():
                     for runtime in runtimes:
                         if not runtime.busy and (qlen() or runtime.parked):
-                            dispatch(runtime, now)
-                else:
-                    # without paged KV an idle instance holds no batch and
-                    # no parked work, so once the queue drains the
-                    # remaining idle dispatches would be no-ops — skip them
-                    for runtime in runtimes:
-                        if not qlen():
-                            break
-                        if not runtime.busy:
                             dispatch(runtime, now)
                 return
             candidates = [r for r in runtimes
@@ -854,9 +844,7 @@ class TokenServingEngine:
 
         def idle_would_take(head: RequestState) -> bool:
             for r in runtimes:
-                if (not r.busy and r.role_admits(head)
-                        and (gate is None or gate(r, head))
-                        and r.kv_admits(head)):
+                if not r.busy and r.admits(head, gate):
                     return True
             return False
 

@@ -180,12 +180,12 @@ class StepLaunch:
 
     The engine turns this into a step-completion event ``duration_s`` ahead
     of the current clock; ``payload`` round-trips back into
-    :meth:`InstanceRuntime.complete_step`.  A fast-forwarded launch (several
-    provably identical decode steps folded into one event) carries the
-    absolute completion time in ``completes_at_s`` — accumulated one step
-    at a time so the float arithmetic matches the event-per-step chain
-    bit for bit — and in ``posted_at_s`` the last boundary it skips, where
-    the event-per-step chain would have posted that completion.
+    :meth:`InstanceRuntime.complete_step`.  A real fold (several inert
+    steps in one event) carries the absolute completion time in
+    ``completes_at_s`` — accumulated one step at a time so the float
+    arithmetic matches the event-per-step chain bit for bit — and in
+    ``posted_at_s`` the last boundary it skips, where the event-per-step
+    chain would have posted that completion.
     """
 
     duration_s: Seconds
@@ -248,7 +248,7 @@ class InstanceRuntime:
                  "preemption_mode", "context_bucket", "swap_priority",
                  "_step_cache", "_mixed_step_cache", "_prefill_cache",
                  "_transfer_cache", "multistep", "fold", "generation",
-                 "_admits_all", "batch", "_num_prefilling", "kv_used_tokens",
+                 "_plan", "batch", "_num_prefilling", "kv_used_tokens",
                  "busy", "pending_delay_s", "parked", "admission_count",
                  "pending_handoffs", "stats")
 
@@ -306,7 +306,8 @@ class InstanceRuntime:
         #: steps], ...], stat field, advancing requests, members or the
         #: prefilling request and its chunk size, paged growth claims,
         #: transfer seconds ahead of the first step, last skipped
-        #: boundary)`` — None outside one.
+        #: boundary)`` — None outside one (a one-step launch is accounted
+        #: at launch from a record of the same shape).
         #: :meth:`complete_step` accounts its steps, so a cut fold
         #: (:meth:`cut_fold`) touches the pool and stats only for the
         #: steps it actually ran.
@@ -315,11 +316,10 @@ class InstanceRuntime:
         #: the fold's completion under a new generation, and the engine
         #: drops an event whose generation is stale.
         self.generation = 0
-        #: True when every waiting request is trivially admissible here —
-        #: no role constraint and no KV gate of either kind — letting the
-        #: admission loop skip the per-head checks.
-        self._admits_all = (role == "both" and kv_controller is None
-                            and kv is None)
+        #: The step planner, bound once like Olive's ``set_use_cache``
+        #: rebinding ``forward``: exclusive or mixed prefill.
+        self._plan = (self._plan_mixed if prefill_mode == "mixed"
+                      else self._plan_exclusive)
         # ---- mutable per-run state ----
         self.batch: List[RequestState] = []
         #: Batch members whose prompt is not fully computed — maintained
@@ -555,15 +555,21 @@ class InstanceRuntime:
                      or head.swapped_on == self.instance_id)
                 and (gate is None or gate(self, head)))
 
-    def kv_admits(self, state: RequestState) -> bool:
-        """Does the instance's KV capacity admit ``state`` right now?
+    def kv_admits(self, state: RequestState,
+                  victim: Optional[RequestState] = None) -> bool:
+        """Does the instance's KV capacity admit ``state`` right now — or,
+        with a ``victim``, once that batch member is evicted (its token
+        reservation or device blocks freed, its growth no longer owed)?
 
         A swapped-out request may only be resumed by the instance whose
         host tier holds its blocks (KV state cannot teleport between
         instances); every other instance reports it inadmissible.
         """
         if self.kv_controller is not None:
-            return self.kv_controller.fits(state.request, self.kv_used_tokens)
+            used = self.kv_used_tokens
+            if victim is not None:
+                used -= self.kv_controller.reservation_tokens(victim.request)
+            return self.kv_controller.fits(state.request, used)
         if self.kv is not None:
             if (state.swapped_on is not None
                     and state.swapped_on != self.instance_id):
@@ -571,33 +577,25 @@ class InstanceRuntime:
             if not self.can_ever_serve(state.request):
                 return False
             kv = self.kv
+            batch = self.batch
+            freed = 0
+            if victim is not None:
+                freed = len(kv.table(victim.request.request_id).device_blocks)
+                batch = [s for s in batch if s is not victim]
             need = (self._paged_admit_blocks(kv, state)
-                    + self._paged_growth_headroom(kv, self.batch))
-            return need <= kv.free_blocks
-        return True
-
-    def head_fits_after_eviction(self, victim: RequestState,
-                                 head: RequestState) -> bool:
-        """Would evicting ``victim`` make ``head`` admissible?  The batch
-        slot is always freed; with KV admission the freed capacity (token
-        reservation or device blocks) must also cover the head's."""
-        if self.kv_controller is not None:
-            freed = (self.kv_used_tokens
-                     - self.kv_controller.reservation_tokens(victim.request))
-            return self.kv_controller.fits(head.request, freed)
-        if self.kv is not None:
-            if (head.swapped_on is not None
-                    and head.swapped_on != self.instance_id):
-                return False  # the head's KV lives on another instance
-            if not self.can_ever_serve(head.request):
-                return False
-            kv = self.kv
-            freed = len(kv.table(victim.request.request_id).device_blocks)
-            need = (self._paged_admit_blocks(kv, head)
-                    + self._paged_growth_headroom(
-                        kv, [s for s in self.batch if s is not victim]))
+                    + self._paged_growth_headroom(kv, batch))
             return need <= kv.free_blocks + freed
         return True
+
+    def admits(self, state: RequestState,
+               gate: Optional[Callable[["InstanceRuntime", RequestState],
+                                       bool]]) -> bool:
+        """Would this instance admit ``state`` into a free batch slot now?
+        Its role, then the router ``gate``, then its KV capacity — the
+        checks :meth:`dispatch` makes for each queue head, in that order."""
+        return (self.role_admits(state)
+                and (gate is None or gate(self, state))
+                and self.kv_admits(state))
 
     @property
     def kv_free_fraction(self) -> float:
@@ -804,7 +802,9 @@ class InstanceRuntime:
         makes the oldest-admitted member of the highest class
         un-evictable, so it always advances and the run provably
         terminates.  Exclusive mode keeps the PR 2 rule unchanged (the
-        bit-identical regime).
+        bit-identical regime), which can livelock: see
+        ``test_exclusive_mode_growth_livelock`` in
+        ``tests/test_fold_oracle.py``.
 
         Returns whether any member was evicted."""
         kv = self.kv
@@ -999,336 +999,298 @@ class InstanceRuntime:
         return used_time / total, frag_time, used / total
 
     # ------------------------------------------------------------------
-    # step boundary: admission, preemption, step formation
+    # step boundary: admit, plan, fold
     # ------------------------------------------------------------------
     def dispatch(self, scheduler: SchedulerPolicy, now: float,
                  gate: Optional[Callable[["InstanceRuntime", RequestState],
                                          bool]] = None
                  ) -> Optional[StepLaunch]:
-        """Admit/preempt at a step boundary, then form the next step.
+        """Admit/preempt at a step boundary, then launch the next step.
 
         ``gate`` is the cluster router's placement veto (None on
         single-class pools): a head the gate rejects is neither admitted
         here nor preempted for — it waits for an instance the router likes.
-        Returns the planned step, or None when the batch is empty (the
-        instance goes idle).  The step's time-weighted accounting (busy,
-        batch, step-kind, swap and KV-occupancy time) lands in this
-        runtime's own :attr:`stats` — a fold's when it completes (see
-        :meth:`complete_step`); the engine sums those across runtimes at
-        run end.
+        Returns the launched step, or None when the batch is empty (the
+        instance goes idle).
 
-        With :attr:`multistep`, a pure decode step (or a chunk of an
-        exclusive prefill) launched while this instance would not take the
-        queue head (:meth:`would_take`) and has no parked victims is
-        fast-forwarded: up to k steps fold into one event, with k bounded
-        so no batch member finishes early and, on a paged pool, so the
-        free block list covers every block the members claim meanwhile
-        (:meth:`_fold_growth_window`).  The engine cuts the fold at the
-        first skipped boundary an event makes live.  The folded launch
-        carries its absolute completion time in
-        :attr:`StepLaunch.completes_at_s`, accumulated one step at a time
-        so the timestamps match the event-per-step chain bit for bit.
+        Every launch is a fold of k ≥ 1 steps, built in three parts:
+        admission (:meth:`_admit_waiting`); the first step's plan, exclusive
+        or mixed prefill, chosen once at construction; and, with
+        :attr:`multistep`, the steps after it (:meth:`_chain_fold`), chained
+        while this instance would not take the queue head
+        (:meth:`would_take`) and has no parked victims.  A launch that skips
+        no boundary is a one-segment fold, accounted here; a real fold is
+        accounted when it completes (:meth:`complete_step`), because the
+        engine may cut it at the first skipped boundary an event makes live.
+        Both land in this runtime's own :attr:`stats`, which the engine sums
+        across runtimes at run end.  A real fold carries its absolute
+        completion time in :attr:`StepLaunch.completes_at_s`.
         """
+        self._admit_waiting(scheduler, now, gate)
+        if not self.batch:
+            self.busy = False
+            return None
+        gen = self.generation = self.generation + 1
+        kind, target, size, step_s, stat, advancing = self._plan(now,
+                                                                 scheduler)
+        # swap transfers contend for the same HBM/PCIe datapath, so they
+        # serialize ahead of the step
+        pending = self.pending_delay_s
+        self.pending_delay_s = 0.0
+        duration = step_s + pending
+        fold = None
+        # a mixed step with prefill chunks changes shape at every boundary
+        if self.multistep and kind != "mixed" and not self.parked:
+            head = scheduler.peek()
+            if head is None or not self.would_take(
+                    head, gate, scheduler.never_preempts):
+                fold = self._chain_fold(now, kind, target, size, step_s,
+                                        duration, pending, advancing)
+        steps = 1
+        completes_at: Optional[Seconds] = None
+        posted_at: Optional[Seconds] = None
+        if fold is None:
+            self._account_fold((now, 1, [[duration, 1]], stat, advancing,
+                                None, None, pending, now))
+        else:
+            self.fold, completes_at = fold
+            steps, posted_at = fold[0][1], fold[0][8]
+        if kind == "decode_k":
+            # the first token of a still-tokenless member is produced at
+            # the launch's first boundary
+            target, size = (target, steps, now + duration), 0
+        elif steps > 1:
+            # the fold runs the prompt out
+            size = target.prefill_len - target.prefill_done
+        self.busy = True
+        return StepLaunch(duration_s=duration,
+                          payload=(kind, self, target, size, gen),
+                          completes_at_s=completes_at, posted_at_s=posted_at)
+
+    def _admit_waiting(self, scheduler: SchedulerPolicy, now: float,
+                       gate: Optional[Callable[["InstanceRuntime",
+                                                RequestState], bool]]
+                       ) -> None:
+        """Fill the batch at a step boundary: parked victims first, then
+        queue heads this instance :meth:`admits`, preempting for a blocked
+        head only when evicting one victim makes it admissible."""
         batch = self.batch
         max_batch = self.max_batch_size
+        parked = self.parked
         while True:
-            if self.parked:
+            if parked:
                 # swap-priority: resume this instance's own swapped victims
                 # before admitting anything new — their blocks are a PCIe
                 # round-trip away, not a recompute, and new admissions would
                 # claim the very capacity the resume needs.  A parked head
                 # that does not fit blocks new admissions entirely.
-                admitted = False
-                while self.parked and len(batch) < max_batch:
-                    resume = self.parked[0]
-                    if not self.kv_admits(resume):
-                        break
-                    self.parked.pop(0)
-                    self.admit(resume, now)
-                    admitted = True
-                if admitted:
+                resumed = False
+                while (parked and len(batch) < max_batch
+                       and self.kv_admits(parked[0])):
+                    self.admit(parked.pop(0), now)
+                    resumed = True
+                if resumed:
                     continue
-                break
-            # admissions from the head of the waiting queue
+                return
             head = scheduler.peek()
-            if self._admits_all and gate is None:
-                while head is not None and len(batch) < max_batch:
-                    scheduler.pop()
-                    self.admit(head, now)
-                    head = scheduler.peek()
-            else:
-                while head is not None and len(batch) < max_batch:
-                    if not self.role_admits(head):
-                        break
-                    if gate is not None and not gate(self, head):
-                        break
-                    if not self.kv_admits(head):
-                        break
-                    scheduler.pop()
-                    self.admit(head, now)
-                    head = scheduler.peek()
+            while (head is not None and len(batch) < max_batch
+                   and self.admits(head, gate)):
+                scheduler.pop()
+                self.admit(head, now)
+                head = scheduler.peek()
             # preemption: a blocked head (no batch slot, or KV capacity
             # exhausted) may evict strictly lower-priority work — but only
             # when evicting one victim actually makes the head admissible;
             # otherwise the victim's computed state would be thrown away
             # (or shuttled over PCIe) for nothing.  Schedulers that never
             # preempt make this block a provable no-op — skip it.
-            if (not scheduler.never_preempts
-                    and head is not None and batch
-                    and self.role_admits(head)
-                    and (gate is None or gate(self, head))):
-                slots_full = len(batch) >= max_batch
-                kv_full = not self.kv_admits(head)
-                victim = None
-                if slots_full or kv_full:
-                    victim = scheduler.preemption_victim(batch, head)
-                if (victim is not None
-                        and self.head_fits_after_eviction(victim, head)):
-                    self.evict(victim, now, scheduler)
-                    continue  # retry admission for the head
-            break
+            if (scheduler.never_preempts or head is None or not batch
+                    or not self.role_admits(head)
+                    or (gate is not None and not gate(self, head))):
+                return
+            victim = None
+            if len(batch) >= max_batch or not self.kv_admits(head):
+                victim = scheduler.preemption_victim(batch, head)
+            if victim is None or not self.kv_admits(head, victim):
+                return
+            self.evict(victim, now, scheduler)  # then retry the head
 
-        if not batch:
-            self.busy = False
-            return None
-        gen = self.generation = self.generation + 1
-        ff_members = None   # pure-decode members, when fast-forwardable
-        ff_context = 0
-        ff_mixed = False    # price folded steps through the mixed model
-        ff_prefill = None   # chunked exclusive prefill, when foldable
-        if self.prefill_mode == "mixed":
-            if self.kv is not None:
-                decoders, chunks = self._ensure_mixed_capacity(now, scheduler)
-            else:
-                decoders, chunks = self._plan_mixed_step()
-            if chunks:
-                prefill_tokens = sum(chunk for _, chunk in chunks)
-                max_context = max(
-                    [s.prefill_done + s.decode_done for s in decoders]
-                    + [s.prefill_done + s.decode_done + chunk
-                       for s, chunk in chunks])
-                duration = self.mixed_step_latency_s(
-                    max_context, len(decoders), prefill_tokens)
-                payload = ("mixed", self, (decoders, chunks), prefill_tokens,
-                           gen)
-                advancing = len(decoders) + len(chunks)
-                kind_attr = "mixed_time" if decoders else "prefill_time"
-            else:
-                # all prompts done: a mixed step degenerates to pure decode
-                # (priced through the same mixed-step model, bit-identical
-                # to the historical path)
-                context = 0
-                for s in decoders:
-                    c = s.prefill_done + s.decode_done
-                    if c > context:
-                        context = c
-                duration = self.mixed_step_latency_s(context,
-                                                     len(decoders), 0)
-                payload = ("mixed", self, (decoders, chunks), 0, gen)
-                advancing = len(decoders)
-                kind_attr = "decode_time"
-                ff_members = decoders
-                ff_context = context
-                ff_mixed = True
+    def _plan_exclusive(self, now: float, scheduler: SchedulerPolicy
+                        ) -> Tuple[str, Any, int, Seconds, str, int]:
+        """Plan the next step under exclusive prefill: the first member
+        still prefilling streams its next chunk while co-resident decodes
+        stall; without one, every member decodes a token.
+
+        Returns ``(payload kind, target, size, step seconds, stat field,
+        advancing requests)``; a prefill step's size is its chunk, a decode
+        step's its longest context, which a fold reprices from."""
+        if self._num_prefilling:
+            for state in self.batch:
+                if state.prefill_len > state.prefill_done:
+                    break
+            chunk = state.prefill_len - state.prefill_done
+            cap = self.prefill_chunk_tokens
+            if cap is not None and cap < chunk:
+                chunk = cap
+            return ("prefill", state, chunk,
+                    self.prefill_chunk_latency_s(state.prefill_done, chunk),
+                    "prefill_time", 1)
+        if self.kv is not None:
+            self._ensure_decode_capacity(now, scheduler)
+        members = self.batch.copy()
+        context = 0
+        for s in members:
+            c = s.prefill_done + s.decode_done
+            if c > context:
+                context = c
+        n = len(members)
+        return ("decode_k", members, context, self.step_latency_s(context, n),
+                "decode_time", n)
+
+    def _plan_mixed(self, now: float, scheduler: SchedulerPolicy
+                    ) -> Tuple[str, Any, int, Seconds, str, int]:
+        """Plan the next mixed step (:meth:`_plan_mixed_step`), returned as
+        :meth:`_plan_exclusive` returns a plan; the size of a step with
+        prefill chunks is its prompt tokens.  Without a chunk it is a pure
+        decode step, priced through the mixed-step model."""
+        if self.kv is not None:
+            decoders, chunks = self._ensure_mixed_capacity(now, scheduler)
         else:
-            prefilling = None
-            if self._num_prefilling:
-                for s in batch:
-                    if s.prefill_len > s.prefill_done:
-                        prefilling = s
-                        break
-            if prefilling is not None:
-                chunk = prefilling.prefill_len - prefilling.prefill_done
-                cap = self.prefill_chunk_tokens
-                if cap is not None:
-                    if cap < chunk:
-                        chunk = cap
-                    ff_prefill = prefilling
-                duration = self.prefill_chunk_latency_s(
-                    prefilling.prefill_done, chunk)
-                payload = ("prefill", self, prefilling, chunk, gen)
-                # only the prefilling request advances; co-resident
-                # decodes stall for the duration of the chunk
-                advancing = 1
-                kind_attr = "prefill_time"
-            else:
-                if self.kv is not None:
-                    self._ensure_decode_capacity(now, scheduler)
-                context = 0
-                for s in batch:
-                    c = s.prefill_done + s.decode_done
-                    if c > context:
-                        context = c
-                members = batch.copy()
-                duration = self.step_latency_s(context, len(members))
-                payload = ("decode", self, members, 0, gen)
-                advancing = len(members)
-                kind_attr = "decode_time"
-                ff_members = members
-                ff_context = context
-        step_duration = duration
-        pending = self.pending_delay_s
+            decoders, chunks = self._plan_mixed_step()
+        # the longest cached prefix: decode contexts and chunk-end
+        # positions alike
+        context = prefill_tokens = 0
+        for s in decoders:
+            c = s.prefill_done + s.decode_done
+            if c > context:
+                context = c
+        n = len(decoders)
+        if not chunks:
+            return ("decode_k", decoders, context,
+                    self.mixed_step_latency_s(context, n, 0), "decode_time", n)
+        for s, chunk in chunks:
+            prefill_tokens += chunk
+            c = s.prefill_done + s.decode_done + chunk
+            if c > context:
+                context = c
+        return ("mixed", (decoders, chunks), prefill_tokens,
+                self.mixed_step_latency_s(context, n, prefill_tokens),
+                "mixed_time" if decoders else "prefill_time", n + len(chunks))
+
+    def _chain_fold(self, now: float, kind: str, target: Any, size: int,
+                    step_s: Seconds, duration: Seconds, pending: Seconds,
+                    advancing: int
+                    ) -> Optional[Tuple[Tuple[Any, ...], Seconds]]:
+        """Chain the steps after a launch's first into one fold and return
+        its :attr:`fold` record and completion time, or None when no step
+        follows the first.
+
+        Called while this instance would not take the queue head and has
+        no parked victims, so the boundaries it skips change nothing (no
+        admission, preemption or step-shape change) until an event makes
+        one live, and the engine then cuts the fold there.  A decode fold
+        stops before a member finishes and, on a paged pool, before its
+        block growth outruns the free list (:meth:`_fold_growth_window`),
+        so no boundary inside it can evict; it may cross context-bucket
+        windows.  A prefill fold marches the prompt chunk by chunk to its
+        end.  Every per-step price is a memoized pure function of shape,
+        so repricing at each window or chunk edge reproduces the per-event
+        chain exactly, and the completion time is accumulated one step at
+        a time so it matches that chain bit for bit.  A pending swap or
+        handoff transfer only lengthens the first step."""
+        # segments collects (step duration, step count) runs so the
+        # completion's stats replay walks the identical float chain
+        t = now + duration
+        segments = [[duration, 1]]
+        if kind == "prefill":
+            # successive chunks of the same prompt: the batch-order scan
+            # re-picks this member at every inert boundary, and stalled
+            # decoders never change
+            cap = self.prefill_chunk_tokens
+            done = target.prefill_done + size
+            remaining = target.prefill_len - done
+            if remaining <= 0 or cap is None:  # the prompt ends here
+                return None
+            while remaining > 0:
+                c = cap if cap < remaining else remaining
+                d = self.prefill_chunk_latency_s(done, c)
+                posted_at = t
+                t += d
+                done += c
+                remaining -= c
+                segments.append([d, 1])
+            return (now, len(segments), segments, "prefill_time", advancing,
+                    (target, cap), None, pending, posted_at), t
+        members, context = target, size
+        kmax = members[0].decode_len - members[0].decode_done
+        for s in members:
+            r = s.decode_len - s.decode_done
+            if r < kmax:
+                kmax = r
+        kv = self.kv
+        claims = None
+        if kv is not None:
+            kmax, claims = self._fold_growth_window(kv, members, kmax)
+        if kmax < 2:
+            return None
+        mixed = self.prefill_mode == "mixed"
+        bucket = self.context_bucket
+        d = step_s
+        # steps after the first that still price in its window (bucket
+        # arithmetic inlined from _bucketed)
+        win = ((-(-context // bucket) * bucket - context)
+               if bucket > 1 and context else 0)
+        seg = segments[0]
         if pending > 0.0:
-            # swap transfers contend for the same HBM/PCIe datapath, so
-            # they serialize ahead of the next step
-            duration += pending
-            self.pending_delay_s = 0.0
+            # the transfer only lengthened the first step
+            seg = [d, 0]
+            segments.append(seg)
         steps = 1
-        completes_at = None
-        posted_at = None
-        foldable = (self.multistep and not self.parked
-                    and (ff_members is not None or ff_prefill is not None))
-        if foldable:
-            # Fast-forward: fold the following step boundaries into one
-            # event while this instance would not take the queue head.
-            # Such a boundary changes nothing (no admission, preemption or
-            # step-shape change) until an event makes it live, and the
-            # engine then cuts the fold there.  A decode fold may cross
-            # context-bucket boundaries and a prefill fold marches the
-            # prompt chunk by chunk: every per-step price is a memoized
-            # pure function of shape, so repricing at each window or chunk
-            # edge reproduces the per-event chain exactly.  On a paged
-            # pool a decode fold stops before its block growth outruns the
-            # free list, so no boundary inside it can evict, and an
-            # instance with parked victims (retried at every boundary)
-            # does not fold at all.  A pending swap or handoff transfer
-            # only lengthens the first step.
-            head = scheduler.peek()
-            foldable = head is None or not self.would_take(
-                head, gate, scheduler.never_preempts)
-            if foldable and ff_prefill is not None:
-                # chunked exclusive prefill: successive chunks of the same
-                # prompt (the batch-order scan re-picks this member at
-                # every inert boundary, and stalled decoders never change).
-                # Chain each chunk's memoized price; completion bookkeeping
-                # is the ordinary "prefill" payload with the folded token
-                # total.
-                state = ff_prefill
-                total = payload[3]
-                cap = self.prefill_chunk_tokens
-                done = state.prefill_done + total
-                remaining = state.prefill_len - done
-                t = now + duration
-                if remaining > 0:
-                    segments = [[duration, 1]]
-                    while remaining > 0:
-                        c = cap if cap < remaining else remaining
-                        d = self.prefill_chunk_latency_s(done, c)
-                        posted_at = t
-                        t += d
-                        done += c
-                        total += c
-                        remaining -= c
-                        steps += 1
-                        segments.append([d, 1])
-                    payload = ("prefill", self, state, total, gen)
-                    completes_at = t
-                    self.fold = (now, steps, segments, kind_attr, advancing,
-                                 (state, cap), None, pending, posted_at)
-            elif foldable:
-                kmax = ff_members[0].decode_len - ff_members[0].decode_done
-                for s in ff_members:
-                    r = s.decode_len - s.decode_done
-                    if r < kmax:
-                        kmax = r
-                kv = self.kv
-                claims = None
-                if kv is not None:
-                    kmax, claims = self._fold_growth_window(kv, ff_members,
-                                                            kmax)
-                # chain the completion times one step at a time; segments
-                # collects (step duration, step count) runs so the
-                # completion's stats replay walks the identical float chain.
-                t = now + duration
-                if steps < kmax:
-                    bucket = self.context_bucket
-                    d = step_duration
-                    # steps after the first that still price in its window
-                    # (bucket arithmetic inlined from _bucketed)
-                    win = ((-(-ff_context // bucket) * bucket - ff_context)
-                           if bucket > 1 and ff_context else 0)
-                    seg = [duration, 1]
-                    segments = [seg]
-                    if pending > 0.0:
-                        # the transfer only lengthened the first step
-                        seg = [d, 0]
-                        segments.append(seg)
-                    while steps < kmax:
-                        if win == 0:
-                            c = ff_context + steps
-                            if ff_mixed:
-                                nd = self.mixed_step_latency_s(
-                                    c, advancing, 0)
-                            else:
-                                nd = self.step_latency_s(c, advancing)
-                            win = ((-(-c // bucket) * bucket - c + 1)
-                                   if bucket > 1 else 1)
-                            if nd != d:
-                                d = nd
-                                seg = [d, 0]
-                                segments.append(seg)
-                        posted_at = t
-                        t += d
-                        steps += 1
-                        seg[1] += 1
-                        win -= 1
-                if steps > 1:
-                    payload = ("decode_k", self,
-                               (ff_members, steps, now + duration), 0, gen)
-                    completes_at = t
-                    self.fold = (now, steps, segments, kind_attr, advancing,
-                                 ff_members, claims, pending, posted_at)
-        if steps == 1:
-            bd = advancing * duration
-            kvm = self.kv
-            if kvm is not None:
-                occupancy = kvm.occupancy_fraction
-                frag_term = kvm.internal_fragmentation_fraction * duration
-                shared_term = (kvm.shared_block_fraction * duration
-                               if kvm.prefix_sharing else 0.0)
-            acc = self.stats
-            if kind_attr == "decode_time":
-                acc.decode_time += step_duration
-            elif kind_attr == "prefill_time":
-                acc.prefill_time += step_duration
-            else:
-                acc.mixed_time += step_duration
-            if pending > 0.0:
-                acc.swap_time_s += pending
-            acc.batch_time += bd
-            acc.busy_time += duration
-            if kvm is not None:
-                acc.kv_occ_time += occupancy * duration
-                acc.frag_time += frag_term
-                acc.shared_kv_time += shared_term
-                if occupancy > acc.peak_kv_occupancy:
-                    acc.peak_kv_occupancy = occupancy
-        self.busy = True
-        return StepLaunch(duration_s=duration, payload=payload,
-                          completes_at_s=completes_at, posted_at_s=posted_at)
+        while steps < kmax:
+            if win == 0:
+                c = context + steps
+                nd = (self.mixed_step_latency_s(c, advancing, 0) if mixed
+                      else self.step_latency_s(c, advancing))
+                win = (-(-c // bucket) * bucket - c + 1) if bucket > 1 else 1
+                if nd != d:
+                    d = nd
+                    seg = [d, 0]
+                    segments.append(seg)
+            posted_at = t
+            t += d
+            steps += 1
+            seg[1] += 1
+            win -= 1
+        return (now, steps, segments, "decode_time", advancing, members,
+                claims, pending, posted_at), t
 
     def _account_fold(self, fold: Tuple[Any, ...]) -> None:
-        """Apply the steps the completed ``fold`` (an :attr:`fold` record)
-        ran: its paged block growth and its time-weighted stats.
+        """Apply the steps a launch ran (an :attr:`fold` record): its paged
+        block growth and its time-weighted stats.
 
-        The per-step stat adds collapse to one closed-form add per pricing
-        segment (duration × count).  This is the one fast-forward shortcut
-        that is not replayed add-by-add: time-weighted aggregates may
-        differ from per-event execution in the last float bits, while
-        every timestamp, token count and per-request record stays exact
-        (the completion chain still walks step by step).  ``pending``
-        transfer seconds ran ahead of the first step, inside its segment.
+        Every launch goes through here: a one-step launch at launch, as a
+        one-segment fold, and a real fold when it completes, so a cut fold
+        only charges the steps it ran.  The per-step stat adds collapse to
+        one closed-form add per pricing segment (duration × count).  This
+        is the one fast-forward shortcut that is not replayed add-by-add:
+        time-weighted aggregates may differ from per-event execution in
+        the last float bits, while every timestamp, token count and
+        per-request record stays exact (the completion chain still walks
+        step by step).  ``pending`` transfer seconds ran ahead of the first
+        step, inside its segment, and count as swap time, not step time.
         """
-        _, steps, segments, kind_attr, advancing, members, claims, \
-            pending, _ = fold
+        _, steps, segments, stat, advancing, members, claims, pending, _ = \
+            fold
         td = 0.0
         for d_seg, n_seg in segments:
             td += d_seg * n_seg
         acc = self.stats
-        if kind_attr == "decode_time":
+        if stat == "decode_time":
             acc.decode_time += td - pending
-        else:
+        elif stat == "prefill_time":
             acc.prefill_time += td - pending
+        else:
+            acc.mixed_time += td - pending
         if pending > 0.0:
             acc.swap_time_s += pending
         acc.batch_time += advancing * td
@@ -1337,7 +1299,8 @@ class InstanceRuntime:
         if kvm is None:
             return
         if claims is None:
-            # a prefill fold claims no blocks: the pool holds still
+            # a one-step launch or a prefill fold claims no blocks here:
+            # the pool holds still
             occupancy = kvm.occupancy_fraction
             occ_time = occupancy * td
             frag_time = kvm.internal_fragmentation_fraction * td
@@ -1427,55 +1390,42 @@ class InstanceRuntime:
             lifecycle.transition(state, "prefill_complete")
 
     def complete_step(self, payload: Tuple, now: float) -> List[RequestState]:
-        """Apply one finished step's token bookkeeping and return the
-        requests that completed with it (the engine records them).  A
-        fold's steps are accounted here, before the token bookkeeping, so
-        a cut fold only ever charges the steps it ran."""
+        """Apply one finished launch's token bookkeeping and return the
+        requests that completed with it (the engine records them).  The
+        payload is one of ``decode_k`` (k ≥ 1 decode steps of the same
+        members), ``prefill`` (one request's prompt chunks) or ``mixed``
+        (one step with at least one prefill chunk).  A fold's steps are
+        accounted here, before the token bookkeeping, so a cut fold only
+        ever charges the steps it ran; a one-step launch was accounted
+        when it launched."""
         fold = self.fold
         if fold is not None:
             self.fold = None
             self._account_fold(fold)
-        kind, _, target, chunk, _ = payload
-        finished: List[RequestState] = []
-        if kind == "decode":
-            for state in target:
-                state.decode_done += 1
-                if state.first_token_s is None:
-                    state.first_token_s = now
-                if state.decode_done >= state.decode_len:
-                    lifecycle.transition(state, "finish_decode")
-                    self._finish(state, finished)
-        elif kind == "decode_k":
-            # k folded decode steps completing at once: the first token of
-            # a still-tokenless member was produced at the fold's first
-            # step boundary (carried in the payload), not at ``now``
+        kind, _, target, size, _ = payload
+        members: Sequence[RequestState] = ()
+        chunks: Sequence[Tuple[RequestState, int]] = ()
+        steps, t_first = 1, now
+        if kind == "decode_k":
+            # a still-tokenless member produced its first token at the
+            # launch's first step boundary (carried in the payload)
             members, steps, t_first = target
-            for state in members:
-                if state.first_token_s is None:
-                    state.first_token_s = t_first
-                state.decode_done += steps
-                if state.decode_done >= state.decode_len:
-                    lifecycle.transition(state, "finish_decode")
-                    self._finish(state, finished)
         elif kind == "prefill":
-            target.prefill_done += chunk
-            self.stats.prefill_tokens += chunk
-            if target.prefill_len == target.prefill_done:
-                self._num_prefilling -= 1
-                self._prefill_completed(target, finished)
+            chunks = ((target, size),)
         else:  # mixed
-            decoders, chunks = target
-            for state in decoders:
-                state.decode_done += 1
-                if state.first_token_s is None:
-                    state.first_token_s = now
-                if state.decode_done >= state.decode_len:
-                    lifecycle.transition(state, "finish_decode")
-                    self._finish(state, finished)
-            for state, tokens in chunks:
-                state.prefill_done += tokens
-                self.stats.prefill_tokens += tokens
-                if state.prefill_len == state.prefill_done:
-                    self._num_prefilling -= 1
-                    self._prefill_completed(state, finished)
+            members, chunks = target
+        finished: List[RequestState] = []
+        for state in members:
+            if state.first_token_s is None:
+                state.first_token_s = t_first
+            state.decode_done += steps
+            if state.decode_done >= state.decode_len:
+                lifecycle.transition(state, "finish_decode")
+                self._finish(state, finished)
+        for state, tokens in chunks:
+            state.prefill_done += tokens
+            self.stats.prefill_tokens += tokens
+            if state.prefill_len == state.prefill_done:
+                self._num_prefilling -= 1
+                self._prefill_completed(state, finished)
         return finished

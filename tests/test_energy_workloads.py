@@ -1,5 +1,6 @@
 """Tests for the energy/power models and the workload generators."""
 
+import numpy as np
 import pytest
 
 from repro.energy.power import (
@@ -117,6 +118,26 @@ class TestScenarios:
             Scenario(0, 10)
         with pytest.raises(ValueError):
             Scenario(10, -1)
+
+    @pytest.mark.parametrize("prefill_len, decode_len, field", [
+        (8, float("inf"), "decode_len"),
+        (4, float("nan"), "decode_len"),
+        (float("nan"), 4, "prefill_len"),
+        (3.5, 2, "prefill_len"),
+        (8, 2.5, "decode_len"),
+        (True, 4, "prefill_len"),
+        (8, "4", "decode_len"),
+    ])
+    def test_scenario_rejects_non_integral_lengths(self, prefill_len,
+                                                   decode_len, field):
+        """Malformed lengths fail at construction, naming the field; at
+        the serving engine they hung the run or crashed inside it."""
+        with pytest.raises(ValueError, match=field):
+            Scenario(prefill_len, decode_len)
+
+    def test_scenario_accepts_numpy_integers(self):
+        scenario = Scenario(np.int64(8), np.int32(0))
+        assert scenario.total_tokens == 8
 
     def test_themed_scenario_sets(self):
         assert all(s.decode_heavy for s in chatbot_scenarios())

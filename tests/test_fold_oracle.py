@@ -9,7 +9,9 @@ router and batch size, crossed with azure-shaped or multi-turn traces of
 30–120 requests.  Each case replays its trace with ``multistep`` on and off:
 the per-request records and the end-of-run paged pools must be identical,
 and the summaries must match (the time-weighted aggregates folding sums
-per price segment within float round-off, everything else exactly).
+per price segment within float round-off, everything else exactly).  In
+both modes busy time must equal its step-kind split plus swap time, with
+no mixed-step time under exclusive prefill.
 
 Every replay is bounded by a growth-eviction counter, so a configuration
 that livelocks fails fast instead of hanging the suite.  A case that trips
@@ -126,7 +128,7 @@ def make_case(seed):
 def _replay(config, trace, multistep, evictions):
     """One replay's observable outcome: ``None`` when it trips the
     eviction bound, the validation error when the trace does not fit the
-    pool, else its records, end-of-run paged pools and summary."""
+    pool, else its records, end-of-run paged pools and metrics."""
     evictions.clear()
     engine = TokenServingEngine(multistep=multistep, **config)
     try:
@@ -141,7 +143,18 @@ def _replay(config, trace, multistep, evictions):
     # fold claimed its growth blocks in the per-step chain's order
     pools = [(m._free, list(m._reclaimable), m._prefix_index,
               m.peak_used_blocks) for m in engine.last_kv_managers]
-    return records, pools, metrics.summary()
+    return records, pools, metrics
+
+
+def _assert_step_time_split(metrics, config):
+    """Busy time is its step-kind split plus the serialized transfers, so
+    a step charged to the wrong kind (or twice, or not at all) shows."""
+    parts = (metrics.decode_step_time_s + metrics.prefill_step_time_s
+             + metrics.mixed_step_time_s + metrics.swap_time_s)
+    assert parts == pytest.approx(metrics.busy_time_s, rel=1e-12, abs=0), (
+        config)
+    if config["prefill_mode"] == "exclusive":
+        assert metrics.mixed_step_time_s == 0, config
 
 
 def _case_ids():
@@ -162,10 +175,13 @@ def test_folding_is_invisible(seed, monkeypatch):
     if isinstance(stepped, str):
         assert folded == stepped, config
         return
-    records, pools, summary = folded
+    records, pools, metrics = folded
+    _assert_step_time_split(metrics, config)
+    _assert_step_time_split(stepped[2], config)
     assert records == stepped[0], config
     assert pools == stepped[1], config
-    _assert_summaries_match(summary, stepped[2], exact=False)
+    _assert_summaries_match(metrics.summary(), stepped[2].summary(),
+                            exact=False)
 
 
 def test_generator_covers_the_knob_space():
