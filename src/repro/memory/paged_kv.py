@@ -661,13 +661,21 @@ class PagedKVManager:
         return min(request.prefill_len + request.decode_len,
                    self.layout.max_seq_len)
 
+    def serves_alone(self, request: "Request", prompt_only: bool = False) -> bool:
+        """Could this pool, empty, hold ``request`` — at its full context,
+        or only its prompt when ``prompt_only`` (a prefill instance hands
+        the KV off at prompt completion)?"""
+        tokens = (min(request.prefill_len, self.layout.max_seq_len)
+                  if prompt_only else self.max_request_tokens(request))
+        return self.blocks_needed(tokens) <= self.total_blocks
+
     def validate(self, requests: Iterable["Request"]) -> None:
         """Reject traces containing a request whose maximum context cannot
         fit the device pool even running alone (it could never finish)."""
         for request in requests:
-            needed = self.blocks_needed(self.max_request_tokens(request))
-            if needed > self.total_blocks:
+            if not self.serves_alone(request):
                 raise ValueError(
-                    f"request {request.request_id} needs {needed} KV blocks "
-                    f"at full context but the pool only has "
+                    f"request {request.request_id} needs "
+                    f"{self.blocks_needed(self.max_request_tokens(request))} "
+                    f"KV blocks at full context but the pool only has "
                     f"{self.total_blocks}")

@@ -255,6 +255,7 @@ class EngineSanitizer:
                           f"is in phase {state.phase!r} (expected "
                           f"{lifecycle.HANDOFF!r})",
                           check="lifecycle-phase", event=event)
-            if runtime.kv is not None:
-                check_kv_invariants(runtime.kv, event=event)
+            kv = getattr(runtime, "kv", None)  # a PagedRuntime's pool
+            if kv is not None:
+                check_kv_invariants(kv, event=event)
         self.events_checked += 1

@@ -72,7 +72,7 @@ import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.units import Bytes
+from repro.units import Bytes, require_count
 
 if TYPE_CHECKING:  # pragma: no cover - cluster is imported by instance
     from repro.serving.instance import InstanceRuntime, RequestState
@@ -122,7 +122,8 @@ class InstanceSpec:
             raise ValueError("instance count must be positive")
         if self.num_nodes <= 0:
             raise ValueError("num_nodes must be positive")
-        if self.kv_budget_bytes is not None and self.kv_budget_bytes < 0:
+        if (self.kv_budget_bytes is not None and require_count(
+                self.kv_budget_bytes, "kv_budget_bytes", "byte") < 0):
             raise ValueError("kv_budget_bytes cannot be negative")
         if self.role not in INSTANCE_ROLES:
             raise ValueError(f"unknown instance role {self.role!r}; "

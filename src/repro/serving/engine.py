@@ -92,8 +92,9 @@ from repro.serving.cluster import (
 from repro.serving.instance import (
     InstanceRuntime,
     InstanceStats,
+    PagedRuntime,
     RequestState,
-    kv_capacity_admits,
+    ReservedRuntime,
 )
 from repro.serving.metrics import (
     METRICS_MODES,
@@ -106,7 +107,7 @@ from repro.serving.schedulers import (
     make_scheduler,
 )
 from repro.sanitize import EngineSanitizer, sanitize_enabled
-from repro.units import Seconds, Tokens
+from repro.units import Seconds, Tokens, require_count
 from repro.workloads.traces import Request, RequestTrace, StreamingTrace
 
 #: Accepted values for ``TokenServingEngine(preemption_mode=...)`` (paged
@@ -214,14 +215,13 @@ class ServedRequest:
 @dataclass(frozen=True, slots=True)
 class _ClassProto:
     """One instance class, resolved at construction: its spec, its cycle
-    model, and the KV admission prototype its instances clone (a
-    reservation controller or an empty paged pool; ``None`` for both when
-    the class admits unconstrained)."""
+    model, and its KV pool — a reservation controller its instances share,
+    an empty paged pool each instance clones, or ``None`` when the class
+    admits unconstrained."""
 
     spec: InstanceSpec
     system: LoopLynxSystem
-    controller: Optional[KVAdmissionController]
-    manager: Optional[PagedKVManager]
+    pool: Union[KVAdmissionController, PagedKVManager, None]
 
 
 class TokenServingEngine:
@@ -402,6 +402,9 @@ class TokenServingEngine:
             raise ValueError(
                 "swap_priority requires paged KV (kv_mode='paged'); "
                 "nothing is ever swapped out otherwise")
+        if kv_budget_bytes is not None and require_count(
+                kv_budget_bytes, "kv_budget_bytes", "byte") < 0:
+            raise ValueError("kv_budget_bytes cannot be negative")
         if kv_mode is not None and kv_mode not in KV_RECIPE_MODES:
             raise ValueError(f"unknown kv mode {kv_mode!r}; "
                              f"known: {', '.join(KV_RECIPE_MODES)}")
@@ -458,27 +461,24 @@ class TokenServingEngine:
             budget = (spec.kv_budget_bytes
                       if spec.kv_budget_bytes is not None
                       else kv_budget_bytes)
-            controller = manager = None
+            pool: Union[KVAdmissionController, PagedKVManager, None] = None
             if kv_mode == "paged":
-                manager = PagedKVManager.for_system(
+                pool = PagedKVManager.for_system(
                     class_system, block_size_tokens=kv_block_size,
                     budget_bytes=budget,
                     prefix_sharing=kv_prefix_sharing)
             elif kv_mode == "reserve" and budget is not None:
-                controller = KVAdmissionController.for_system(
+                pool = KVAdmissionController.for_system(
                     class_system, budget_bytes=budget)
-            self._protos.append(
-                _ClassProto(spec, class_system, controller, manager))
+            self._protos.append(_ClassProto(spec, class_system, pool))
         spec_nodes = {spec.num_nodes for spec in self.cluster.specs}
         #: Nodes per instance (0 when classes differ — use per-class
         #: metrics then).  pop() is order-independent here: only taken on
         #: a singleton set.
         self.num_nodes_per_instance = (spec_nodes.pop()  # repro-lint: disable=R006
                                        if len(spec_nodes) == 1 else 0)
-        self._paged = any(p.manager is not None for p in self._protos)
-        self._kv_mode = ("paged" if self._paged
-                         else "reserve" if any(p.controller is not None
-                                               for p in self._protos)
+        self._kv_mode = ("paged" if kv_mode == "paged"
+                         else "reserve" if self._needs_validation
                          else "none")
         # step-timing memo dicts (decode, mixed, prefill-chunk, transfer),
         # shared per class and across runs (the cycle model and the PCIe
@@ -499,8 +499,8 @@ class TokenServingEngine:
                      else PricingCacheStore(pricing_cache))
             self._pricing_store = store
             for proto, caches in zip(self._protos, self._caches):
-                probe = (proto.manager.swap_transfer_s(1)
-                         if proto.manager is not None else None)
+                probe = (proto.pool.swap_transfer_s(1)
+                         if isinstance(proto.pool, PagedKVManager) else None)
                 fp = config_fingerprint(proto.system.config, probe)
                 self._pricing_fps.append(fp)
                 loaded = store.load(fp)
@@ -540,33 +540,38 @@ class TokenServingEngine:
                 and type(self.router).placement_ok is not Router.placement_ok)
 
     def _build_runtimes(self) -> List[InstanceRuntime]:
-        """Fresh per-run instance runtimes, ids in spec order."""
+        """Fresh per-run instance runtimes, ids in spec order.  The KV
+        regime is picked here, once per class, by the type of its pool: a
+        :class:`PagedRuntime` owns a fresh clone of the paged pool, a
+        :class:`ReservedRuntime` shares the class's controller, and a
+        class without a pool runs plain :class:`InstanceRuntime`."""
         runtimes: List[InstanceRuntime] = []
-        instance_id = 0
         for proto, caches in zip(self._protos, self._caches):
-            spec, manager = proto.spec, proto.manager
-            for _ in range(spec.count):
-                runtime = InstanceRuntime(
-                    instance_id, proto.system,
-                    class_label=spec.label,
-                    role=spec.role,
-                    max_batch_size=self.max_batch_size,
-                    prefill_chunk_tokens=self.prefill_chunk_tokens,
-                    prefill_mode=self.prefill_mode,
-                    mixed_step_token_budget=self.mixed_step_token_budget,
-                    kv_controller=proto.controller,
-                    kv=(manager.clone_empty() if manager is not None
-                        else None),
-                    preemption_mode=self.preemption_mode,
-                    context_bucket=self.context_bucket,
-                    swap_priority=self.swap_priority,
-                    step_cache=caches[0],
-                    mixed_step_cache=caches[1],
-                    prefill_cache=caches[2],
-                    transfer_cache=caches[3])
+            pool, system = proto.pool, proto.system
+            options: Dict[str, Any] = dict(
+                class_label=proto.spec.label, role=proto.spec.role,
+                max_batch_size=self.max_batch_size,
+                prefill_chunk_tokens=self.prefill_chunk_tokens,
+                prefill_mode=self.prefill_mode,
+                mixed_step_token_budget=self.mixed_step_token_budget,
+                context_bucket=self.context_bucket, step_cache=caches[0],
+                mixed_step_cache=caches[1], prefill_cache=caches[2],
+                transfer_cache=caches[3])
+            for _ in range(proto.spec.count):
+                runtime: InstanceRuntime
+                if isinstance(pool, PagedKVManager):
+                    runtime = PagedRuntime(
+                        len(runtimes), system, pool.clone_empty(),
+                        preemption_mode=self.preemption_mode,
+                        swap_priority=self.swap_priority, **options)
+                elif pool is not None:
+                    runtime = ReservedRuntime(len(runtimes), system, pool,
+                                              **options)
+                else:
+                    runtime = InstanceRuntime(len(runtimes), system,
+                                              **options)
                 runtime.multistep = self.multistep
                 runtimes.append(runtime)
-                instance_id += 1
         return runtimes
 
     @property
@@ -574,8 +579,7 @@ class TokenServingEngine:
         """Whether any instance class constrains admission at all (with no
         KV admission anywhere, every request is trivially servable and
         validation can skip the trace scan entirely)."""
-        return any(p.controller is not None or p.manager is not None
-                   for p in self._protos)
+        return any(p.pool is not None for p in self._protos)
 
     def _validate(self, trace: Iterable[Request]) -> None:
         """Reject traces containing a request no instance class could ever
@@ -588,43 +592,30 @@ class TokenServingEngine:
     def _validate_request(self, request: Request) -> None:
         """Per-request slice of :meth:`_validate` — streaming traces
         validate each request lazily as it is drawn."""
-        if len(self._protos) == 1:
-            # single class: the prototype's own validation carries the
-            # precise error message
-            proto = self._protos[0]
-            if proto.controller is not None:
-                proto.controller.validate((request,))
-            if proto.manager is not None:
-                proto.manager.validate((request,))
-            return
+        # a request needs a class to *start* it (a prefill class holding
+        # its prompt, or a role-both class holding its full context) and
+        # one to *finish* it (a decode-capable class holding its full
+        # context)
+        starts = finishes = False
+        for proto in self._protos:
+            role, pool = proto.spec.role, proto.pool
+            if pool is None or pool.serves_alone(request, role == "prefill"):
+                starts = starts or role != "decode"
+                finishes = finishes or role != "prefill"
+                if starts and finishes:
+                    return
+        pool = self._protos[0].pool
+        if len(self._protos) == 1 and pool is not None:
+            pool.validate((request,))  # raises with the pool's own numbers
         if self.cluster.has_roles:
-            # disaggregated: a request needs a place to *start* (a prefill
-            # class holding its prompt, or a role-both class holding its
-            # full context) and a place to *finish* (a decode-capable
-            # class holding its full context)
-            starts = any(
-                kv_capacity_admits(p.controller, p.manager, request,
-                                   role="prefill")
-                for p in self._protos if p.spec.role == "prefill")
-            finishes = any(
-                kv_capacity_admits(p.controller, p.manager, request)
-                for p in self._protos if p.spec.role == "decode")
-            whole = any(
-                kv_capacity_admits(p.controller, p.manager, request)
-                for p in self._protos if p.spec.role == "both")
-            if not ((starts and (finishes or whole)) or whole):
-                raise ValueError(
-                    f"request {request.request_id} cannot be served by "
-                    f"cluster {self.cluster} under the KV budget: it "
-                    "needs a prefill-capable class holding its prompt "
-                    "and a decode-capable class holding its full "
-                    "context")
-            return
-        if not any(kv_capacity_admits(p.controller, p.manager, request)
-                   for p in self._protos):
             raise ValueError(
-                f"request {request.request_id} fits no instance class "
-                f"of cluster {self.cluster} under the KV budget")
+                f"request {request.request_id} cannot be served by "
+                f"cluster {self.cluster} under the KV budget: it needs a "
+                "prefill-capable class holding its prompt and a "
+                "decode-capable class holding its full context")
+        raise ValueError(
+            f"request {request.request_id} fits no instance class "
+            f"of cluster {self.cluster} under the KV budget")
 
     # ------------------------------------------------------------------
     # event loop
@@ -654,7 +645,8 @@ class TokenServingEngine:
 
         scheduler = make_scheduler(self.policy)
         runtimes = self._build_runtimes()
-        self.last_kv_managers = [r.kv for r in runtimes if r.kv is not None]
+        self.last_kv_managers = [r.kv for r in runtimes
+                                 if isinstance(r, PagedRuntime)]
         multi_class = self.cluster.is_heterogeneous
         has_roles = self.cluster.has_roles
         router = self.router
@@ -806,7 +798,7 @@ class TokenServingEngine:
             batch: List[Event] = []
             for state, cached_tokens, ready_s in runtime.take_handoffs():
                 target = router.handoff_target(runtimes, state)
-                if target is None:  # pragma: no cover - validation forbids
+                if not isinstance(target, PagedRuntime):  # pragma: no cover
                     raise RuntimeError(
                         f"no decode-capable instance can hold request "
                         f"{state.request.request_id}; validate() should "
@@ -840,7 +832,7 @@ class TokenServingEngine:
         # the first refusal), and it cannot change between events without
         # a cut.
         never_preempts = scheduler.never_preempts
-        offers_idle = multi_class or self._paged
+        offers_idle = multi_class or self._kv_mode == "paged"
 
         def idle_would_take(head: RequestState) -> bool:
             for r in runtimes:
@@ -956,8 +948,6 @@ class TokenServingEngine:
     def _kv_pool_shape(self) -> Tuple[int, int]:
         """``(kv_block_size, kv_total_blocks)`` of the paged pools (0, 0
         outside paged mode)."""
-        if self._kv_mode != "paged":
-            return 0, 0
         managers = self.last_kv_managers
         # the pop()s are order-independent: only taken on singleton sets
         block_sizes = {m.block_size_tokens for m in managers}
@@ -1074,7 +1064,7 @@ class TokenServingEngine:
                               preemptions=tally[2], ttft_count=tally[3],
                               ttft_sum_s=tally[4])
             stats = InstanceStats.total(r.stats for r in group)
-            pools = [r.kv for r in group if r.kv is not None]
+            pools = [r.kv for r in group if isinstance(r, PagedRuntime)]
             class_time = makespan * len(group)
             out.append(InstanceClassMetrics(
                 label=label,

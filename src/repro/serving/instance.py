@@ -8,7 +8,10 @@ This module is the *instance* half of the serving engine's two-layer split:
   gates (worst-case reservation or paged block growth), and preemption
   mechanics (swap-to-host or discard-and-recompute).  Every runtime owns its
   own :class:`~repro.core.multi_node.LoopLynxSystem`, so instances in one
-  cluster may differ in node count, KV budget and block pool;
+  cluster may differ in node count, KV budget and block pool.  The KV
+  regime is the runtime's class (:class:`InstanceRuntime` without KV,
+  :class:`ReservedRuntime` or :class:`PagedRuntime`), picked once per
+  instance class by ``TokenServingEngine._build_runtimes``;
 * the *cluster* half (:mod:`repro.serving.cluster` +
   :class:`~repro.serving.engine.TokenServingEngine`) owns everything that
   happens **between** instances: the shared waiting queue, routing of work
@@ -41,35 +44,6 @@ from repro.serving.cluster import INSTANCE_ROLES
 from repro.serving.schedulers import KVAdmissionController, SchedulerPolicy
 from repro.units import Blocks, Seconds, Tokens
 from repro.workloads.traces import Request
-
-
-def kv_capacity_admits(kv_controller: Optional[KVAdmissionController],
-                       kv: Optional[PagedKVManager],
-                       request: Request,
-                       role: str = "both") -> bool:
-    """Could a KV configuration serve ``request`` running alone and empty?
-
-    The single source of truth for whole-request feasibility, shared by
-    the engine's trace validation, each runtime's admission gate and the
-    class-affinity router's feasibility bump — if these ever disagreed, a
-    request could pass validation yet block the queue head forever.
-
-    ``role`` bounds the context the instance must hold: a ``"prefill"``
-    instance hands the KV off the moment the prompt is computed, so only
-    the prompt itself must fit; ``"decode"`` and ``"both"`` instances carry
-    the request to its full context.
-    """
-    if kv_controller is not None:
-        tokens = (min(request.prefill_len, kv_controller.layout.max_seq_len)
-                  if role == "prefill"
-                  else kv_controller.reservation_tokens(request))
-        return tokens <= kv_controller.capacity_tokens
-    if kv is not None:
-        tokens = (min(request.prefill_len, kv.layout.max_seq_len)
-                  if role == "prefill"
-                  else kv.max_request_tokens(request))
-        return kv.blocks_needed(tokens) <= kv.total_blocks
-    return True
 
 
 class RequestState:
@@ -196,7 +170,11 @@ class StepLaunch:
 
 class InstanceRuntime:
     """One LoopLynx deployment running a batch of requests at step
-    granularity.
+    granularity, with no KV capacity limit: admission is bounded by batch
+    slots only, and a preempted victim always discards its progress.  The
+    KV regimes are subclasses (:class:`ReservedRuntime`,
+    :class:`PagedRuntime`) that override the admission gate, ``admit``,
+    ``release`` and the steps' capacity passes.
 
     Parameters
     ----------
@@ -216,22 +194,12 @@ class InstanceRuntime:
         hands each finished prompt's paged KV blocks off instead of
         decoding; a decode runtime only admits requests whose prompt is
         done (their KV arrives via handoff).  Both restricted roles
-        require a paged block pool — the handoff *is* a block-table move —
-        and ``"both"`` is the historical, bit-identical behaviour.
+        require a :class:`PagedRuntime` — the handoff *is* a block-table
+        move — and ``"both"`` is the historical, bit-identical behaviour.
     max_batch_size, prefill_chunk_tokens, prefill_mode,
-    mixed_step_token_budget, preemption_mode, context_bucket:
+    mixed_step_token_budget, context_bucket:
         Step-formation knobs, exactly as on the engine (see
         :class:`~repro.serving.engine.TokenServingEngine`).
-    kv_controller:
-        Reservation-mode admission gate (may be shared across instances of
-        one class; it is stateless, the per-instance reservation count lives
-        here in ``kv_used_tokens``).
-    kv:
-        This instance's own paged block pool (never shared), or None.
-    swap_priority:
-        When True (paged swap mode), preemption victims are parked on this
-        instance and resumed ahead of new admissions — their KV is already
-        paid for, so admitting fresh work first would just churn the pool.
     step_cache, mixed_step_cache, prefill_cache, transfer_cache:
         Memoization dicts for step, prefill-chunk and swap/handoff-transfer
         timings; instances of the same class share them (the cycle model
@@ -244,13 +212,20 @@ class InstanceRuntime:
     # dict keys at 30 attributes, which slows every plain-dict load.
     __slots__ = ("instance_id", "system", "num_nodes", "class_label", "role",
                  "max_batch_size", "prefill_chunk_tokens", "prefill_mode",
-                 "mixed_step_token_budget", "kv_controller", "kv",
-                 "preemption_mode", "context_bucket", "swap_priority",
+                 "mixed_step_token_budget", "context_bucket",
                  "_step_cache", "_mixed_step_cache", "_prefill_cache",
                  "_transfer_cache", "multistep", "fold", "generation",
-                 "_plan", "batch", "_num_prefilling", "kv_used_tokens",
+                 "_plan", "batch", "_num_prefilling",
                  "busy", "pending_delay_s", "parked", "admission_count",
                  "pending_handoffs", "stats")
+
+    #: Serving roles this class accepts (see ``role`` above).
+    roles: Tuple[str, ...] = ("both",)
+    #: Bounds a decode fold by its KV block growth
+    #: (:meth:`PagedRuntime._fold_growth_window`), or None where KV never
+    #: grows — a class attribute, so pools without KV pay no call per fold.
+    _fold_window: Optional[
+        Callable[..., Tuple[int, List[Tuple[int, int]]]]] = None
 
     def __init__(self, instance_id: int, system: LoopLynxSystem, *,
                  class_label: str = "",
@@ -259,11 +234,7 @@ class InstanceRuntime:
                  prefill_chunk_tokens: Optional[int] = 64,
                  prefill_mode: str = "exclusive",
                  mixed_step_token_budget: int = 256,
-                 kv_controller: Optional[KVAdmissionController] = None,
-                 kv: Optional[PagedKVManager] = None,
-                 preemption_mode: str = "swap",
                  context_bucket: int = 32,
-                 swap_priority: bool = False,
                  step_cache: Optional[Dict] = None,
                  mixed_step_cache: Optional[Dict] = None,
                  prefill_cache: Optional[Dict] = None,
@@ -275,20 +246,16 @@ class InstanceRuntime:
         if role not in INSTANCE_ROLES:
             raise ValueError(f"unknown instance role {role!r}; "
                              f"known: {', '.join(INSTANCE_ROLES)}")
-        if role != "both" and kv is None:
+        if role not in self.roles:
             raise ValueError(
                 "prefill/decode roles hand off paged KV block tables; "
-                "build the runtime with a PagedKVManager (kv=...)")
+                "build a PagedRuntime with a PagedKVManager")
         self.role = role
         self.max_batch_size = max_batch_size
         self.prefill_chunk_tokens = prefill_chunk_tokens
         self.prefill_mode = prefill_mode
         self.mixed_step_token_budget = mixed_step_token_budget
-        self.kv_controller = kv_controller
-        self.kv = kv
-        self.preemption_mode = preemption_mode
         self.context_bucket = context_bucket
-        self.swap_priority = swap_priority
         self._step_cache: Dict[Tuple[int, int], float] = (
             step_cache if step_cache is not None else {})
         self._mixed_step_cache: Dict[Tuple[int, int, int], float] = (
@@ -325,7 +292,6 @@ class InstanceRuntime:
         #: Batch members whose prompt is not fully computed — maintained
         #: incrementally so step formation skips the per-step batch scan.
         self._num_prefilling = 0
-        self.kv_used_tokens = 0
         self.busy = False
         #: Pending swap-transfer seconds to serialize before the next step.
         self.pending_delay_s = 0.0
@@ -382,11 +348,13 @@ class InstanceRuntime:
         """Seconds one swap/handoff transfer of ``num_blocks`` device
         blocks occupies the PCIe link — the block manager's pricing,
         memoized per block count (it is a pure function of the count and
-        the class's fixed block geometry)."""
+        the class's fixed block geometry).  Only a :class:`PagedRuntime`
+        moves blocks; the method stays here with the rest of the step
+        pricing."""
         cached = self._transfer_cache.get(num_blocks)
         if cached is None:
             cached = self._transfer_cache[num_blocks] = \
-                self.kv.swap_transfer_s(num_blocks)
+                self.kv.swap_transfer_s(num_blocks)  # type: ignore[attr-defined]
         return cached
 
     def mixed_step_latency_s(self, max_context: int, num_decode: int,
@@ -418,93 +386,8 @@ class InstanceRuntime:
         return chunk
 
     # ------------------------------------------------------------------
-    # KV admission gates (mode-aware)
+    # admission gates (the KV subclasses override the capacity half)
     # ------------------------------------------------------------------
-    def _paged_admit_target(self, state: RequestState,
-                            credit: Tokens = 0) -> int:
-        """Cached positions a (non-swapped) request must cover at admission.
-
-        Exclusive prefill claims the whole prompt plus one slot for the
-        first decode append (the prompt is computed before any other step
-        of the instance runs, so its blocks are needed up front).  Mixed
-        prefill streams the prompt in chunk by chunk, so admission only
-        claims the first chunk — after the ``credit`` prompt tokens the
-        prefix cache is about to supply — and the table grows per step
-        alongside the decode appends.  Both are clamped to the context
-        window.
-        """
-        request = state.request
-        if self.prefill_mode == "mixed" and state.prefill_remaining > 0:
-            tokens = (state.context_len + credit
-                      + self._next_prefill_chunk(state, credit))
-        elif self.role == "prefill":
-            # a prefill instance never appends a decode token: the prompt
-            # hands off the moment it completes, so no +1 growth slot
-            tokens = request.prefill_len
-        else:
-            tokens = request.prefill_len + (1 if request.decode_len > 0 else 0)
-        return min(tokens, self.kv.layout.max_seq_len)
-
-    def _paged_admit_blocks(self, kv: PagedKVManager,
-                            state: RequestState) -> int:
-        """Device blocks the queue head must acquire to join the batch: the
-        host-tier restore for a swapped-out request (plus any growth block
-        its very next decode append needs), or its prompt allocation."""
-        rid = state.request.request_id
-        if kv.holds(rid) and kv.table(rid).is_swapped:
-            restore = kv.table(rid).host_blocks
-            if self.prefill_mode == "mixed" and state.prefill_remaining > 0:
-                # a request swapped out mid-prefill appends a whole chunk in
-                # its next mixed step, not a single decode token; budgeting
-                # only context+1 would re-admit it without room to grow and
-                # re-evict it at the same boundary (churn, PCIe both ways)
-                next_tokens = state.context_len + self._next_prefill_chunk(state)
-            else:
-                next_tokens = state.context_len + 1
-            next_target = min(next_tokens, kv.layout.max_seq_len)
-            return restore + max(0, kv.blocks_needed(next_target) - restore)
-        # budget the table admit() allocates: in mixed mode its first chunk
-        # starts after the prefix credit (exclusive targets ignore it)
-        credit = (self._prefix_credit(kv, state) or 0
-                  if self.prefill_mode == "mixed" else 0)
-        return kv.blocks_missing(rid, self._paged_admit_target(state, credit))
-
-    def _prefix_credit(self, kv: PagedKVManager,
-                       state: RequestState) -> Optional[Tokens]:
-        """Prompt tokens admission credits as already computed: the cached
-        prefix a fresh request reuses on a prefix-sharing pool (0 without
-        a match), or ``None`` when admission does not go through the
-        prefix cache at all.  :meth:`admit` applies it and the admission
-        gate budgets the table it implies, so both take it from here."""
-        token_ids = state.request.prompt_token_ids
-        if (not kv.prefix_sharing or token_ids is None
-                or state.prefill_done != 0
-                or kv.holds(state.request.request_id)):
-            return None
-        matched = kv.match_prefix_tokens(token_ids)
-        return min(matched, state.prefill_len - 1) if matched > 0 else 0
-
-    def _paged_growth_headroom(self, kv: PagedKVManager,
-                               batch: Sequence[RequestState]) -> int:
-        """Blocks the current batch members will claim for their next
-        decode appends.  Admission must leave this headroom free, or a
-        newly admitted (or swapped-in) request would be re-evicted by
-        :meth:`_ensure_decode_capacity` at the same step boundary — pure
-        churn, with PCIe transfers both ways in swap mode."""
-        max_seq = kv.layout.max_seq_len
-        headroom = 0
-        for member in batch:
-            if member.prefill_remaining > 0:
-                if self.prefill_mode != "mixed":
-                    continue  # prompt blocks were claimed at admission
-                # mixed mode grows prefilling tables per step too
-                target = member.context_len + self._next_prefill_chunk(member)
-            else:
-                target = member.context_len + 1
-            headroom += kv.blocks_missing(
-                member.request.request_id, min(target, max_seq))
-        return headroom
-
     def can_ever_serve(self, request: Request) -> bool:
         """Could this instance serve ``request`` running alone and empty?
 
@@ -512,12 +395,10 @@ class InstanceRuntime:
         impossible requests up front; in a heterogeneous pool a request may
         exceed the *smallest* class's capacity while fitting a larger one,
         so each instance must also refuse such requests at its own gate
-        (admitting one would strand it mid-growth).  A prefill-role
-        instance only ever holds the prompt (the KV hands off at prompt
-        completion), so only the prompt must fit.
+        (admitting one would strand it mid-growth).  Always true here: the
+        KV is unbounded.
         """
-        return kv_capacity_admits(self.kv_controller, self.kv, request,
-                                  role=self.role)
+        return True
 
     def role_admits(self, state: RequestState) -> bool:
         """Does this instance's serving role accept ``state`` at all?
@@ -560,31 +441,7 @@ class InstanceRuntime:
         """Does the instance's KV capacity admit ``state`` right now — or,
         with a ``victim``, once that batch member is evicted (its token
         reservation or device blocks freed, its growth no longer owed)?
-
-        A swapped-out request may only be resumed by the instance whose
-        host tier holds its blocks (KV state cannot teleport between
-        instances); every other instance reports it inadmissible.
-        """
-        if self.kv_controller is not None:
-            used = self.kv_used_tokens
-            if victim is not None:
-                used -= self.kv_controller.reservation_tokens(victim.request)
-            return self.kv_controller.fits(state.request, used)
-        if self.kv is not None:
-            if (state.swapped_on is not None
-                    and state.swapped_on != self.instance_id):
-                return False
-            if not self.can_ever_serve(state.request):
-                return False
-            kv = self.kv
-            batch = self.batch
-            freed = 0
-            if victim is not None:
-                freed = len(kv.table(victim.request.request_id).device_blocks)
-                batch = [s for s in batch if s is not victim]
-            need = (self._paged_admit_blocks(kv, state)
-                    + self._paged_growth_headroom(kv, batch))
-            return need <= kv.free_blocks + freed
+        Always, here: the KV is unbounded."""
         return True
 
     def admits(self, state: RequestState,
@@ -601,14 +458,6 @@ class InstanceRuntime:
     def kv_free_fraction(self) -> float:
         """Free fraction of this instance's KV capacity (1.0 when admission
         is unconstrained) — the KV-aware router's ranking key."""
-        if self.kv is not None:
-            if self.kv.total_blocks == 0:
-                return 0.0
-            return self.kv.free_blocks / self.kv.total_blocks
-        if self.kv_controller is not None:
-            if self.kv_controller.capacity_tokens == 0:
-                return 0.0
-            return 1.0 - self.kv_used_tokens / self.kv_controller.capacity_tokens
         return 1.0
 
     @property
@@ -627,147 +476,47 @@ class InstanceRuntime:
         """Prompt positions this instance's prefix cache could serve for
         ``request`` right now (0 without a sharing-enabled paged pool) —
         the cache-aware router's ranking signal."""
-        kv = self.kv
-        if kv is None or not kv.prefix_sharing:
-            return 0
-        token_ids = request.prompt_token_ids
-        if not token_ids:
-            return 0
-        return kv.match_prefix_tokens(token_ids)
+        return 0
 
     # ------------------------------------------------------------------
     # batch membership
     # ------------------------------------------------------------------
     def release(self, state: RequestState) -> None:
-        """Return a finished request's KV capacity to the pool."""
-        if self.kv_controller is not None:
-            self.kv_used_tokens -= \
-                self.kv_controller.reservation_tokens(state.request)
-        if self.kv is not None:
-            self.kv.free(state.request.request_id)
+        """Return a finished or discarded request's KV capacity (nothing
+        to return here)."""
 
     def admit(self, state: RequestState, now: float) -> None:
-        """Move a waiting request into the running batch, claiming KV
-        capacity (and paying the swap-in transfer for a swapped-out
-        victim resuming in paged ``swap`` mode)."""
+        """Move a waiting request into the running batch."""
         if state.phase == lifecycle.QUEUED:
             lifecycle.transition(state, "admit")
-        elif state.phase == lifecycle.EVICTED_SWAP:
-            # a swapped victim resumes exactly where it stopped; a
-            # handed-off prompt arrives with its prefill fully computed,
-            # so it takes the decode resume edge
-            lifecycle.transition(
-                state, "resume_swap_prefill"
-                if state.prefill_len > state.prefill_done
-                else "resume_swap_decode")
-        else:
+        elif state.phase != lifecycle.EVICTED_SWAP:
+            # a swapped victim resumes in PagedRuntime.admit, with its
+            # swap-in
             lifecycle.transition(state, "readmit_recompute")
         if state.admitted_s is None:
             state.admitted_s = now
         state.last_admitted_s = now
         state.instance_id = self.instance_id
         self.admission_count += 1
-        if self.kv_controller is not None:
-            self.kv_used_tokens += \
-                self.kv_controller.reservation_tokens(state.request)
-        if self.kv is not None:
-            kv = self.kv
-            rid = state.request.request_id
-            if kv.holds(rid) and kv.table(rid).is_swapped:
-                blocks, _ = kv.swap_in(rid)
-                transfer = self.swap_transfer_s(blocks)
-                self.pending_delay_s += transfer
-                if state.handoff_pending:
-                    # the restore of a handed-off prompt is the receiving
-                    # half of the handoff transfer, not preemption traffic
-                    state.handoff_pending = False
-                    self.stats.handoff_in_count += 1
-                    self.stats.handoff_time_s += transfer
-                state.swapped_on = None
-            else:
-                credit = self._prefix_credit(kv, state)
-                if credit is None:
-                    allocated = kv.allocate(rid,
-                                            self._paged_admit_target(state))
-                else:
-                    # credit the reused prompt positions as already computed:
-                    # prefill resumes at the matched offset, so both
-                    # prefill_tokens_processed and TTFT genuinely drop
-                    state.prefill_done = credit
-                    allocated = kv.allocate_prefix(
-                        rid, self._paged_admit_target(state),
-                        state.request.prompt_token_ids) is not None
-                if not allocated:
-                    raise InvariantError(  # pragma: no cover
-                        f"admission gate admitted request {rid} on "
-                        f"instance {self.instance_id}, but its KV table "
-                        "cannot be allocated")
         self.batch.append(state)
         if state.prefill_len > state.prefill_done:
             self._num_prefilling += 1
 
     def evict(self, victim: RequestState, now: float,
               scheduler: SchedulerPolicy) -> None:
-        """Remove ``victim`` from the batch and re-queue it.  Paged
-        ``swap`` mode parks its blocks in the host tier (PCIe transfer
-        serializes with the instance's next step); every other mode
-        discards its KV state and progress.  With ``swap_priority`` a
-        swapped victim waits in this instance's parked list (resumed ahead
-        of new admissions) instead of re-entering the shared queue."""
+        """Remove ``victim`` from the batch and re-queue it, discarding
+        its KV state and progress."""
         self.batch.remove(victim)
         if victim.prefill_len > victim.prefill_done:
             self._num_prefilling -= 1
-        swapped = False
-        if self.kv is not None and self.preemption_mode == "swap":
-            lifecycle.transition(
-                victim, "evict_swap_prefill"
-                if victim.phase == lifecycle.PREFILLING
-                else "evict_swap_decode")
-            blocks, _ = self.kv.swap_out(victim.request.request_id)
-            self.pending_delay_s += self.swap_transfer_s(blocks)
-            victim.swap_outs += 1
-            victim.swapped_on = self.instance_id
-            swapped = True
-        else:
-            lifecycle.transition(
-                victim, "evict_recompute_prefill"
-                if victim.phase == lifecycle.PREFILLING
-                else "evict_recompute_decode")
-            self.release(victim)
-            victim.reset_progress()
+        lifecycle.transition(
+            victim, "evict_recompute_prefill"
+            if victim.phase == lifecycle.PREFILLING
+            else "evict_recompute_decode")
+        self.release(victim)
+        victim.reset_progress()
         victim.preemptions += 1
-        if swapped and self.swap_priority:
-            self.parked.append(victim)
-        else:
-            scheduler.push(victim)
-
-    # ------------------------------------------------------------------
-    # prefill→decode handoff (prefill-role instances)
-    # ------------------------------------------------------------------
-    def _begin_handoff(self, state: RequestState) -> None:
-        """Export a finished prompt's KV blocks for a decode instance.
-
-        The export is a swap-out on this instance's PCIe link: the
-        transfer serializes ahead of the next step here (the link is
-        busy), and the engine delays the request's arrival at its decode
-        instance by its *ready offset* — when one step completes several
-        prompts (mixed mode), their transfers share the one link, so the
-        k-th handoff is ready only after the k-1 before it have drained,
-        exactly matching the serial ``pending_delay_s`` charge.  The
-        decode instance pays its own swap-in when it admits the request.
-        """
-        lifecycle.transition(state, "handoff_export")
-        self.batch.remove(state)
-        num_blocks, cached_tokens, _ = \
-            self.kv.export_handoff(state.request.request_id)
-        transfer = self.swap_transfer_s(num_blocks)
-        self.pending_delay_s += transfer
-        state.handoffs += 1
-        self.stats.handoff_out_count += 1
-        self.stats.handoff_time_s += transfer
-        ready_offset = transfer + (self.pending_handoffs[-1][2]
-                                   if self.pending_handoffs else 0.0)
-        self.pending_handoffs.append((state, cached_tokens, ready_offset))
+        scheduler.push(victim)
 
     def take_handoffs(self) -> List[Tuple[RequestState, int, float]]:
         """Drain the handoffs produced by the last completed step (the
@@ -776,82 +525,15 @@ class InstanceRuntime:
         handoffs, self.pending_handoffs = self.pending_handoffs, []
         return handoffs
 
-    # ------------------------------------------------------------------
-    # paged growth at step boundaries
-    # ------------------------------------------------------------------
-    def _grow_to(self, state: RequestState, target: int, now: float,
-                 scheduler: SchedulerPolicy) -> bool:
-        """Paged mode: allocate blocks so ``state`` covers ``target``
-        cached positions before its next append.  When the pool runs
-        dry, evict the lowest-priority, most recently admitted member of
-        an *equal or lower* priority class than the grower and retry
-        (its blocks swap out or drop per the preemption mode).  Capacity
-        pressure never evicts a strictly higher-priority member — when
-        the grower itself is the lowest class present, it is the one
-        that yields (no priority inversion through block growth).
-
-        Mixed mode additionally requires an equal-priority victim to
-        have been admitted *no earlier* than the grower.  Without this,
-        two requests too big to co-reside can destroy each other
-        forever: the newcomer's chunk growth evicts the old resident
-        (discarding its nearly-finished context), the resident
-        re-admits and returns the favour, and neither ever finishes —
-        a livelock chunked admission makes reachable because it admits
-        on first-chunk fit rather than whole-prompt fit.  Restricting
-        equal-priority eviction to members no older than the grower
-        makes the oldest-admitted member of the highest class
-        un-evictable, so it always advances and the run provably
-        terminates.  Exclusive mode keeps the PR 2 rule unchanged (the
-        bit-identical regime), which can livelock: see
-        ``test_exclusive_mode_growth_livelock`` in
-        ``tests/test_fold_oracle.py``.
-
-        Returns whether any member was evicted."""
-        kv = self.kv
-        mixed = self.prefill_mode == "mixed"
-        evicted = False
-        while (state in self.batch
-               and not kv.allocate(state.request.request_id, target)):
-            others = [s for s in self.batch if s is not state]
-            if not others:
-                raise InvariantError(
-                    f"request {state.request.request_id} cannot grow to "
-                    f"{target} cached positions alone in instance "
-                    f"{self.instance_id}'s KV block pool; validation "
-                    "should have rejected it")
-            candidates = [
-                s for s in others
-                if s.request.priority < state.request.priority
-                or (s.request.priority == state.request.priority
-                    and (not mixed
-                         or s.last_admitted_s >= state.last_admitted_s))]
-            victim = (min(candidates,
-                          key=lambda s: (s.request.priority,
-                                         -s.last_admitted_s))
-                      if candidates else state)
-            self.evict(victim, now, scheduler)
-            evicted = True
-        return evicted
-
-    def _ensure_decode_capacity(self, now: float,
-                                scheduler: SchedulerPolicy) -> None:
-        """Paged mode, before a pure decode step: every batch member
-        needs a block slot for the token position it is about to
-        append."""
-        max_seq = self.kv.layout.max_seq_len
-        for state in list(self.batch):
-            if state not in self.batch:
-                continue  # already evicted to make room
-            self._grow_to(state, min(state.context_len + 1, max_seq), now,
-                          scheduler)
-
-    def _plan_mixed_step(self) -> Tuple[List[RequestState],
-                                        List[Tuple[RequestState, int]]]:
+    def _plan_mixed_step(self, now: float, scheduler: SchedulerPolicy
+                         ) -> Tuple[List[RequestState],
+                                    List[Tuple[RequestState, int]]]:
         """Split the mixed-step token budget over the batch: one decode
         token per running decode first, then prefill-chunk tokens for
         requests still prefilling, in admission (batch) order.  Decode
         tokens are never dropped to fit the budget; prefill chunks take
-        whatever budget remains."""
+        whatever budget remains.  A paged pool grows the tables here, and
+        may evict at ``now`` through ``scheduler``."""
         if not self._num_prefilling:
             # pure decode (the steady-state hot path): every member
             # advances, no chunks to plan
@@ -866,137 +548,6 @@ class InstanceRuntime:
             chunks.append((state, chunk))
             remaining -= chunk
         return decoders, chunks
-
-    def _ensure_mixed_capacity(self, now: float, scheduler: SchedulerPolicy
-                               ) -> Tuple[List[RequestState],
-                                          List[Tuple[RequestState, int]]]:
-        """Paged mode, before a mixed step: every request advancing in
-        the step needs blocks for the positions it appends (one per
-        decode, a whole chunk per prefilling member).  An eviction frees
-        budget and invalidates the split, so replan until one whole pass
-        allocates without evicting; the batch shrinks on every eviction,
-        so the loop terminates.  Returns the final ``(decoders,
-        chunks)`` plan."""
-        max_seq = self.kv.layout.max_seq_len
-        while True:
-            decoders, chunks = self._plan_mixed_step()
-            evicted = False
-            targets = [(s, s.context_len + 1) for s in decoders]
-            targets += [(s, s.context_len + c) for s, c in chunks]
-            for state, target in targets:
-                if state not in self.batch:
-                    continue  # already evicted to make room
-                if self._grow_to(state, min(target, max_seq), now, scheduler):
-                    evicted = True
-            if not evicted:
-                return decoders, chunks
-
-    def _fold_growth_window(self, kv: PagedKVManager,
-                            members: Sequence[RequestState], kmax: int
-                            ) -> Tuple[int, List[Tuple[int, int]]]:
-        """Bound a paged decode fold of at most ``kmax`` steps by its
-        block growth.
-
-        Step 0 of the fold already grew every member (the ordinary
-        capacity pass).  At fold step ``j`` a member with context ``c``
-        needs ``min(c + j + 1, max_seq)`` cached positions, so holding
-        ``held`` blocks it claims one more at step ``held * bs - c`` and
-        every ``bs`` steps after that, until its target reaches the
-        context window.  Only the free list pays for claims: a fold never
-        reclaims a cached prefix block, so the prefix index stays as the
-        per-step chain leaves it.  Returns the step bound, cut just before
-        the first step whose claims the free list cannot cover, and the
-        ``(step, member index)`` claims inside it in the order the
-        per-step chain makes them: step by step, batch order within one.
-        """
-        bs = kv.block_size_tokens
-        max_seq = kv.layout.max_seq_len
-        claims: List[Tuple[int, int]] = []
-        for i, s in enumerate(members):
-            c = s.prefill_done + s.decode_done
-            held = len(kv.table(s.request.request_id).device_blocks)
-            last = min(kmax, max_seq - c) - 1
-            claims.extend((j, i) for j in range(held * bs - c, last + 1, bs))
-        claims.sort()
-        free = kv.free_list_blocks
-        if len(claims) > free:
-            kmax = claims[free][0]
-            del claims[free:]
-            while claims and claims[-1][0] >= kmax:
-                claims.pop()
-        return kmax, claims
-
-    def _replay_fold_growth(self, kv: PagedKVManager,
-                            members: Sequence[RequestState],
-                            claims: Sequence[Tuple[int, int]],
-                            segments: Sequence[Sequence[float]], steps: int
-                            ) -> Tuple[float, float, float]:
-        """Apply the block growth of a paged decode fold of ``steps``
-        steps and return its KV aggregates.
-
-        The pool ends as the per-step chain leaves it on the fold's last
-        step: ``claims`` (from :meth:`_fold_growth_window`) are allocated
-        in the chain's order, then every member's table covers its last
-        step's context.  The aggregates walk the steps on integer
-        counters — step ``j`` holds the blocks claimed so far, and each
-        member below the context window caches one more position per step
-        — and are summed per run of equal step price (``segments``, as
-        ``(duration, count)``).  Returns ``(occupancy time,
-        fragmentation time, peak occupancy)``; like busy time, the two
-        times may differ from per-step adds in the last float bits.
-        """
-        bs = kv.block_size_tokens
-        max_seq = kv.layout.max_seq_len
-        # fold step -> [blocks claimed, change in members growing]
-        delta: Dict[int, List[int]] = {}
-        for j, _ in claims:
-            if j >= steps:
-                break
-            delta.setdefault(j, [0, 0])[0] += 1
-        for s in members:
-            c = s.prefill_done + s.decode_done
-            # step j caches c + j + 1 positions once that passes what the
-            # table already covers, and never more than the window
-            first = max(1, kv.table(s.request.request_id).cached_tokens - c)
-            stop = min(max_seq - c, steps)
-            if first < stop:
-                delta.setdefault(first, [0, 0])[1] += 1
-                if stop < steps:
-                    delta.setdefault(stop, [0, 0])[1] -= 1
-        used = kv.used_blocks
-        blocks = kv.table_blocks
-        cached = kv.device_cached_tokens
-        growing = 0
-        used_time = 0.0
-        frag_time = 0.0
-        j = 0
-        for d, n in segments:
-            used_sum = 0
-            frag_sum = 0.0
-            for _ in range(int(n)):
-                if j:
-                    change = delta.get(j)
-                    if change is not None:
-                        used += change[0]
-                        blocks += change[0]
-                        growing += change[1]
-                    cached += growing
-                used_sum += used
-                frag_sum += 1.0 - cached / (blocks * bs)
-                j += 1
-            used_time += used_sum * d
-            frag_time += frag_sum * d
-        grows = [(members[i], j + 1) for j, i in claims if j < steps]
-        grows += [(s, steps) for s in members]
-        for s, ahead in grows:
-            target = min(s.prefill_done + s.decode_done + ahead, max_seq)
-            if not kv.allocate(s.request.request_id, target):
-                raise InvariantError(  # pragma: no cover
-                    f"fold growth of request {s.request.request_id} to "
-                    f"{target} positions overran instance "
-                    f"{self.instance_id}'s free block list")
-        total = kv.total_blocks
-        return used_time / total, frag_time, used / total
 
     # ------------------------------------------------------------------
     # step boundary: admit, plan, fold
@@ -1135,8 +686,6 @@ class InstanceRuntime:
             return ("prefill", state, chunk,
                     self.prefill_chunk_latency_s(state.prefill_done, chunk),
                     "prefill_time", 1)
-        if self.kv is not None:
-            self._ensure_decode_capacity(now, scheduler)
         members = self.batch.copy()
         context = 0
         for s in members:
@@ -1153,10 +702,7 @@ class InstanceRuntime:
         :meth:`_plan_exclusive` returns a plan; the size of a step with
         prefill chunks is its prompt tokens.  Without a chunk it is a pure
         decode step, priced through the mixed-step model."""
-        if self.kv is not None:
-            decoders, chunks = self._ensure_mixed_capacity(now, scheduler)
-        else:
-            decoders, chunks = self._plan_mixed_step()
+        decoders, chunks = self._plan_mixed_step(now, scheduler)
         # the longest cached prefix: decode contexts and chunk-end
         # positions alike
         context = prefill_tokens = 0
@@ -1190,14 +736,15 @@ class InstanceRuntime:
         admission, preemption or step-shape change) until an event makes
         one live, and the engine then cuts the fold there.  A decode fold
         stops before a member finishes and, on a paged pool, before its
-        block growth outruns the free list (:meth:`_fold_growth_window`),
-        so no boundary inside it can evict; it may cross context-bucket
-        windows.  A prefill fold marches the prompt chunk by chunk to its
-        end.  Every per-step price is a memoized pure function of shape,
-        so repricing at each window or chunk edge reproduces the per-event
-        chain exactly, and the completion time is accumulated one step at
-        a time so it matches that chain bit for bit.  A pending swap or
-        handoff transfer only lengthens the first step."""
+        block growth outruns the free list
+        (:meth:`PagedRuntime._fold_growth_window`), so no boundary inside
+        it can evict; it may cross context-bucket windows.  A prefill fold
+        marches the prompt chunk by chunk to its end.  Every per-step
+        price is a memoized pure function of shape, so repricing at each
+        window or chunk edge reproduces the per-event chain exactly, and
+        the completion time is accumulated one step at a time so it
+        matches that chain bit for bit.  A pending swap or handoff
+        transfer only lengthens the first step."""
         # segments collects (step duration, step count) runs so the
         # completion's stats replay walks the identical float chain
         t = now + duration
@@ -1227,10 +774,10 @@ class InstanceRuntime:
             r = s.decode_len - s.decode_done
             if r < kmax:
                 kmax = r
-        kv = self.kv
         claims = None
-        if kv is not None:
-            kmax, claims = self._fold_growth_window(kv, members, kmax)
+        window = self._fold_window
+        if window is not None:
+            kmax, claims = window(members, kmax)
         if kmax < 2:
             return None
         mixed = self.prefill_mode == "mixed"
@@ -1264,9 +811,10 @@ class InstanceRuntime:
         return (now, steps, segments, "decode_time", advancing, members,
                 claims, pending, posted_at), t
 
-    def _account_fold(self, fold: Tuple[Any, ...]) -> None:
-        """Apply the steps a launch ran (an :attr:`fold` record): its paged
-        block growth and its time-weighted stats.
+    def _account_fold(self, fold: Tuple[Any, ...]) -> Seconds:
+        """Apply the steps a launch ran (an :attr:`fold` record) to the
+        time-weighted stats and return their seconds (a paged pool then
+        adds its block growth and KV aggregates).
 
         Every launch goes through here: a one-step launch at launch, as a
         one-segment fold, and a real fold when it completes, so a cut fold
@@ -1279,8 +827,7 @@ class InstanceRuntime:
         step by step).  ``pending`` transfer seconds ran ahead of the first
         step, inside its segment, and count as swap time, not step time.
         """
-        _, steps, segments, stat, advancing, members, claims, pending, _ = \
-            fold
+        _, _, segments, stat, advancing, _, _, pending, _ = fold
         td = 0.0
         for d_seg, n_seg in segments:
             td += d_seg * n_seg
@@ -1295,26 +842,7 @@ class InstanceRuntime:
             acc.swap_time_s += pending
         acc.batch_time += advancing * td
         acc.busy_time += td
-        kvm = self.kv
-        if kvm is None:
-            return
-        if claims is None:
-            # a one-step launch or a prefill fold claims no blocks here:
-            # the pool holds still
-            occupancy = kvm.occupancy_fraction
-            occ_time = occupancy * td
-            frag_time = kvm.internal_fragmentation_fraction * td
-        else:
-            occ_time, frag_time, occupancy = self._replay_fold_growth(
-                kvm, members, claims, segments, steps)
-        acc.kv_occ_time += occ_time
-        acc.frag_time += frag_time
-        if kvm.prefix_sharing:
-            # growth comes off the free list, so neither shared nor
-            # reclaimable blocks change inside a fold
-            acc.shared_kv_time += kvm.shared_block_fraction * td
-        if occupancy > acc.peak_kv_occupancy:
-            acc.peak_kv_occupancy = occupancy
+        return td
 
     def next_skipped_boundary(self, after: float
                               ) -> Optional[Tuple[float, int, float]]:
@@ -1371,21 +899,10 @@ class InstanceRuntime:
     def _prefill_completed(self, state: RequestState,
                            finished: List[RequestState]) -> None:
         """A prompt just finished: a request with nothing to generate
-        is done; on a prefill-role instance one with decode work hands
-        its KV off instead of decoding here."""
-        kv = self.kv
-        if kv is not None and kv.prefix_sharing:
-            # the prompt's full blocks now hold real KV — index them so
-            # later matching prompts (the conversation's next turn) reuse
-            # them instead of re-prefilling
-            token_ids = state.request.prompt_token_ids
-            if token_ids:
-                kv.register_prefix(state.request.request_id, token_ids)
+        is done, any other starts decoding."""
         if state.decode_len == 0:
             lifecycle.transition(state, "finish_prefill_only")
             self._finish(state, finished)
-        elif self.role == "prefill":
-            self._begin_handoff(state)
         else:
             lifecycle.transition(state, "prefill_complete")
 
@@ -1429,3 +946,537 @@ class InstanceRuntime:
                 self._num_prefilling -= 1
                 self._prefill_completed(state, finished)
         return finished
+
+
+class ReservedRuntime(InstanceRuntime):
+    """An instance that gates admission on worst-case KV reservations.
+
+    Admitting a request reserves its full context (``prefill_len +
+    decode_len`` cached positions) up front, so the cache never overflows
+    mid-request and excess requests queue instead.  ``controller`` is the
+    class's :class:`~repro.serving.schedulers.KVAdmissionController`
+    (stateless, so the instances of one class share it); the count of
+    reserved tokens is this instance's own.  Other options as on
+    :class:`InstanceRuntime`.
+    """
+
+    __slots__ = ("controller", "reserved_tokens")
+
+    def __init__(self, instance_id: int, system: LoopLynxSystem,
+                 controller: KVAdmissionController, **options: Any) -> None:
+        self.controller = controller
+        self.reserved_tokens = 0
+        super().__init__(instance_id, system, **options)
+
+    def can_ever_serve(self, request: Request) -> bool:
+        return self.controller.serves_alone(request)
+
+    def kv_admits(self, state: RequestState,
+                  victim: Optional[RequestState] = None) -> bool:
+        used = self.reserved_tokens
+        if victim is not None:
+            used -= self.controller.reservation_tokens(victim.request)
+        return self.controller.fits(state.request, used)
+
+    @property
+    def kv_free_fraction(self) -> float:
+        capacity = self.controller.capacity_tokens
+        return 1.0 - self.reserved_tokens / capacity if capacity else 0.0
+
+    def release(self, state: RequestState) -> None:
+        self.reserved_tokens -= self.controller.reservation_tokens(
+            state.request)
+
+    def admit(self, state: RequestState, now: float) -> None:
+        self.reserved_tokens += self.controller.reservation_tokens(
+            state.request)
+        super().admit(state, now)
+
+
+class PagedRuntime(InstanceRuntime):
+    """An instance whose KV cache is its own paged block pool.
+
+    Admission claims a request's first blocks, every step boundary grows
+    the tables its step appends to (evicting members when the pool runs
+    dry), and a decode fold stops before its growth outruns the free list.
+    Prefix sharing and prefill→decode handoffs live here too: both move
+    block tables, so only this class accepts the restricted roles.
+
+    ``kv`` is this instance's own
+    :class:`~repro.memory.paged_kv.PagedKVManager` (never shared);
+    ``preemption_mode`` (``"swap"`` parks a victim's blocks in the host
+    tier, ``"recompute"`` discards them) and ``swap_priority`` (resume
+    this instance's swapped victims ahead of new admissions) are the
+    engine's knobs of the same names; other options as on
+    :class:`InstanceRuntime`.
+    """
+
+    __slots__ = ("kv", "preemption_mode", "swap_priority")
+    roles = INSTANCE_ROLES
+
+    def __init__(self, instance_id: int, system: LoopLynxSystem,
+                 kv: PagedKVManager, *, preemption_mode: str = "swap",
+                 swap_priority: bool = False, **options: Any) -> None:
+        self.kv = kv
+        self.preemption_mode = preemption_mode
+        self.swap_priority = swap_priority
+        super().__init__(instance_id, system, **options)
+
+    def can_ever_serve(self, request: Request) -> bool:
+        # a prefill-role instance hands the KV off at prompt completion,
+        # so only the prompt must fit
+        return self.kv.serves_alone(request, self.role == "prefill")
+
+    def kv_admits(self, state: RequestState,
+                  victim: Optional[RequestState] = None) -> bool:
+        """Blocks for the head's admission plus the batch's next growth
+        must fit the free list.  A swapped-out request may only be resumed
+        by the instance whose host tier holds its blocks (KV state cannot
+        teleport between instances); every other instance refuses it."""
+        if (state.swapped_on is not None
+                and state.swapped_on != self.instance_id):
+            return False
+        if not self.can_ever_serve(state.request):
+            return False
+        kv = self.kv
+        batch = self.batch
+        freed = 0
+        if victim is not None:
+            freed = len(kv.table(victim.request.request_id).device_blocks)
+            batch = [s for s in batch if s is not victim]
+        need = (self._paged_admit_blocks(state)
+                + self._paged_growth_headroom(batch))
+        return need <= kv.free_blocks + freed
+
+    @property
+    def kv_free_fraction(self) -> float:
+        kv = self.kv
+        return kv.free_blocks / kv.total_blocks if kv.total_blocks else 0.0
+
+    def matched_prefix_tokens(self, request: Request) -> Tokens:
+        token_ids = request.prompt_token_ids
+        if not self.kv.prefix_sharing or not token_ids:
+            return 0
+        return self.kv.match_prefix_tokens(token_ids)
+
+    def _paged_admit_target(self, state: RequestState,
+                            credit: Tokens = 0) -> int:
+        """Cached positions a (non-swapped) request must cover at admission.
+
+        Exclusive prefill claims the whole prompt plus one slot for the
+        first decode append (the prompt is computed before any other step
+        of the instance runs, so its blocks are needed up front).  Mixed
+        prefill streams the prompt in chunk by chunk, so admission only
+        claims the first chunk — after the ``credit`` prompt tokens the
+        prefix cache is about to supply — and the table grows per step
+        alongside the decode appends.  Both are clamped to the context
+        window.
+        """
+        request = state.request
+        if self.prefill_mode == "mixed" and state.prefill_remaining > 0:
+            tokens = (state.context_len + credit
+                      + self._next_prefill_chunk(state, credit))
+        elif self.role == "prefill":
+            # a prefill instance never appends a decode token: the prompt
+            # hands off the moment it completes, so no +1 growth slot
+            tokens = request.prefill_len
+        else:
+            tokens = request.prefill_len + (1 if request.decode_len > 0 else 0)
+        return min(tokens, self.kv.layout.max_seq_len)
+
+    def _paged_admit_blocks(self, state: RequestState) -> int:
+        """Device blocks the queue head must acquire to join the batch: the
+        host-tier restore for a swapped-out request (plus any growth block
+        its very next decode append needs), or its prompt allocation."""
+        kv = self.kv
+        rid = state.request.request_id
+        if state.phase == lifecycle.EVICTED_SWAP:
+            restore = kv.table(rid).host_blocks
+            if self.prefill_mode == "mixed" and state.prefill_remaining > 0:
+                # a request swapped out mid-prefill appends a whole chunk in
+                # its next mixed step, not a single decode token; budgeting
+                # only context+1 would re-admit it without room to grow and
+                # re-evict it at the same boundary (churn, PCIe both ways)
+                next_tokens = state.context_len + self._next_prefill_chunk(state)
+            else:
+                next_tokens = state.context_len + 1
+            next_target = min(next_tokens, kv.layout.max_seq_len)
+            return restore + max(0, kv.blocks_needed(next_target) - restore)
+        # budget the table admit() allocates: in mixed mode its first chunk
+        # starts after the prefix credit (exclusive targets ignore it)
+        credit = (self._prefix_credit(state) or 0
+                  if self.prefill_mode == "mixed" else 0)
+        return kv.blocks_missing(rid, self._paged_admit_target(state, credit))
+
+    def _prefix_credit(self, state: RequestState) -> Optional[Tokens]:
+        """Prompt tokens admission credits as already computed: the cached
+        prefix a fresh request reuses on a prefix-sharing pool (0 without
+        a match), or ``None`` when admission does not go through the
+        prefix cache at all.  :meth:`admit` applies it and the admission
+        gate budgets the table it implies, so both take it from here."""
+        token_ids = state.request.prompt_token_ids
+        if (not self.kv.prefix_sharing or token_ids is None
+                or state.prefill_done != 0
+                or state.phase == lifecycle.EVICTED_SWAP):
+            return None
+        matched = self.kv.match_prefix_tokens(token_ids)
+        return min(matched, state.prefill_len - 1) if matched > 0 else 0
+
+    def _paged_growth_headroom(self, batch: Sequence[RequestState]) -> int:
+        """Blocks the current batch members will claim for their next
+        decode appends.  Admission must leave this headroom free, or a
+        newly admitted (or swapped-in) request would be re-evicted by
+        :meth:`_plan_exclusive` at the same step boundary — pure
+        churn, with PCIe transfers both ways in swap mode."""
+        kv = self.kv
+        max_seq = kv.layout.max_seq_len
+        headroom = 0
+        for member in batch:
+            if member.prefill_remaining > 0:
+                if self.prefill_mode != "mixed":
+                    continue  # prompt blocks were claimed at admission
+                # mixed mode grows prefilling tables per step too
+                target = member.context_len + self._next_prefill_chunk(member)
+            else:
+                target = member.context_len + 1
+            headroom += kv.blocks_missing(
+                member.request.request_id, min(target, max_seq))
+        return headroom
+
+    def release(self, state: RequestState) -> None:
+        self.kv.free(state.request.request_id)
+
+    def admit(self, state: RequestState, now: float) -> None:
+        """Move a waiting request into the running batch and claim its
+        blocks: a swapped-out victim (or a handed-off prompt) swaps its
+        host-tier blocks back in and pays the transfer; any other request
+        allocates its admission target, crediting a cached prompt
+        prefix."""
+        super().admit(state, now)
+        kv = self.kv
+        rid = state.request.request_id
+        if state.phase == lifecycle.EVICTED_SWAP:
+            # a swapped victim resumes exactly where it stopped; a
+            # handed-off prompt arrives with its prefill fully computed,
+            # so it takes the decode resume edge
+            lifecycle.transition(
+                state, "resume_swap_prefill"
+                if state.prefill_len > state.prefill_done
+                else "resume_swap_decode")
+            blocks, _ = kv.swap_in(rid)
+            transfer = self.swap_transfer_s(blocks)
+            self.pending_delay_s += transfer
+            if state.handoff_pending:
+                # the restore of a handed-off prompt is the receiving
+                # half of the handoff transfer, not preemption traffic
+                state.handoff_pending = False
+                self.stats.handoff_in_count += 1
+                self.stats.handoff_time_s += transfer
+            state.swapped_on = None
+            return
+        credit = self._prefix_credit(state)
+        if credit is None:
+            allocated = kv.allocate(rid, self._paged_admit_target(state))
+        else:
+            # credit the reused prompt positions as already computed:
+            # prefill resumes at the matched offset, so both
+            # prefill_tokens_processed and TTFT genuinely drop
+            state.prefill_done = credit
+            allocated = kv.allocate_prefix(
+                rid, self._paged_admit_target(state),
+                state.request.prompt_token_ids) is not None
+        if not allocated:
+            raise InvariantError(  # pragma: no cover
+                f"admission gate admitted request {rid} on "
+                f"instance {self.instance_id}, but its KV table "
+                "cannot be allocated")
+
+    def evict(self, victim: RequestState, now: float,
+              scheduler: SchedulerPolicy) -> None:
+        """Remove ``victim`` from the batch.  In ``swap`` mode its blocks
+        park in the host tier and it re-queues — or, with
+        ``swap_priority``, waits in this instance's parked list, resumed
+        ahead of new admissions; ``recompute`` mode discards them."""
+        if self.preemption_mode != "swap":
+            super().evict(victim, now, scheduler)
+            return
+        self.batch.remove(victim)
+        if victim.prefill_len > victim.prefill_done:
+            self._num_prefilling -= 1
+        lifecycle.transition(
+            victim, "evict_swap_prefill"
+            if victim.phase == lifecycle.PREFILLING
+            else "evict_swap_decode")
+        blocks, _ = self.kv.swap_out(victim.request.request_id)
+        self.pending_delay_s += self.swap_transfer_s(blocks)
+        victim.swap_outs += 1
+        victim.swapped_on = self.instance_id
+        victim.preemptions += 1
+        if self.swap_priority:
+            self.parked.append(victim)
+        else:
+            scheduler.push(victim)
+
+    def _begin_handoff(self, state: RequestState) -> None:
+        """Export a finished prompt's KV blocks for a decode instance.
+
+        The export is a swap-out on this instance's PCIe link: the
+        transfer serializes ahead of the next step here (the link is
+        busy), and the engine delays the request's arrival at its decode
+        instance by its *ready offset* — when one step completes several
+        prompts (mixed mode), their transfers share the one link, so the
+        k-th handoff is ready only after the k-1 before it have drained,
+        exactly matching the serial ``pending_delay_s`` charge.  The
+        decode instance pays its own swap-in when it admits the request.
+        """
+        lifecycle.transition(state, "handoff_export")
+        self.batch.remove(state)
+        num_blocks, cached_tokens, _ = \
+            self.kv.export_handoff(state.request.request_id)
+        transfer = self.swap_transfer_s(num_blocks)
+        self.pending_delay_s += transfer
+        state.handoffs += 1
+        self.stats.handoff_out_count += 1
+        self.stats.handoff_time_s += transfer
+        ready_offset = transfer + (self.pending_handoffs[-1][2]
+                                   if self.pending_handoffs else 0.0)
+        self.pending_handoffs.append((state, cached_tokens, ready_offset))
+
+    def _grow_to(self, state: RequestState, target: int, now: float,
+                 scheduler: SchedulerPolicy) -> bool:
+        """Allocate blocks so ``state`` covers ``target`` cached positions
+        before its next append.  When the pool runs dry, evict the
+        lowest-priority, most recently admitted member of an *equal or
+        lower* priority class than the grower and retry (its blocks swap
+        out or drop per the preemption mode).  Capacity pressure never
+        evicts a strictly higher-priority member — when the grower itself
+        is the lowest class present, it is the one that yields (no
+        priority inversion through block growth).
+
+        Mixed mode additionally requires an equal-priority victim to
+        have been admitted *no earlier* than the grower.  Without this,
+        two requests too big to co-reside can destroy each other
+        forever: the newcomer's chunk growth evicts the old resident
+        (discarding its nearly-finished context), the resident
+        re-admits and returns the favour, and neither ever finishes —
+        a livelock chunked admission makes reachable because it admits
+        on first-chunk fit rather than whole-prompt fit.  Restricting
+        equal-priority eviction to members no older than the grower
+        makes the oldest-admitted member of the highest class
+        un-evictable, so it always advances and the run provably
+        terminates.  Exclusive mode keeps the PR 2 rule unchanged (the
+        bit-identical regime), which can livelock: see
+        ``test_exclusive_mode_growth_livelock`` in
+        ``tests/test_fold_oracle.py``.
+
+        Returns whether any member was evicted."""
+        kv = self.kv
+        mixed = self.prefill_mode == "mixed"
+        evicted = False
+        while (state in self.batch
+               and not kv.allocate(state.request.request_id, target)):
+            others = [s for s in self.batch if s is not state]
+            if not others:
+                raise InvariantError(
+                    f"request {state.request.request_id} cannot grow to "
+                    f"{target} cached positions alone in instance "
+                    f"{self.instance_id}'s KV block pool; validation "
+                    "should have rejected it")
+            candidates = [
+                s for s in others
+                if s.request.priority < state.request.priority
+                or (s.request.priority == state.request.priority
+                    and (not mixed
+                         or s.last_admitted_s >= state.last_admitted_s))]
+            victim = (min(candidates,
+                          key=lambda s: (s.request.priority,
+                                         -s.last_admitted_s))
+                      if candidates else state)
+            self.evict(victim, now, scheduler)
+            evicted = True
+        return evicted
+
+    def _plan_exclusive(self, now: float, scheduler: SchedulerPolicy
+                        ) -> Tuple[str, Any, int, Seconds, str, int]:
+        """The decode capacity pass, then the plan: before a pure decode
+        step every batch member needs a block slot for the token position
+        it is about to append."""
+        if not self._num_prefilling:
+            max_seq = self.kv.layout.max_seq_len
+            for state in list(self.batch):
+                if state in self.batch:  # else already evicted for room
+                    self._grow_to(state, min(state.context_len + 1, max_seq),
+                                  now, scheduler)
+        return super()._plan_exclusive(now, scheduler)
+
+    def _plan_mixed_step(self, now: float, scheduler: SchedulerPolicy
+                         ) -> Tuple[List[RequestState],
+                                    List[Tuple[RequestState, int]]]:
+        """The mixed capacity pass: every request advancing in the step
+        needs blocks for the positions it appends (one per decode, a
+        whole chunk per prefilling member).  An eviction frees budget and
+        invalidates the split, so replan until one whole pass allocates
+        without evicting; the batch shrinks on every eviction, so the loop
+        terminates.  Returns the final ``(decoders, chunks)`` plan."""
+        max_seq = self.kv.layout.max_seq_len
+        while True:
+            decoders, chunks = super()._plan_mixed_step(now, scheduler)
+            evicted = False
+            targets = [(s, s.context_len + 1) for s in decoders]
+            targets += [(s, s.context_len + c) for s, c in chunks]
+            for state, target in targets:
+                if state not in self.batch:
+                    continue  # already evicted to make room
+                if self._grow_to(state, min(target, max_seq), now, scheduler):
+                    evicted = True
+            if not evicted:
+                return decoders, chunks
+
+    def _fold_growth_window(self, members: Sequence[RequestState], kmax: int
+                            ) -> Tuple[int, List[Tuple[int, int]]]:
+        """Bound a decode fold of at most ``kmax`` steps by its block
+        growth.
+
+        Step 0 of the fold already grew every member (the ordinary
+        capacity pass).  At fold step ``j`` a member with context ``c``
+        needs ``min(c + j + 1, max_seq)`` cached positions, so holding
+        ``held`` blocks it claims one more at step ``held * bs - c`` and
+        every ``bs`` steps after that, until its target reaches the
+        context window.  Only the free list pays for claims: a fold never
+        reclaims a cached prefix block, so the prefix index stays as the
+        per-step chain leaves it.  Returns the step bound, cut just before
+        the first step whose claims the free list cannot cover, and the
+        ``(step, member index)`` claims inside it in the order the
+        per-step chain makes them: step by step, batch order within one.
+        """
+        kv = self.kv
+        bs = kv.block_size_tokens
+        max_seq = kv.layout.max_seq_len
+        claims: List[Tuple[int, int]] = []
+        for i, s in enumerate(members):
+            c = s.prefill_done + s.decode_done
+            held = len(kv.table(s.request.request_id).device_blocks)
+            last = min(kmax, max_seq - c) - 1
+            claims.extend((j, i) for j in range(held * bs - c, last + 1, bs))
+        claims.sort()
+        free = kv.free_list_blocks
+        if len(claims) > free:
+            kmax = claims[free][0]
+            del claims[free:]
+            while claims and claims[-1][0] >= kmax:
+                claims.pop()
+        return kmax, claims
+
+    _fold_window = _fold_growth_window
+
+    def _replay_fold_growth(self, members: Sequence[RequestState],
+                            claims: Sequence[Tuple[int, int]],
+                            segments: Sequence[Sequence[float]], steps: int
+                            ) -> Tuple[float, float, float]:
+        """Apply the block growth of a decode fold of ``steps`` steps and
+        return its KV aggregates.
+
+        The pool ends as the per-step chain leaves it on the fold's last
+        step: ``claims`` (from :meth:`_fold_growth_window`) are allocated
+        in the chain's order, then every member's table covers its last
+        step's context.  The aggregates walk the steps on integer
+        counters — step ``j`` holds the blocks claimed so far, and each
+        member below the context window caches one more position per step
+        — and are summed per run of equal step price (``segments``, as
+        ``(duration, count)``).  Returns ``(occupancy time,
+        fragmentation time, peak occupancy)``; like busy time, the two
+        times may differ from per-step adds in the last float bits.
+        """
+        kv = self.kv
+        bs = kv.block_size_tokens
+        max_seq = kv.layout.max_seq_len
+        # fold step -> [blocks claimed, change in members growing]
+        delta: Dict[int, List[int]] = {}
+        for j, _ in claims:
+            if j >= steps:
+                break
+            delta.setdefault(j, [0, 0])[0] += 1
+        for s in members:
+            c = s.prefill_done + s.decode_done
+            # step j caches c + j + 1 positions once that passes what the
+            # table already covers, and never more than the window
+            first = max(1, kv.table(s.request.request_id).cached_tokens - c)
+            stop = min(max_seq - c, steps)
+            if first < stop:
+                delta.setdefault(first, [0, 0])[1] += 1
+                if stop < steps:
+                    delta.setdefault(stop, [0, 0])[1] -= 1
+        used = kv.used_blocks
+        blocks = kv.table_blocks
+        cached = kv.device_cached_tokens
+        growing = 0
+        used_time = 0.0
+        frag_time = 0.0
+        j = 0
+        for d, n in segments:
+            used_sum = 0
+            frag_sum = 0.0
+            for _ in range(int(n)):
+                if j:
+                    change = delta.get(j)
+                    if change is not None:
+                        used += change[0]
+                        blocks += change[0]
+                        growing += change[1]
+                    cached += growing
+                used_sum += used
+                frag_sum += 1.0 - cached / (blocks * bs)
+                j += 1
+            used_time += used_sum * d
+            frag_time += frag_sum * d
+        grows = [(members[i], j + 1) for j, i in claims if j < steps]
+        grows += [(s, steps) for s in members]
+        for s, ahead in grows:
+            target = min(s.prefill_done + s.decode_done + ahead, max_seq)
+            if not kv.allocate(s.request.request_id, target):
+                raise InvariantError(  # pragma: no cover
+                    f"fold growth of request {s.request.request_id} to "
+                    f"{target} positions overran instance "
+                    f"{self.instance_id}'s free block list")
+        total = kv.total_blocks
+        return used_time / total, frag_time, used / total
+
+    def _account_fold(self, fold: Tuple[Any, ...]) -> Seconds:
+        td = super()._account_fold(fold)
+        _, steps, segments, _, _, members, claims, _, _ = fold
+        kv = self.kv
+        acc = self.stats
+        if claims is None:
+            # a one-step launch or a prefill fold claims no blocks here:
+            # the pool holds still
+            occupancy = kv.occupancy_fraction
+            occ_time = occupancy * td
+            frag_time = kv.internal_fragmentation_fraction * td
+        else:
+            occ_time, frag_time, occupancy = self._replay_fold_growth(
+                members, claims, segments, steps)
+        acc.kv_occ_time += occ_time
+        acc.frag_time += frag_time
+        if kv.prefix_sharing:
+            # growth comes off the free list, so neither shared nor
+            # reclaimable blocks change inside a fold
+            acc.shared_kv_time += kv.shared_block_fraction * td
+        if occupancy > acc.peak_kv_occupancy:
+            acc.peak_kv_occupancy = occupancy
+        return td
+
+    def _prefill_completed(self, state: RequestState,
+                           finished: List[RequestState]) -> None:
+        """Index the finished prompt's blocks on a prefix-sharing pool;
+        on a prefill-role instance a request with decode work then hands
+        its KV off instead of decoding here."""
+        token_ids = state.request.prompt_token_ids
+        if self.kv.prefix_sharing and token_ids:
+            # the prompt's full blocks now hold real KV — index them so
+            # later matching prompts (the conversation's next turn) reuse
+            # them instead of re-prefilling
+            self.kv.register_prefix(state.request.request_id, token_ids)
+        if self.role == "prefill" and state.decode_len > 0:
+            self._begin_handoff(state)
+        else:
+            super()._prefill_completed(state, finished)

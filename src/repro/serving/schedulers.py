@@ -241,11 +241,19 @@ class KVAdmissionController:
         cached positions (both in tokens per node)?"""
         return used_tokens + self.reservation_tokens(request) <= self.capacity_tokens
 
+    def serves_alone(self, request: Request, prompt_only: bool = False) -> bool:
+        """Could an empty instance of this class hold ``request`` — at
+        its full context, or only its prompt when ``prompt_only`` (a
+        prefill instance hands the KV off at prompt completion)?"""
+        tokens = (min(request.prefill_len, self.layout.max_seq_len)
+                  if prompt_only else self.reservation_tokens(request))
+        return tokens <= self.capacity_tokens
+
     def validate(self, requests: Iterable[Request]) -> None:
         """Reject traces containing a request that could never be admitted
         (it would block the queue head forever)."""
         for request in requests:
-            if self.reservation_tokens(request) > self.capacity_tokens:
+            if not self.serves_alone(request):
                 raise ValueError(
                     f"request {request.request_id} needs "
                     f"{self.reservation_tokens(request)} cached tokens but the "

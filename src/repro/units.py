@@ -26,7 +26,8 @@ rule catalogue built on top of it.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+import operator
+from typing import Any, Dict, Optional, Tuple
 
 __all__ = [
     "Seconds", "Milliseconds", "Tokens", "Blocks", "BlockId", "Bytes",
@@ -34,6 +35,7 @@ __all__ = [
     "Joules", "Watts", "Fraction",
     "UNIT_ALIASES", "UNIT_SUFFIXES", "suffix_unit",
     "TIMESTAMP_NAME_WORDS", "TIMESTAMP_SUFFIXES", "COUNTER_PREFIXES",
+    "require_count",
 ]
 
 # ---------------------------------------------------------------------------
@@ -138,3 +140,17 @@ def suffix_unit(name: str) -> Optional[str]:
         if lowered.endswith(suffix):
             return unit
     return None
+
+
+def require_count(value: Any, name: str, unit: str) -> int:
+    """``value`` as an ``int``, or a ``ValueError`` naming ``name`` as an
+    integer count of ``unit``: NaN, inf, a fraction, a string or a bool is
+    no count (it would hang, corrupt or silently shrink the simulation),
+    while numpy integers pass."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer {unit} count, "
+                         f"got {value!r}") from None

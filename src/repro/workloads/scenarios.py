@@ -11,9 +11,10 @@ for the examples and the design-space exploration.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
+
+from repro.units import require_count
 
 
 @dataclass(frozen=True)
@@ -26,17 +27,7 @@ class Scenario:
 
     def __post_init__(self) -> None:
         for field in ("prefill_len", "decode_len"):
-            # a token count: NaN, inf or a fraction would hang or corrupt
-            # the serving engine; numpy integers still pass
-            value = getattr(self, field)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{field} must be an integer token count, got {value!r}"
-                ) from None
+            require_count(getattr(self, field), field, "token")
         if self.prefill_len <= 0:
             raise ValueError("prefill_len must be positive")
         if self.decode_len < 0:

@@ -32,7 +32,7 @@ from repro.serving.cluster import (
 )
 from repro.serving import lifecycle
 from repro.serving.engine import TokenServingEngine
-from repro.serving.instance import InstanceRuntime, RequestState
+from repro.serving.instance import InstanceRuntime, PagedRuntime, RequestState
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
     Request,
@@ -176,8 +176,8 @@ class TestHandoffPrimitives:
         kv = PagedKVManager(
             layout, block_size_tokens=16,
             budget_bytes=1024 * layout.bytes_per_token_per_node())
-        runtime = InstanceRuntime(0, system, role="prefill", kv=kv,
-                                  prefill_mode="mixed")
+        runtime = PagedRuntime(0, system, role="prefill", kv=kv,
+                               prefill_mode="mixed")
         states = [RequestState(Request(request_id=i, arrival_s=0.0,
                                        scenario=Scenario(32, 8)))
                   for i in range(2)]

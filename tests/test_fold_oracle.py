@@ -31,7 +31,7 @@ import pytest
 
 from repro.serving.cluster import ROUTER_NAMES
 from repro.serving.engine import TokenServingEngine
-from repro.serving.instance import InstanceRuntime
+from repro.serving.instance import PagedRuntime
 from repro.workloads.traces import (
     RequestTrace,
     multi_turn_trace,
@@ -64,7 +64,7 @@ def _bound_growth_evictions(monkeypatch):
     """Count, per growing request, the evictions paged block growth makes
     and raise :class:`GrowthLivelock` past the bound; returns the counts,
     which the caller clears before each replay."""
-    original = InstanceRuntime._grow_to
+    original = PagedRuntime._grow_to
     evictions = {}
 
     def bounded(self, state, target, now, scheduler):
@@ -78,7 +78,7 @@ def _bound_growth_evictions(monkeypatch):
                     f"{now:.1f} s")
         return evicted
 
-    monkeypatch.setattr(InstanceRuntime, "_grow_to", bounded)
+    monkeypatch.setattr(PagedRuntime, "_grow_to", bounded)
     return evictions
 
 

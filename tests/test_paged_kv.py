@@ -317,14 +317,14 @@ class TestEnginePagedMode:
         this)."""
         from repro.errors import InvariantError
         from repro.serving import lifecycle
-        from repro.serving.instance import InstanceRuntime, RequestState
+        from repro.serving.instance import PagedRuntime, RequestState
         from repro.serving.schedulers import make_scheduler
 
         system = LoopLynxSystem.paper_configuration(num_nodes=2)
         kv = PagedKVManager(
             _system_layout(system), block_size_tokens=16,
             budget_bytes=_tight_budget(64))  # 4 blocks
-        runtime = InstanceRuntime(3, system, kv=kv)
+        runtime = PagedRuntime(3, system, kv=kv)
         state = RequestState(Request(request_id=7, arrival_s=0.0,
                                      scenario=Scenario(32, 64)))
         lifecycle.transition(state, "admit")
