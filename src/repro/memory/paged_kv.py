@@ -46,10 +46,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from repro.errors import InvariantError
 from repro.memory.hbm import kv_budget_bytes_per_node
 from repro.memory.kv_cache import KVCacheLayout
 from repro.network.link import LinkConfig
-from repro.units import Blocks, Bytes, Seconds, Tokens
+from repro.units import Blocks, Bytes, Seconds, Tokens, require_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing-only imports
     from repro.core.multi_node import LoopLynxSystem
@@ -138,7 +139,8 @@ class PagedKVManager:
                  host_link: Optional[LinkConfig] = None,
                  nodes_per_card: int = 2,
                  prefix_sharing: bool = False) -> None:
-        if block_size_tokens <= 0:
+        if require_count(block_size_tokens, "block_size_tokens",
+                         "token") <= 0:
             raise ValueError("block_size_tokens must be positive")
         if nodes_per_card <= 0:
             raise ValueError("nodes_per_card must be positive")
@@ -317,25 +319,63 @@ class PagedKVManager:
                 f"request {request_id} is swapped out; swap_in() it first")
         held = 0 if table is None else len(table.device_blocks)
         missing = self.blocks_needed(target_tokens) - held
-        if missing > self.free_blocks:
+        if missing > 0 and missing > self.free_blocks:
             return False
         if table is None:
             table = self._tables[request_id] = BlockTable(request_id)
         if missing > 0:
+            blocks = self._take_blocks(missing)
             if self.prefix_sharing:
-                for _ in range(missing):
-                    block = self._take_block()
-                    self._ref[block] = 1
-                    table.device_blocks.append(block)
-            else:
-                for _ in range(missing):
-                    table.device_blocks.append(self._free.pop())
+                self._ref.update(dict.fromkeys(blocks, 1))
+            table.device_blocks.extend(blocks)
             self.table_blocks += missing
+            # every other call that raises the used count updates the
+            # peak too, so only a claim can move it
+            self.peak_used_blocks = max(self.peak_used_blocks,
+                                        self.used_blocks)
         if target_tokens > table.cached_tokens:
             self.device_cached_tokens += target_tokens - table.cached_tokens
             table.cached_tokens = target_tokens
-        self.peak_used_blocks = max(self.peak_used_blocks, self.used_blocks)
         return True
+
+    def grow_tables(self, claimants: Sequence[int],
+                    targets: Iterable[Tuple[int, Tokens]]) -> None:
+        """Grow several device-resident tables in one pass, ending exactly
+        as one :meth:`allocate` per claimed block would leave the pool.
+
+        ``claimants`` names the request that claims each block, in claim
+        order; the blocks come off the free list in that order (never from
+        the reclaimable prefix cache).  Each ``(request_id, tokens)`` in
+        ``targets`` then raises that table's cached positions to
+        ``tokens``, which its blocks must cover.  Raises
+        :class:`~repro.errors.InvariantError` when the claims overrun the
+        free list or leave a target uncovered.
+        """
+        tables = self._tables
+        count = len(claimants)
+        if count:
+            if count > len(self._free):
+                raise InvariantError(
+                    f"{count} block claims overrun the free list of "
+                    f"{len(self._free)} blocks")
+            taken = self._take_blocks(count)
+            for request_id, block in zip(claimants, taken):
+                tables[request_id].device_blocks.append(block)
+            if self.prefix_sharing:
+                self._ref.update(dict.fromkeys(taken, 1))
+            self.table_blocks += count
+            self.peak_used_blocks = max(self.peak_used_blocks,
+                                        self.used_blocks)
+        size = self.block_size_tokens
+        for request_id, tokens in targets:
+            table = tables[request_id]
+            if tokens > len(table.device_blocks) * size:
+                raise InvariantError(
+                    f"request {request_id}'s blocks do not cover "
+                    f"{tokens} cached positions")
+            if tokens > table.cached_tokens:
+                self.device_cached_tokens += tokens - table.cached_tokens
+                table.cached_tokens = tokens
 
     def free(self, request_id: int) -> int:
         """Release every block (device and host) a request holds; returns
@@ -363,6 +403,19 @@ class PagedKVManager:
     # ------------------------------------------------------------------
     # prefix sharing (hash-indexed block reuse with copy-on-write)
     # ------------------------------------------------------------------
+    def _take_blocks(self, count: int) -> List[int]:
+        """Pop ``count`` physical blocks in the order ``count`` calls of
+        :meth:`_take_block` would: one slice off the free list, then the
+        oldest reclaimable cached blocks for the rest."""
+        free = self._free
+        split = max(len(free) - count, 0)
+        taken = free[split:]
+        del free[split:]
+        taken.reverse()
+        for _ in range(count - len(taken)):
+            taken.append(self._take_block())
+        return taken
+
     def _take_block(self) -> int:
         """Pop a physical block: the free list first, then the oldest
         reclaimable cached block (which is deregistered from the index)."""
@@ -464,16 +517,12 @@ class PagedKVManager:
         shared = matched_ids[:-1] if cow else matched_ids
         for block in shared:
             self._addref(block)
-        blocks = list(shared)
+        # the copy, if any, is the first block taken
+        taken = self._take_blocks(takes)
+        self._ref.update(dict.fromkeys(taken, 1))
+        blocks = shared + taken
         if cow:
-            copy = self._take_block()
-            self._ref[copy] = 1
-            blocks.append(copy)
             self.cow_copies += 1
-        for _ in range(fresh):
-            block = self._take_block()
-            self._ref[block] = 1
-            blocks.append(block)
         if table is None:
             table = self._tables.setdefault(request_id,
                                             BlockTable(request_id))
@@ -569,17 +618,13 @@ class PagedKVManager:
                 f"cannot swap request {request_id} in: needs "
                 f"{table.host_blocks} blocks, {self.free_blocks} free")
         num_blocks = table.host_blocks
+        taken = self._take_blocks(num_blocks)
         if self.prefix_sharing:
             # Swap-in restores a private snapshot: the request no longer
             # shares blocks with anyone (its prefix references were dropped
             # at swap-out) and its prompt blocks are not re-registered.
-            for _ in range(num_blocks):
-                block = self._take_block()
-                self._ref[block] = 1
-                table.device_blocks.append(block)
-        else:
-            for _ in range(num_blocks):
-                table.device_blocks.append(self._free.pop())
+            self._ref.update(dict.fromkeys(taken, 1))
+        table.device_blocks.extend(taken)
         table.host_blocks = 0
         self.table_blocks += num_blocks
         self.device_cached_tokens += table.cached_tokens

@@ -378,18 +378,33 @@ class TokenServingEngine:
             slo = (float(slo[0]), float(slo[1]))
         if not 0.0 < quantile_error < 1.0:
             raise ValueError("quantile_error must be in (0, 1)")
+        # integer knobs: a NaN, inf, fraction or bool is no count (it would
+        # stall the run, or silently run as a rounded or unit size)
+        max_batch_size = require_count(max_batch_size, "max_batch_size",
+                                       "request")
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if prefill_chunk_tokens is not None and prefill_chunk_tokens <= 0:
-            raise ValueError("prefill_chunk_tokens must be positive")
+        if prefill_chunk_tokens is not None:
+            prefill_chunk_tokens = require_count(
+                prefill_chunk_tokens, "prefill_chunk_tokens", "token")
+            if prefill_chunk_tokens <= 0:
+                raise ValueError("prefill_chunk_tokens must be positive")
         if prefill_mode not in PREFILL_MODES:
             raise ValueError(
                 f"unknown prefill mode {prefill_mode!r}; "
                 f"known: {', '.join(PREFILL_MODES)}")
+        mixed_step_token_budget = require_count(
+            mixed_step_token_budget, "mixed_step_token_budget", "token")
         if mixed_step_token_budget <= 0:
             raise ValueError("mixed_step_token_budget must be positive")
+        context_bucket = require_count(context_bucket, "context_bucket",
+                                       "token")
         if context_bucket <= 0:
             raise ValueError("context_bucket must be positive")
+        kv_block_size = require_count(kv_block_size, "kv_block_size",
+                                      "token")
+        if kv_block_size <= 0:
+            raise ValueError("kv_block_size must be positive")
         if preemption_mode not in PREEMPTION_MODES:
             raise ValueError(
                 f"unknown preemption mode {preemption_mode!r}; "

@@ -32,7 +32,9 @@ positions or blocks per node (KV), bytes summed over nodes (swap traffic).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
                     Tuple)
 
@@ -270,11 +272,11 @@ class InstanceRuntime:
         #: makes live (see :meth:`dispatch`).
         self.multistep = False
         #: The in-flight fold, ``(dispatch time, steps, [[step seconds,
-        #: steps], ...], stat field, advancing requests, members or the
-        #: prefilling request and its chunk size, paged growth claims,
-        #: transfer seconds ahead of the first step, last skipped
-        #: boundary)`` — None outside one (a one-step launch is accounted
-        #: at launch from a record of the same shape).
+        #: steps, start time], ...], stat field, advancing requests,
+        #: members or the prefilling request and its chunk size, paged
+        #: growth claims, transfer seconds ahead of the first step, last
+        #: skipped boundary)`` — None outside one (a one-step launch is
+        #: accounted at launch from a record of the same shape).
         #: :meth:`complete_step` accounts its steps, so a cut fold
         #: (:meth:`cut_fold`) touches the pool and stats only for the
         #: steps it actually ran.
@@ -601,7 +603,7 @@ class InstanceRuntime:
         completes_at: Optional[Seconds] = None
         posted_at: Optional[Seconds] = None
         if fold is None:
-            self._account_fold((now, 1, [[duration, 1]], stat, advancing,
+            self._account_fold((now, 1, [[duration, 1, now]], stat, advancing,
                                 None, None, pending, now))
         else:
             self.fold, completes_at = fold
@@ -742,13 +744,16 @@ class InstanceRuntime:
         marches the prompt chunk by chunk to its end.  Every per-step
         price is a memoized pure function of shape, so repricing at each
         window or chunk edge reproduces the per-event chain exactly, and
-        the completion time is accumulated one step at a time so it
-        matches that chain bit for bit.  A pending swap or handoff
-        transfer only lengthens the first step."""
-        # segments collects (step duration, step count) runs so the
-        # completion's stats replay walks the identical float chain
+        the completion time is accumulated one step at a time, in a tight
+        loop per window, so it matches that chain bit for bit.  Each
+        segment records its start time, so a cut walks only the segment
+        that holds it (:meth:`next_skipped_boundary`).  A pending swap or
+        handoff transfer only lengthens the first step."""
+        # segments collects [step duration, step count, start time] runs:
+        # the completion's stats replay walks the identical float chain,
+        # and a cut looks for its boundary from one segment's start
         t = now + duration
-        segments = [[duration, 1]]
+        segments = [[duration, 1, now]]
         if kind == "prefill":
             # successive chunks of the same prompt: the batch-order scan
             # re-picks this member at every inert boundary, and stalled
@@ -761,11 +766,11 @@ class InstanceRuntime:
             while remaining > 0:
                 c = cap if cap < remaining else remaining
                 d = self.prefill_chunk_latency_s(done, c)
+                segments.append([d, 1, t])
                 posted_at = t
                 t += d
                 done += c
                 remaining -= c
-                segments.append([d, 1])
             return (now, len(segments), segments, "prefill_time", advancing,
                     (target, cap), None, pending, posted_at), t
         members, context = target, size
@@ -790,7 +795,7 @@ class InstanceRuntime:
         seg = segments[0]
         if pending > 0.0:
             # the transfer only lengthened the first step
-            seg = [d, 0]
+            seg = [d, 0, t]
             segments.append(seg)
         steps = 1
         while steps < kmax:
@@ -801,13 +806,19 @@ class InstanceRuntime:
                 win = (-(-c // bucket) * bucket - c + 1) if bucket > 1 else 1
                 if nd != d:
                     d = nd
-                    seg = [d, 0]
+                    seg = [d, 0, t]
                     segments.append(seg)
+            # the rest of the window at one price, one float add per step
+            n = kmax - steps
+            if win < n:
+                n = win
+            for _ in range(n - 1):
+                t += d
             posted_at = t
             t += d
-            steps += 1
-            seg[1] += 1
-            win -= 1
+            steps += n
+            seg[1] += n
+            win -= n
         return (now, steps, segments, "decode_time", advancing, members,
                 claims, pending, posted_at), t
 
@@ -829,7 +840,7 @@ class InstanceRuntime:
         """
         _, _, segments, stat, advancing, _, _, pending, _ = fold
         td = 0.0
-        for d_seg, n_seg in segments:
+        for d_seg, n_seg, _ in segments:
             td += d_seg * n_seg
         acc = self.stats
         if stat == "decode_time":
@@ -853,9 +864,15 @@ class InstanceRuntime:
         fold = self.fold
         if fold is None or after >= fold[8]:
             return None
-        t, steps, segments = fold[0], fold[1], fold[2]
-        j = 0
-        for d, n in segments:
+        steps, segments = fold[1], fold[2]
+        # skip the segments that end by ``after`` (each starts where the
+        # one before it ends), then walk the one holding it step by step
+        i = j = 0
+        last = len(segments) - 1
+        while i < last and segments[i + 1][2] <= after:
+            j += int(segments[i][1])
+            i += 1
+        for d, n, t in segments[i:]:
             for _ in range(int(n)):
                 prev = t
                 t += d
@@ -875,11 +892,11 @@ class InstanceRuntime:
             self.fold
         kept: List[List[float]] = []
         left = steps
-        for d, n in segments:
+        for d, n, start in segments:
             if n >= left:
-                kept.append([d, left])
+                kept.append([d, left, start])
                 break
-            kept.append([d, n])
+            kept.append([d, n, start])
             left -= n
         self.fold = (t0, steps, kept, kind_attr, advancing, target, claims,
                      pending, last_skipped)
@@ -1300,13 +1317,17 @@ class PagedRuntime(InstanceRuntime):
                         ) -> Tuple[str, Any, int, Seconds, str, int]:
         """The decode capacity pass, then the plan: before a pure decode
         step every batch member needs a block slot for the token position
-        it is about to append."""
+        it is about to append.  A member whose table already covers it is
+        skipped: growing it would change nothing."""
         if not self._num_prefilling:
-            max_seq = self.kv.layout.max_seq_len
+            kv = self.kv
+            max_seq = kv.layout.max_seq_len
             for state in list(self.batch):
-                if state in self.batch:  # else already evicted for room
-                    self._grow_to(state, min(state.context_len + 1, max_seq),
-                                  now, scheduler)
+                target = min(state.context_len + 1, max_seq)
+                if (state in self.batch  # else already evicted for room
+                        and kv.table(state.request.request_id).cached_tokens
+                        < target):
+                    self._grow_to(state, target, now, scheduler)
         return super()._plan_exclusive(now, scheduler)
 
     def _plan_mixed_step(self, now: float, scheduler: SchedulerPolicy
@@ -1348,6 +1369,9 @@ class PagedRuntime(InstanceRuntime):
         the first step whose claims the free list cannot cover, and the
         ``(step, member index)`` claims inside it in the order the
         per-step chain makes them: step by step, batch order within one.
+        Each member's claims are one arithmetic series, so the list is
+        built member by member and sorted once; the fold's completion
+        (:meth:`_replay_fold_growth`) takes them in one pass.
         """
         kv = self.kv
         bs = kv.block_size_tokens
@@ -1356,15 +1380,14 @@ class PagedRuntime(InstanceRuntime):
         for i, s in enumerate(members):
             c = s.prefill_done + s.decode_done
             held = len(kv.table(s.request.request_id).device_blocks)
-            last = min(kmax, max_seq - c) - 1
-            claims.extend((j, i) for j in range(held * bs - c, last + 1, bs))
-        claims.sort()
+            claims += zip(range(held * bs - c, min(kmax, max_seq - c), bs),
+                          repeat(i))
+        if len(members) > 1:
+            claims.sort()
         free = kv.free_list_blocks
         if len(claims) > free:
             kmax = claims[free][0]
-            del claims[free:]
-            while claims and claims[-1][0] >= kmax:
-                claims.pop()
+            del claims[bisect_left(claims, (kmax,), 0, free):]
         return kmax, claims
 
     _fold_window = _fold_growth_window
@@ -1377,67 +1400,81 @@ class PagedRuntime(InstanceRuntime):
         return its KV aggregates.
 
         The pool ends as the per-step chain leaves it on the fold's last
-        step: ``claims`` (from :meth:`_fold_growth_window`) are allocated
-        in the chain's order, then every member's table covers its last
-        step's context.  The aggregates walk the steps on integer
-        counters — step ``j`` holds the blocks claimed so far, and each
-        member below the context window caches one more position per step
-        — and are summed per run of equal step price (``segments``, as
-        ``(duration, count)``).  Returns ``(occupancy time,
-        fragmentation time, peak occupancy)``; like busy time, the two
-        times may differ from per-step adds in the last float bits.
+        step: the ``claims`` (from :meth:`_fold_growth_window`) before it
+        take their blocks off the free list in the chain's order, and
+        every member's table then covers its last step's context, all in
+        one :meth:`~repro.memory.paged_kv.PagedKVManager.grow_tables`.
+        The aggregates are summed in closed form.  Between two change
+        points (a claim, a member's first growth step, its context-window
+        stop) the blocks held and the ``g`` members growing hold still, so
+        a run of ``r`` steps adds ``used × r`` block-steps of occupancy
+        and ``r − (r·cached + g·r(r+1)/2)/(blocks·bs)`` of fragmentation,
+        one integer numerator over one division.  Runs are summed per
+        segment of equal step price (``segments``, as ``(duration, count,
+        start)``).  Returns ``(occupancy time, fragmentation time, peak
+        occupancy)``: the occupancy time is bit-identical to per-step
+        adds, while the fragmentation time, like busy time, may differ
+        from them in the last float bits.
         """
         kv = self.kv
         bs = kv.block_size_tokens
         max_seq = kv.layout.max_seq_len
-        # fold step -> [blocks claimed, change in members growing]
-        delta: Dict[int, List[int]] = {}
-        for j, _ in claims:
-            if j >= steps:
-                break
-            delta.setdefault(j, [0, 0])[0] += 1
+        count = bisect_left(claims, (steps,))  # the claims the fold ran
+        # every change point in one stream of (step, what), sorted: a
+        # claim (its member's index), a member starting (-1) or stopping
+        # (-2) to grow, or a segment ending (-3)
+        events = claims[:count]
+        rids = []
+        targets = []
         for s in members:
+            rid = s.request.request_id
+            rids.append(rid)
             c = s.prefill_done + s.decode_done
+            targets.append((rid, min(c + steps, max_seq)))
             # step j caches c + j + 1 positions once that passes what the
             # table already covers, and never more than the window
-            first = max(1, kv.table(s.request.request_id).cached_tokens - c)
+            first = max(1, kv.table(rid).cached_tokens - c)
             stop = min(max_seq - c, steps)
             if first < stop:
-                delta.setdefault(first, [0, 0])[1] += 1
+                events.append((first, -1))
                 if stop < steps:
-                    delta.setdefault(stop, [0, 0])[1] -= 1
+                    events.append((stop, -2))
+        claimants = [rids[i] for _, i in claims[:count]]
+        end = 0
+        for _, n, _ in segments:
+            end += int(n)
+            events.append((end, -3))
+        events.sort()
         used = kv.used_blocks
         blocks = kv.table_blocks
         cached = kv.device_cached_tokens
-        growing = 0
-        used_time = 0.0
-        frag_time = 0.0
-        j = 0
-        for d, n in segments:
-            used_sum = 0
-            frag_sum = 0.0
-            for _ in range(int(n)):
-                if j:
-                    change = delta.get(j)
-                    if change is not None:
-                        used += change[0]
-                        blocks += change[0]
-                        growing += change[1]
-                    cached += growing
-                used_sum += used
-                frag_sum += 1.0 - cached / (blocks * bs)
-                j += 1
-            used_time += used_sum * d
-            frag_time += frag_sum * d
-        grows = [(members[i], j + 1) for j, i in claims if j < steps]
-        grows += [(s, steps) for s in members]
-        for s, ahead in grows:
-            target = min(s.prefill_done + s.decode_done + ahead, max_seq)
-            if not kv.allocate(s.request.request_id, target):
-                raise InvariantError(  # pragma: no cover
-                    f"fold growth of request {s.request.request_id} to "
-                    f"{target} positions overran instance "
-                    f"{self.instance_id}'s free block list")
+        growing = pos = seg = used_steps = 0
+        frag = used_time = frag_time = 0.0
+        for step, what in events:
+            if step > pos:
+                # the run since the last change point, in closed form
+                r = step - pos
+                span = blocks * bs
+                frag += ((span - cached) * r
+                         - growing * r * (r + 1) // 2) / span
+                used_steps += used * r
+                cached += growing * r
+                pos = step
+            if what >= 0:
+                used += 1
+                blocks += 1
+            elif what == -1:
+                growing += 1
+            elif what == -2:
+                growing -= 1
+            else:
+                d = segments[seg][0]
+                seg += 1
+                used_time += used_steps * d
+                frag_time += frag * d
+                used_steps = 0
+                frag = 0.0
+        kv.grow_tables(claimants, targets)
         total = kv.total_blocks
         return used_time / total, frag_time, used / total
 

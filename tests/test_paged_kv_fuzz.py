@@ -2,10 +2,11 @@
 
 Each test case drives one seeded random sequence of operations —
 allocate / allocate_prefix / grow / free / register_prefix / swap_out /
-swap_in / export_handoff→import_handoff — against a pair of pools (so
-handoffs cross pools, as on a disaggregated cluster) and a lightweight
-reference model, and checks the block-accounting invariants after *every*
-operation:
+swap_in / export_handoff→import_handoff / a fold's batched grow_tables —
+against a pair of pools (so handoffs cross pools, as on a disaggregated
+cluster) and a lightweight reference model.  A swap-in and a batched
+claim must hand out blocks in the order one take per block would, and the
+block-accounting invariants are checked after *every* operation:
 
 * no block is simultaneously free and in a table (and never in two tiers
   at once: free list, reclaimable cache, live tables are disjoint);
@@ -95,6 +96,14 @@ def _prompt_ids(rng):
     return tuple(ids)
 
 
+def _take_order(manager, count):
+    """The blocks ``count`` single-block takes would hand out: the free
+    list's tail, last first, then reclaimable cached blocks, oldest
+    first."""
+    order = manager._free[::-1][:count]
+    return order + list(manager._reclaimable)[:count - len(order)]
+
+
 class Reference:
     """Minimal mirror of the documented per-request contract: which pool
     holds each request, whether it is swapped, and its cached-token floor
@@ -118,6 +127,8 @@ class Reference:
                 assert rid in self.state and self.state[rid][0] == pool
             assert (manager.internal_fragmentation_fraction
                     == _fragmentation_by_rescan(manager))
+            # every call that raises the used count updates the peak
+            assert manager.peak_used_blocks >= manager.used_blocks
 
 
 @pytest.mark.parametrize("prefix_sharing", [False, True],
@@ -136,7 +147,8 @@ def test_random_op_sequences(seed, prefix_sharing):
 
     for _ in range(OPS_PER_SEQUENCE):
         op = rng.choice(("new", "new", "new", "grow", "grow", "free", "free",
-                         "register", "swap_out", "swap_in", "handoff"))
+                         "register", "swap_out", "swap_in", "handoff",
+                         "claim"))
         if op == "new":
             pool = rng.randrange(2)
             manager = managers[pool]
@@ -209,11 +221,44 @@ def test_random_op_sequences(seed, prefix_sharing):
             pool = reference.state[rid][0]
             manager = managers[pool]
             if manager.can_swap_in(rid):
+                # the whole table comes back in one pass, in the order one
+                # take per block would give: free list first (its tail),
+                # then the oldest reclaimable cached blocks
+                needed = manager.table(rid).host_blocks
+                expected = _take_order(manager, needed)
                 manager.swap_in(rid)
+                assert manager.table(rid).device_blocks == expected
                 reference.state[rid][1] = False
             else:
                 with pytest.raises(RuntimeError):
                     manager.swap_in(rid)
+        elif op == "claim":
+            # a fold's batched growth: blocks off the free list only, in
+            # claim order, then every target's cached positions raised
+            pool = rng.randrange(2)
+            manager = managers[pool]
+            rids = [rid for rid, s in reference.state.items()
+                    if s[0] == pool and not s[1]]
+            if not rids:
+                continue
+            rids = rng.sample(rids, min(len(rids), 3))
+            count = rng.randint(0, min(manager.free_list_blocks, 6))
+            claimants = [rng.choice(rids) for _ in range(count)]
+            expected = {rid: list(manager.table(rid).device_blocks)
+                        for rid in rids}
+            for rid, block in zip(claimants, _take_order(manager, count)):
+                expected[rid].append(block)
+            targets = []
+            for rid in rids:
+                cover = min(len(expected[rid]) * BLOCK_SIZE, MAX_SEQ)
+                cached = manager.table(rid).cached_tokens
+                targets.append((rid, rng.randint(min(cached, cover), cover)))
+            manager.grow_tables(claimants, targets)
+            for rid, target in targets:
+                assert manager.table(rid).device_blocks == expected[rid]
+                assert manager.table(rid).cached_tokens >= target
+                reference.state[rid][2] = max(reference.state[rid][2],
+                                              target)
         elif op == "handoff":
             rid = live(lambda s: not s[1])
             if rid is None:

@@ -2,11 +2,14 @@
 KV-capacity admission controller."""
 
 import heapq
+import math
 
+import numpy as np
 import pytest
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
+from repro.memory.paged_kv import PagedKVManager
 from repro.serving.engine import TokenServingEngine
 from repro.serving.schedulers import (
     FifoScheduler,
@@ -441,3 +444,49 @@ class TestTokenServingEngine:
         # empty tpots_s stays valid: TPOT is vacuously met for every request
         metrics.tpots_s = []
         assert metrics.slo_attainment(1.0, 0.05) == pytest.approx(2 / 3)
+
+
+#: Integer engine knobs and the values that used to slip through: a
+#: fraction or ``True`` ran as a rounded or unit size, inf ran as no cap,
+#: NaN replayed the whole trace before "engine stalled", and a fractional
+#: chunk raised a bare TypeError mid-run.
+HOSTILE_KNOBS = [
+    ("kv_block_size", 16.5), ("kv_block_size", True),
+    ("max_batch_size", 2.5), ("max_batch_size", math.nan),
+    ("context_bucket", 8.5), ("prefill_chunk_tokens", math.inf),
+    ("prefill_chunk_tokens", 32.5), ("mixed_step_token_budget", 64.5),
+    ("mixed_step_token_budget", "256"),
+]
+
+
+@pytest.mark.parametrize("knob, value", HOSTILE_KNOBS,
+                         ids=[f"{k}={v!r}" for k, v in HOSTILE_KNOBS])
+def test_integer_knobs_reject_non_counts(knob, value):
+    with pytest.raises(ValueError, match=f"{knob} must be an integer"):
+        TokenServingEngine(cluster="2x1n", kv_mode="paged", **{knob: value})
+
+
+@pytest.mark.parametrize("value", [16.5, True, math.inf, "16"])
+def test_block_size_rejects_non_counts(value):
+    layout = KVCacheLayout(num_layers=2, num_heads=4, head_dim=8,
+                           max_seq_len=256, num_nodes=2)
+    with pytest.raises(ValueError,
+                       match="block_size_tokens must be an integer"):
+        PagedKVManager(layout, block_size_tokens=value)
+
+
+def test_integer_knobs_accept_numpy_integers():
+    knobs = dict(max_batch_size=4, prefill_chunk_tokens=32,
+                 mixed_step_token_budget=128, context_bucket=16,
+                 kv_block_size=8)
+    trace = synthetic_trace(12, seed=3, mean_decode=32)
+    _, plain = TokenServingEngine(cluster="2x1n", kv_mode="paged",
+                                  prefill_mode="mixed", **knobs).run(trace)
+    engine = TokenServingEngine(
+        cluster="2x1n", kv_mode="paged", prefill_mode="mixed",
+        **{name: np.int64(value) for name, value in knobs.items()})
+    for name in ("max_batch_size", "prefill_chunk_tokens",
+                 "mixed_step_token_budget", "context_bucket"):
+        assert type(getattr(engine, name)) is int
+    _, records = engine.run(trace)
+    assert records == plain
