@@ -324,13 +324,20 @@ def test_sweep_scaling(refresh_seed):
 # ---------------------------------------------------------------------------
 # persistent pricing cache
 
+#: Entries the cold run of ``test_pricing_cache_warm_vs_cold`` must save
+#: (and the warm runs load): the premise that the memo tables are big
+#: enough for the persistent cache to matter.
+PRICING_CACHE_MIN_ENTRIES = 1000
+
 
 def test_pricing_cache_warm_vs_cold(tmp_path, refresh_seed):
     """A warm on-disk pricing cache must beat a cold run, bit-identically.
 
-    ``context_bucket=1`` disables context bucketing so the memo tables
-    carry their full weight (tens of thousands of distinct pricing
-    evaluations) — the regime the persistent cache exists for.
+    ``context_bucket=1`` disables context bucketing so one-token passes
+    price at every distinct context: the cold run saves over
+    :data:`PRICING_CACHE_MIN_ENTRIES` step and prefill-chunk entries, each
+    a cycle-model evaluation or a running sum of them — the regime the
+    persistent cache exists for.
     """
     from repro.serving.engine import TokenServingEngine
     from repro.workloads.traces import RequestTrace, synthetic_azure_trace
@@ -359,10 +366,15 @@ def test_pricing_cache_warm_vs_cold(tmp_path, refresh_seed):
         assert warm_makespan == cold_makespan
         assert warm_stats["loaded"] > 0 and warm_stats["saved"] == 0
     warm_wall = min(warm_walls)
+    # every entry the cold run saved, loaded back
+    entries = warm_stats["loaded"]
+    assert entries >= PRICING_CACHE_MIN_ENTRIES, (
+        f"the cold run saved only {entries} pricing entries (premise: at "
+        f"least {PRICING_CACHE_MIN_ENTRIES})")
 
     assert warm_wall < cold_wall, (
-        f"warm pricing cache ({warm_wall:.3f}s) was not faster than the "
-        f"cold run ({cold_wall:.3f}s)")
+        f"warm pricing cache ({warm_wall:.3f}s, {entries} entries loaded) "
+        f"was not faster than the cold run ({cold_wall:.3f}s)")
 
     doc = _load_doc()
     doc["pricing_cache"] = {
@@ -371,6 +383,6 @@ def test_pricing_cache_warm_vs_cold(tmp_path, refresh_seed):
         "cold_wall_s": round(cold_wall, 3),
         "warm_wall_s": round(warm_wall, 3),
         "speedup_x": round(cold_wall / warm_wall, 2),
-        "entries_loaded": warm_stats["loaded"],
+        "entries_loaded": entries,
     }
     _write_doc(doc, refresh_seed)

@@ -195,16 +195,21 @@ class LoopLynxSystem:
                                optimizations: Optional[OptimizationConfig] = None
                                ) -> Milliseconds:
         """Latency of one decode step that advances ``batch_size`` co-resident
-        requests by one token each, all attending over ``context_len`` cached
+        requests by one token each, the longest over ``context_len`` cached
         positions.
 
         Batched decode reuses the weight-streaming path of the kernel model
         (:meth:`repro.core.scheduler.KernelScheduler.block_timing` with
         ``batch_tokens``): every weight block streamed from HBM is applied to
         all ``batch_size`` token vectors before the next block arrives, so the
-        memory-bound linear layers amortize across the batch.  This is the
-        primitive the token-level serving engine composes into per-request
-        timelines; with ``batch_size=1`` it equals
+        memory-bound linear layers amortize across the batch.  What the pass
+        reads of the context depends on its token count: a one-token pass
+        attends over ``context_len`` cached positions, while a multi-token
+        pass prices its attention from ``batch_size`` alone (the batched-pass
+        model of :meth:`mixed_step_latency_ms`), so its latency is the same
+        at every ``context_len``.  The serving runtime's step key relies on
+        that.  This is the primitive the token-level serving engine composes
+        into per-request timelines; with ``batch_size=1`` it equals
         :meth:`decode_token_report` exactly.
         """
         if context_len < 0:
@@ -237,17 +242,18 @@ class LoopLynxSystem:
         ``batch_tokens`` set to the step's total token count), so the
         memory-bound linear layers amortize across decode and prefill tokens
         alike — the reason chunked-prefill schedulers can feed prompts in
-        without stalling live decodes.  The attention term follows the
-        existing batched-pass model (as in :meth:`decode_step_latency_ms`
-        with ``batch_size > 1`` and the ``batched=True`` prefill extension):
-        for multi-token steps it is driven by the step's token count, not
-        the cached prefix, so late chunks of a very long prompt are priced
-        like early ones — cheaper than the token-serial exclusive path by
-        construction, which is part of why mixed scheduling wins TTFT.  The
-        longest cached prefix in the step — decode contexts or
-        ``prefill_context``, the position the largest prefill chunk ends at
-        — drives the single-token degenerate case, where the cycle model
-        does attend over the cached prefix.
+        without stalling live decodes.  A multi-token pass reads only its
+        token count: its attention term follows the batched-pass model (as
+        in :meth:`decode_step_latency_ms` with ``batch_size > 1`` and the
+        ``batched=True`` prefill extension), driven by the step's token
+        count rather than the cached prefix, so late chunks of a very long
+        prompt are priced like early ones — cheaper than the token-serial
+        exclusive path by construction, which is part of why mixed
+        scheduling wins TTFT — and the step costs the same at every
+        context.  Only the single-token degenerate case reads the cached
+        prefix: the longest one in the step (decode contexts or
+        ``prefill_context``, the position the largest prefill chunk ends
+        at) drives its attention.
 
         With ``prefill_tokens=0`` this equals
         :meth:`decode_step_latency_ms` for the same batch exactly; a step

@@ -1,9 +1,10 @@
 """Persistent on-disk store for the serving engine's pricing memo tables.
 
-The engine memoizes every cycle-model evaluation it performs — decode
-step latencies, mixed-step latencies, prefill-chunk sums, and KV
-swap/handoff transfer times — into per-instance-class dictionaries
-(:class:`~repro.serving.instance.InstanceRuntime` keeps one of each).
+The engine memoizes every cycle-model evaluation it performs — step
+latencies (decode and mixed steps share one table), prefill-chunk sums,
+and KV swap/handoff transfer times — into per-instance-class
+dictionaries (:class:`~repro.serving.instance.InstanceRuntime` keeps one
+of each).
 Those evaluations are pure functions of the hardware configuration, so
 the tables are valid across runs and across processes.  This module
 gives them a versioned on-disk format so repeat runs and sweep workers
@@ -42,20 +43,19 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple, Union
 
 #: On-disk format version.  Bump to invalidate all existing cache files.
-VERSION = 1
+VERSION = 2
 
-#: The four memo tables, in the order InstanceRuntime holds them:
-#: step ``(context, batch) -> s``, mixed ``(context, decode, ptok) -> s``,
-#: prefill ``(start, chunk) -> s``, transfer ``blocks -> s``.
+#: The three memo tables, in the order InstanceRuntime holds them:
+#: step ``(context if tokens == 1 else 0, tokens) -> s``, prefill
+#: ``(start, chunk) -> s``, transfer ``blocks -> s``.
 PricingTables = Tuple[
     Dict[Tuple[int, int], float],
-    Dict[Tuple[int, int, int], float],
     Dict[Tuple[int, int], float],
     Dict[int, float],
 ]
 
-_TABLE_NAMES = ("step", "mixed", "prefill", "transfer")
-_KEY_ARITY = (2, 3, 2, 1)
+_TABLE_NAMES = ("step", "prefill", "transfer")
+_KEY_ARITY = (2, 2, 1)
 
 
 def config_fingerprint(config: Any, transfer_probe: Optional[float]) -> str:
@@ -121,7 +121,7 @@ class PricingCacheStore:
                 tables.append(table)
         except (OSError, ValueError, TypeError, KeyError):
             return None
-        return (tables[0], tables[1], tables[2], tables[3])
+        return (tables[0], tables[1], tables[2])
 
     def save(self, fingerprint: str, tables: PricingTables) -> None:
         """Atomically write ``tables`` under ``fingerprint``.

@@ -158,6 +158,9 @@ class PagedKVManager:
         #: Total device blocks in the pool (per node; every node holds its
         #: head-share of each block, so the count is uniform across nodes).
         self.total_blocks = capacity_tokens // self.block_size_tokens
+        #: Cached positions the empty pool holds (whole blocks), so
+        #: :meth:`serves_alone` is one compare per probe.
+        self.servable_tokens = self.total_blocks * self.block_size_tokens
         self._free: List[int] = list(range(self.total_blocks - 1, -1, -1))
         self._tables: Dict[int, BlockTable] = {}
         # prefix-sharing state (all empty and untouched when the flag is off)
@@ -710,9 +713,9 @@ class PagedKVManager:
         """Could this pool, empty, hold ``request`` — at its full context,
         or only its prompt when ``prompt_only`` (a prefill instance hands
         the KV off at prompt completion)?"""
-        tokens = (min(request.prefill_len, self.layout.max_seq_len)
-                  if prompt_only else self.max_request_tokens(request))
-        return self.blocks_needed(tokens) <= self.total_blocks
+        tokens = (request.prefill_len if prompt_only
+                  else request.prefill_len + request.decode_len)
+        return min(tokens, self.layout.max_seq_len) <= self.servable_tokens
 
     def validate(self, requests: Iterable["Request"]) -> None:
         """Reject traces containing a request whose maximum context cannot

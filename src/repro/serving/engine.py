@@ -495,16 +495,19 @@ class TokenServingEngine:
         self._kv_mode = ("paged" if kv_mode == "paged"
                          else "reserve" if self._needs_validation
                          else "none")
-        # step-timing memo dicts (decode, mixed, prefill-chunk, transfer),
-        # shared per class and across runs (the cycle model and the PCIe
-        # pricing are pure, so sharing only saves evaluations)
+        # step-timing memo dicts (step, prefill-chunk, transfer) and the
+        # prefill running sums behind the chunk prices, shared per class
+        # and across runs (the cycle model and the PCIe pricing are pure,
+        # so sharing only saves evaluations)
         self._caches: List[PricingTables] = [
-            ({}, {}, {}, {}) for _ in self._protos]
+            ({}, {}, {}) for _ in self._protos]
+        self._prefill_sums: List[Dict[int, List[float]]] = [
+            {} for _ in self._protos]
         # persistent pricing-cache plumbing (opt-in): warm each class's
         # memo dicts from disk now; save back after a run that grew them
         self._pricing_store: Optional[PricingCacheStore] = None
         self._pricing_fps: List[str] = []
-        self._pricing_loaded_counts: List[Tuple[int, int, int, int]] = []
+        self._pricing_loaded_counts: List[Tuple[int, int, int]] = []
         #: entries loaded from / saved to the persistent pricing cache
         #: (diagnostics for tests and benchmarks)
         self.pricing_cache_stats: Dict[str, int] = {"loaded": 0, "saved": 0}
@@ -524,8 +527,7 @@ class TokenServingEngine:
                         table.update(warm)
                         self.pricing_cache_stats["loaded"] += len(warm)
                 self._pricing_loaded_counts.append(
-                    (len(caches[0]), len(caches[1]),
-                     len(caches[2]), len(caches[3])))
+                    (len(caches[0]), len(caches[1]), len(caches[2])))
         self.last_kv_managers: List[PagedKVManager] = []
 
     def _save_pricing_caches(self) -> None:
@@ -536,8 +538,7 @@ class TokenServingEngine:
             return
         for i, (fp, caches) in enumerate(zip(self._pricing_fps,
                                              self._caches)):
-            counts = (len(caches[0]), len(caches[1]),
-                      len(caches[2]), len(caches[3]))
+            counts = (len(caches[0]), len(caches[1]), len(caches[2]))
             if counts != self._pricing_loaded_counts[i]:
                 store.save(fp, caches)
                 self._pricing_loaded_counts[i] = counts
@@ -561,7 +562,8 @@ class TokenServingEngine:
         :class:`ReservedRuntime` shares the class's controller, and a
         class without a pool runs plain :class:`InstanceRuntime`."""
         runtimes: List[InstanceRuntime] = []
-        for proto, caches in zip(self._protos, self._caches):
+        for proto, caches, sums in zip(self._protos, self._caches,
+                                       self._prefill_sums):
             pool, system = proto.pool, proto.system
             options: Dict[str, Any] = dict(
                 class_label=proto.spec.label, role=proto.spec.role,
@@ -570,8 +572,8 @@ class TokenServingEngine:
                 prefill_mode=self.prefill_mode,
                 mixed_step_token_budget=self.mixed_step_token_budget,
                 context_bucket=self.context_bucket, step_cache=caches[0],
-                mixed_step_cache=caches[1], prefill_cache=caches[2],
-                transfer_cache=caches[3])
+                prefill_cache=caches[1], prefill_sums=sums,
+                transfer_cache=caches[2])
             for _ in range(proto.spec.count):
                 runtime: InstanceRuntime
                 if isinstance(pool, PagedKVManager):

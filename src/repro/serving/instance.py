@@ -202,11 +202,12 @@ class InstanceRuntime:
     mixed_step_token_budget, context_bucket:
         Step-formation knobs, exactly as on the engine (see
         :class:`~repro.serving.engine.TokenServingEngine`).
-    step_cache, mixed_step_cache, prefill_cache, transfer_cache:
+    step_cache, prefill_cache, prefill_sums, transfer_cache:
         Memoization dicts for step, prefill-chunk and swap/handoff-transfer
-        timings; instances of the same class share them (the cycle model
-        and the PCIe pricing are pure functions of shape, so sharing only
-        saves evaluations — cache hits are bit-identical to cold computes).
+        timings, and the per-start running sums prefill chunks are priced
+        from; instances of the same class share them (the cycle model and
+        the PCIe pricing are pure functions of shape, so sharing only saves
+        evaluations — cache hits are bit-identical to cold computes).
     """
 
     # Slots keep attribute access on the dispatch hot path fast however
@@ -215,7 +216,7 @@ class InstanceRuntime:
     __slots__ = ("instance_id", "system", "num_nodes", "class_label", "role",
                  "max_batch_size", "prefill_chunk_tokens", "prefill_mode",
                  "mixed_step_token_budget", "context_bucket",
-                 "_step_cache", "_mixed_step_cache", "_prefill_cache",
+                 "_step_cache", "_prefill_cache", "_prefill_sums",
                  "_transfer_cache", "multistep", "fold", "generation",
                  "_plan", "batch", "_num_prefilling",
                  "busy", "pending_delay_s", "parked", "admission_count",
@@ -238,8 +239,8 @@ class InstanceRuntime:
                  mixed_step_token_budget: int = 256,
                  context_bucket: int = 32,
                  step_cache: Optional[Dict] = None,
-                 mixed_step_cache: Optional[Dict] = None,
                  prefill_cache: Optional[Dict] = None,
+                 prefill_sums: Optional[Dict] = None,
                  transfer_cache: Optional[Dict] = None) -> None:
         self.instance_id = instance_id
         self.system = system
@@ -260,10 +261,10 @@ class InstanceRuntime:
         self.context_bucket = context_bucket
         self._step_cache: Dict[Tuple[int, int], float] = (
             step_cache if step_cache is not None else {})
-        self._mixed_step_cache: Dict[Tuple[int, int, int], float] = (
-            mixed_step_cache if mixed_step_cache is not None else {})
         self._prefill_cache: Dict[Tuple[int, int], float] = (
             prefill_cache if prefill_cache is not None else {})
+        self._prefill_sums: Dict[int, List[float]] = (
+            prefill_sums if prefill_sums is not None else {})
         self._transfer_cache: Dict[int, float] = (
             transfer_cache if transfer_cache is not None else {})
         #: Set by the engine when folding is on: fold whenever this
@@ -318,32 +319,46 @@ class InstanceRuntime:
             return context_len
         return -(-context_len // bucket) * bucket
 
+    # One table prices every step, keyed by what the cycle model reads: a
+    # pass of ``tokens`` token vectors (decoders plus prefill tokens)
+    # attends over the cached context only when it carries one token
+    # (``KernelScheduler._attention_stage``), so the step key is
+    # ``(bucketed context if tokens == 1 else 0, tokens)``.  A cold miss
+    # evaluates the cycle model at the key, so an entry is a pure function
+    # of its key whichever step kind asked first.
+
     def step_latency_s(self, context_len: Tokens, batch_size: int) -> Seconds:
-        """Seconds for one decode step over ``context_len`` cached positions
-        with ``batch_size`` co-resident requests (memoized per bucket)."""
-        bucket = self.context_bucket
-        if bucket > 1 and context_len:
-            context_len = -(-context_len // bucket) * bucket
-        key = (context_len, batch_size)
+        """Seconds for one decode step advancing ``batch_size`` co-resident
+        requests, the longest over ``context_len`` cached positions
+        (memoized on the step key)."""
+        key = ((self._bucketed(context_len), 1) if batch_size == 1
+               else (0, batch_size))
         cached = self._step_cache.get(key)
         if cached is None:
             cached = self._step_cache[key] = \
-                self.system.decode_step_latency_s(context_len, batch_size)
+                self.system.decode_step_latency_s(key[0], batch_size)
         return cached
 
     def prefill_chunk_latency_s(self, start_pos: int, chunk_len: Tokens) -> Seconds:
         """Seconds of token-serial prefill for ``chunk_len`` prompt tokens
         starting at cached position ``start_pos`` (same per-position cost as
         a decode step, which is how the paper's pipeline streams prompts).
-        Memoized on ``(start_pos, chunk_len)``: the per-position sum is a
-        pure function of the chunk shape, so a cache hit returns the exact
-        float a cold compute would."""
+        Memoized on ``(start_pos, chunk_len)``; a miss reads the class's
+        running sum from ``start_pos``, extended one position at a time and
+        added left to right, so every position is priced once per start
+        and the float is the same whichever chunk asked first."""
         key = (start_pos, chunk_len)
         cached = self._prefill_cache.get(key)
         if cached is None:
-            cached = self._prefill_cache[key] = sum(
-                self.step_latency_s(pos, 1)
-                for pos in range(start_pos, start_pos + chunk_len))
+            sums = self._prefill_sums.get(start_pos)
+            if sums is None:
+                sums = self._prefill_sums[start_pos] = [0.0]
+            total = sums[-1]
+            for pos in range(start_pos + len(sums) - 1,
+                             start_pos + chunk_len):
+                total += self.step_latency_s(pos, 1)
+                sums.append(total)
+            cached = self._prefill_cache[key] = sums[chunk_len]
         return cached
 
     def swap_transfer_s(self, num_blocks: Blocks) -> Seconds:
@@ -364,12 +379,14 @@ class InstanceRuntime:
         """Seconds for one mixed step advancing ``num_decode`` requests by a
         token each while streaming ``prefill_tokens`` prompt tokens through
         the same weight pass.  ``max_context`` is the longest cached prefix
-        in the step — decode contexts and prefill chunk-end positions alike
-        (memoized per context bucket, like :meth:`step_latency_s`)."""
-        key = (self._bucketed(max_context), num_decode, prefill_tokens)
-        cached = self._mixed_step_cache.get(key)
+        in the step — decode contexts and prefill chunk-end positions alike,
+        so it is at least 1 for a one-token prefill (memoized on the step
+        key, in the table :meth:`step_latency_s` reads)."""
+        tokens = num_decode + prefill_tokens
+        key = (self._bucketed(max_context) if tokens == 1 else 0, tokens)
+        cached = self._step_cache.get(key)
         if cached is None:
-            cached = self._mixed_step_cache[key] = \
+            cached = self._step_cache[key] = \
                 self.system.mixed_step_latency_s(
                     [key[0]] * num_decode, prefill_tokens,
                     prefill_context=key[0])
@@ -703,7 +720,7 @@ class InstanceRuntime:
         """Plan the next mixed step (:meth:`_plan_mixed_step`), returned as
         :meth:`_plan_exclusive` returns a plan; the size of a step with
         prefill chunks is its prompt tokens.  Without a chunk it is a pure
-        decode step, priced through the mixed-step model."""
+        decode step, priced like the exclusive planner's (one step key)."""
         decoders, chunks = self._plan_mixed_step(now, scheduler)
         # the longest cached prefix: decode contexts and chunk-end
         # positions alike
@@ -715,7 +732,7 @@ class InstanceRuntime:
         n = len(decoders)
         if not chunks:
             return ("decode_k", decoders, context,
-                    self.mixed_step_latency_s(context, n, 0), "decode_time", n)
+                    self.step_latency_s(context, n), "decode_time", n)
         for s, chunk in chunks:
             prefill_tokens += chunk
             c = s.prefill_done + s.decode_done + chunk
@@ -785,12 +802,13 @@ class InstanceRuntime:
             kmax, claims = window(members, kmax)
         if kmax < 2:
             return None
-        mixed = self.prefill_mode == "mixed"
         bucket = self.context_bucket
         d = step_s
         # steps after the first that still price in its window (bucket
-        # arithmetic inlined from _bucketed)
-        win = ((-(-context // bucket) * bucket - context)
+        # arithmetic inlined from _bucketed); a multi-token pass prices the
+        # same at every context, so its whole fold is one window
+        win = (kmax if advancing > 1
+               else (-(-context // bucket) * bucket - context)
                if bucket > 1 and context else 0)
         seg = segments[0]
         if pending > 0.0:
@@ -801,8 +819,7 @@ class InstanceRuntime:
         while steps < kmax:
             if win == 0:
                 c = context + steps
-                nd = (self.mixed_step_latency_s(c, advancing, 0) if mixed
-                      else self.step_latency_s(c, advancing))
+                nd = self.step_latency_s(c, 1)
                 win = (-(-c // bucket) * bucket - c + 1) if bucket > 1 else 1
                 if nd != d:
                     d = nd

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import (Any, Dict, List, Mapping, Optional, Sequence, TYPE_CHECKING,
-                    Tuple, TypeVar)
+from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
+                    TYPE_CHECKING, Tuple, TypeVar)
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports metrics
     from repro.serving.instance import RequestState
@@ -26,6 +26,19 @@ from repro.units import Blocks, Bytes, Joules, Seconds, Tokens
 
 #: Accepted values for the engine's ``metrics_mode``.
 METRICS_MODES = ("full", "streaming")
+
+
+def add_left_to_right(values: Iterable[float]) -> float:
+    """``sum(values)`` added strictly left to right.
+
+    From Python 3.12 the builtin ``sum`` of floats is compensated
+    (Neumaier), so it can differ in the last bit from the plain chain every
+    pinned aggregate was recorded with; this keeps one answer on every
+    interpreter.  Integers stay integers."""
+    total: float = 0
+    for value in values:
+        total += value
+    return total
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -243,7 +256,7 @@ class InstanceClassMetrics(_MetricsBase):
     @property
     def mean_ttft_s(self) -> Seconds:
         if self.ttfts_s:
-            return sum(self.ttfts_s) / len(self.ttfts_s)
+            return add_left_to_right(self.ttfts_s) / len(self.ttfts_s)
         if self.ttft_count:
             return self.ttft_sum_s / self.ttft_count
         return 0.0
@@ -393,7 +406,8 @@ class ServingMetrics(_MetricsBase):
     @property
     def mean_queueing_delay_s(self) -> Seconds:
         if self.queueing_delays_s:
-            return sum(self.queueing_delays_s) / len(self.queueing_delays_s)
+            return (add_left_to_right(self.queueing_delays_s)
+                    / len(self.queueing_delays_s))
         if self.streams is not None:
             return self.streams["queueing_delay"].mean
         return 0.0
@@ -449,7 +463,7 @@ class ServingMetrics(_MetricsBase):
     @property
     def mean_ttft_s(self) -> Seconds:
         if self.ttfts_s:
-            return sum(self.ttfts_s) / len(self.ttfts_s)
+            return add_left_to_right(self.ttfts_s) / len(self.ttfts_s)
         if self.streams is not None:
             return self.streams["ttft"].mean
         return 0.0
@@ -546,7 +560,7 @@ class ServingMetrics(_MetricsBase):
         """
         power_model = power_model or FpgaPowerModel()
         if self.per_class:
-            return sum(
+            return add_left_to_right(
                 power_model.total_power_watts(c.num_nodes, nodes_per_card)
                 * c.num_instances * self.makespan_s
                 for c in self.per_class)
@@ -745,7 +759,8 @@ def _merge_fields(parts: Sequence[_Merged],
     pool time, so utilization-style properties stay Σ quantity / Σ pool."""
     pools = [p.pool_time_s for p in parts]
     busies = [p.busy_time_s for p in parts]
-    total_pool, total_busy = sum(pools), sum(busies)
+    total_pool = add_left_to_right(pools)
+    total_busy = add_left_to_right(busies)
     values: Dict[str, Any] = {}
     for f in fields(parts[0]):
         if not f.init:
@@ -762,14 +777,15 @@ def _merge_fields(parts: Sequence[_Merged],
                         "another")
             values[f.name] = column[0]
         elif rule == "sum":
-            values[f.name] = sum(column)
+            values[f.name] = add_left_to_right(column)
         elif rule == "max":
             values[f.name] = max(column)
         elif rule in ("pool", "busy"):
             weights, total = ((pools, total_pool) if rule == "pool"
                               else (busies, total_busy))
-            values[f.name] = (sum(v * w for v, w in zip(column, weights))
-                              / total if total > 0 else 0.0)
+            values[f.name] = (add_left_to_right(
+                v * w for v, w in zip(column, weights)) / total
+                if total > 0 else 0.0)
         elif rule == "streams":
             streams: Dict[str, StreamingQuantile] = {}
             for part_streams in column:

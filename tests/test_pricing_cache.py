@@ -22,8 +22,8 @@ from repro.serving.engine import TokenServingEngine
 from repro.workloads.traces import RequestTrace, bursty_trace
 
 _TABLES = (
-    {(128, 1): 0.017262357764241,  (256, 4): 0.0312591203117},
-    {(128, 2, 96): 0.04126312, (512, 1, 16): 0.0212},
+    {(128, 1): 0.017262357764241, (0, 4): 0.0312591203117,
+     (0, 98): 0.04126312},
     {(0, 64): 0.0712371265, (64, 64): 0.0814412},
     {1: 0.000214921049121, 16: 0.0031242},
 )
@@ -75,6 +75,22 @@ class TestHostileFiles:
     def test_stale_version_rejected(self, tmp_path):
         store, fp = self._store_with_file(
             tmp_path, lambda doc: doc.update(version=VERSION + 1))
+        assert store.load(fp) is None
+
+    def test_version_1_file_is_a_cold_start(self, tmp_path):
+        """A file in the version-1 layout (separate decode and mixed step
+        tables) is never read, under its own name or under the current
+        one."""
+        store = PricingCacheStore(tmp_path)
+        fp = _fp()
+        doc = {"version": 1, "fingerprint": fp,
+               "tables": {"step": [[128, 1, 0.5]],
+                          "mixed": [[128, 2, 96, 0.25]],
+                          "prefill": [[0, 64, 0.75]],
+                          "transfer": [[1, 0.125]]}}
+        (tmp_path / f"pricing-v1-{fp[:16]}.json").write_text(json.dumps(doc))
+        assert store.load(fp) is None
+        store.path_for(fp).write_text(json.dumps(doc))
         assert store.load(fp) is None
 
     def test_fingerprint_mismatch_rejected(self, tmp_path):
