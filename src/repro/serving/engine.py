@@ -52,11 +52,11 @@ decode-capable instance, which pays its own swap-in at admission —
 capacity, fragmentation and transfer-time accounting all ride the existing
 swap machinery.
 
-The discrete-event loop lazy-merges the sorted arrival stream with a
-:class:`~repro.serving.events.BucketedEventQueue` of step completions and
-handoff arrivals, ordered by time and then by the order the per-step loop
-would have posted them, so results are exact and reproducible (no
-wall-clock time).
+The discrete-event loop lazy-merges the sorted arrival stream with an
+:class:`~repro.serving.events.EventQueue` (one binary heap) of step
+completions and handoff arrivals, ordered by time and then by the order
+the per-step loop would have posted them, so results are exact and
+reproducible (no wall-clock time).
 
 Units, throughout this module: timestamps and durations are **seconds** on
 the simulated clock, lengths are **tokens**, KV quantities are **cached
@@ -81,7 +81,7 @@ from repro.core.pricing_cache import (
 )
 from repro.memory.paged_kv import PagedKVManager
 from repro.serving import lifecycle
-from repro.serving.events import BucketedEventQueue, Event
+from repro.serving.events import Event, EventQueue
 from repro.serving.cluster import (
     ClusterSpec,
     InstanceSpec,
@@ -674,10 +674,8 @@ class TokenServingEngine:
             # StreamingTrace is re-iterable by contract, so this pass does
             # not consume the engine's arrival stream
             router.prepare(runtimes, trace)
-        # two-level bucketed queue (near-future ring + far heap); pops
-        # come out in exactly heapq's tuple order, so the replay
-        # is bit-identical to the old global heap
-        events = BucketedEventQueue()
+        # step completions and handoffs; pops come out in tuple order
+        events = EventQueue()
         push_event, pop_event = events.push, events.pop
         peek_event_time = events.peek_time
         seq = itertools.count()
@@ -828,7 +826,7 @@ class TokenServingEngine:
                               state))
             if batch:
                 # one boundary's handoffs post together (they share the
-                # step's timestamp base and resolve buckets in one pass)
+                # step's timestamp base)
                 events.push_many(batch)
 
         # ---- cuts: interrupting in-flight folds ---------------------------
@@ -841,15 +839,15 @@ class TokenServingEngine:
         # (an idle instance may refuse a head just before a later one in
         # the same pump admits it and exposes one the first could take,
         # and the per-step loop offers it that head at the next boundary of
-        # any instance whose pump offers idle ones: paged or heterogeneous
-        # pools).  After every event's pump the earliest such skipped
-        # boundary is cut: its fold is truncated there and re-posted under
-        # a new generation, and the stale completion is dropped when
-        # popped.  Only the head matters (a boundary's admissions stop at
-        # the first refusal), and it cannot change between events without
-        # a cut.
+        # any instance, since every pump offers idle ones; on a pool where
+        # an idle instance admits any head, none is idle while one waits
+        # and the scan finds nothing).  After every event's pump the
+        # earliest such skipped boundary is cut: its fold is truncated
+        # there and re-posted under a new generation, and the stale
+        # completion is dropped when popped.  Only the head matters (a
+        # boundary's admissions stop at the first refusal), and it cannot
+        # change between events without a cut.
         never_preempts = scheduler.never_preempts
-        offers_idle = multi_class or self._kv_mode == "paged"
 
         def idle_would_take(head: RequestState) -> bool:
             for r in runtimes:
@@ -869,7 +867,7 @@ class TokenServingEngine:
                     continue
                 if not r.would_take(head, gate, never_preempts):
                     if idle_takes is None:
-                        idle_takes = offers_idle and idle_would_take(head)
+                        idle_takes = idle_would_take(head)
                     if not idle_takes:
                         continue
                 boundary = r.next_skipped_boundary(now)

@@ -1,13 +1,9 @@
-"""BucketedEventQueue: ordering contract against a reference heap.
+"""EventQueue: the engine's event heap, checked against ``heapq``.
 
-The queue is a drop-in replacement for ``heapq`` in the engine's event
-loop, so the contract is simply *equality*: any interleaving of pushes
-and pops must produce the exact pop sequence a binary heap over the same
-tuples would — sorted by ``(time, seq)``, equal times broken by the
-monotone sequence number.  The tests drive seeded-random workloads
-shaped like the engine's (near-sorted with a far tail) as well as the
-degenerate shapes the auto-tuner must survive (all-equal times, a single
-event, interleaved drains).
+Any interleaving of pushes and pops must produce the pop sequence a
+binary heap over the same tuples would: sorted by the whole tuple, equal
+times broken by the sequence number.  ``push_many`` must post each event
+through ``push``, because the replay tracer counts posts on ``push``.
 """
 
 import heapq
@@ -15,7 +11,7 @@ import random
 
 import pytest
 
-from repro.serving.events import BucketedEventQueue
+from repro.serving.events import EventQueue
 
 
 def _drain(queue):
@@ -45,19 +41,18 @@ class TestOrderingAgainstHeap:
     def test_push_all_then_drain_matches_heap(self, seed):
         rng = random.Random(seed)
         events = _random_events(rng, 500, near_sorted=bool(seed % 2))
-        reference = sorted(events)
-        queue = BucketedEventQueue()
+        queue = EventQueue()
         for event in events:
             queue.push(event)
         assert len(queue) == len(events)
-        assert _drain(queue) == reference
+        assert _drain(queue) == sorted(events)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_interleaved_push_pop_matches_heap(self, seed):
-        """The engine's actual access pattern: pops interleave with pushes
-        whose times are at/ahead of the pop frontier."""
+        """The engine's access pattern: pops interleave with pushes whose
+        times are at/ahead of the pop frontier."""
         rng = random.Random(1000 + seed)
-        queue = BucketedEventQueue()
+        queue = EventQueue()
         heap = []
         seq = 0
         clock = 0.0
@@ -68,7 +63,6 @@ class TestOrderingAgainstHeap:
                 assert queue.pop() == expected
                 clock = expected[0]
             else:
-                # new events land at/after the current frontier, mostly near
                 t = clock + rng.expovariate(2.0 if rng.random() < 0.9
                                             else 0.02)
                 event = (t, seq, rng.randrange(3), None)
@@ -78,75 +72,45 @@ class TestOrderingAgainstHeap:
         assert _drain(queue) == sorted(heap)
 
     def test_equal_time_events_pop_in_sequence_order(self):
-        queue = BucketedEventQueue()
-        events = [(5.0, seq, 0, None) for seq in (4, 1, 3, 0, 2)]
-        queue.push_many(events)
+        queue = EventQueue()
+        queue.push_many([(5.0, seq, 0, None) for seq in (4, 1, 3, 0, 2)])
         assert [e[1] for e in _drain(queue)] == [0, 1, 2, 3, 4]
 
     def test_push_behind_the_frontier_still_sorts(self):
-        """An event priced at/behind the consumption frontier (same-instant
-        handoff arrivals) must come out before later events regardless."""
-        queue = BucketedEventQueue(width_s=0.5)
+        """An event priced behind the last pop (same-instant handoff
+        arrivals) must come out before later events regardless."""
+        queue = EventQueue()
         for seq, t in enumerate([1.0, 2.0, 3.0, 4.0, 50.0]):
             queue.push((t, seq, 0, None))
         assert queue.pop()[0] == 1.0
         assert queue.pop()[0] == 2.0
-        # now push behind the frontier (bucket already consumed)
         queue.push((1.5, 99, 0, None))
         assert [e[0] for e in _drain(queue)] == [1.5, 3.0, 4.0, 50.0]
 
 
-class TestAutoTuningModes:
-    def test_warmup_stays_in_heap_mode(self):
-        queue = BucketedEventQueue()
-        for seq in range(10):
-            queue.push((float(seq), seq, 0, None))
-        # fewer than the warm-up threshold of distinct times: plain heap
-        assert queue._inv_width == 0.0
-        assert [e[0] for e in _drain(queue)] == [float(s) for s in range(10)]
-
-    def test_all_equal_times_never_engage_the_ring(self):
-        """Zero spread would mean zero bucket width; the queue must stay a
-        plain heap rather than divide by it."""
-        queue = BucketedEventQueue()
-        events = [(7.25, seq, 0, None) for seq in range(100)]
-        queue.push_many(events)
-        assert queue._inv_width == 0.0
-        assert _drain(queue) == events
-
-    def test_engages_after_enough_spread_and_stays_exact(self):
-        queue = BucketedEventQueue()
-        events = [(float(seq) * 0.37, seq, 0, None) for seq in range(64)]
-        queue.push_many(events)
-        assert queue._inv_width > 0.0  # ring engaged mid-stream
-        assert _drain(queue) == sorted(events)
-
-    def test_explicit_width_skips_warmup(self):
-        queue = BucketedEventQueue(width_s=1.0)
-        assert queue._inv_width == 1.0
-        queue.push((3.5, 0, 0, None))
-        assert queue.pop() == (3.5, 0, 0, None)
-
-    def test_rejects_bad_construction(self):
-        with pytest.raises(ValueError):
-            BucketedEventQueue(width_s=0.0)
-        with pytest.raises(ValueError):
-            BucketedEventQueue(ring_buckets=1)
-
-
 class TestIntrospection:
-    def test_len_bool_and_iter_cover_ring_and_far(self):
-        queue = BucketedEventQueue(width_s=0.1, ring_buckets=4)
+    def test_len_bool_and_iter(self):
+        queue = EventQueue()
         assert not queue
-        events = [(0.05, 0, 0, None),   # ring, first bucket
-                  (0.15, 1, 0, None),   # ring, second bucket
-                  (99.0, 2, 0, None)]   # far heap
+        events = [(0.05, 0, 0, None), (0.15, 1, 0, None), (99.0, 2, 0, None)]
         queue.push_many(events)
         assert queue and len(queue) == 3
         assert sorted(iter(queue)) == sorted(events)
         assert _drain(queue) == sorted(events)
         assert len(queue) == 0 and not queue
 
+    def test_push_many_posts_through_push(self):
+        pushed = []
+
+        class Recording(EventQueue):
+            def push(self, event):
+                pushed.append(event)
+                super().push(event)
+
+        events = [(1.0, 0, 0, None), (1.0, 1, 0, None)]
+        Recording().push_many(events)
+        assert pushed == events
+
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
-            BucketedEventQueue().pop()
+            EventQueue().pop()

@@ -83,10 +83,11 @@ def _assert_summaries_match(summary_a, summary_b, exact=True):
 
 
 def _count_posted_events(monkeypatch, trace, **kwargs):
-    """Events the engine posts replaying ``trace`` (pushes onto its event
-    queue, batched handoff posts included)."""
+    """Events the engine posts replaying ``trace``, each counted once:
+    ``push_many`` posts a batch through ``push``, so counting ``push``
+    alone counts batched handoff posts exactly once."""
     from repro.serving import engine as engine_module
-    real_queue = engine_module.BucketedEventQueue
+    real_queue = engine_module.EventQueue
     counter = [0]
 
     class CountingQueue(real_queue):
@@ -94,11 +95,7 @@ def _count_posted_events(monkeypatch, trace, **kwargs):
             counter[0] += 1
             super().push(event)
 
-        def push_many(self, batch):
-            counter[0] += len(batch)
-            super().push_many(batch)
-
-    monkeypatch.setattr(engine_module, "BucketedEventQueue", CountingQueue)
+    monkeypatch.setattr(engine_module, "EventQueue", CountingQueue)
     try:
         TokenServingEngine(**kwargs).run(trace)
     finally:
@@ -408,7 +405,7 @@ class TestPagedFolding:
     def test_posted_event_count_is_pinned(self, monkeypatch):
         """The exact number of events a small paged swap replay posts, so
         folding cannot silently stop engaging: the per-step loop posts
-        24,812 here, and the run swaps 8 requests out."""
+        24,808 here, and the run swaps 8 requests out."""
         system = LoopLynxSystem.paper_configuration(num_nodes=2)
         bytes_per_token = KVCacheLayout.for_model(
             system.config.model, num_nodes=2).bytes_per_token_per_node()
@@ -418,7 +415,7 @@ class TestPagedFolding:
             monkeypatch, trace, cluster="4x2n", max_batch_size=8,
             policy="fifo", preemption_mode="swap", kv_mode="paged",
             kv_budget_bytes=1024 * bytes_per_token)
-        assert posted == 1_188
+        assert posted == 1_185
 
 
 class TestDisaggregatedFolding:
@@ -492,11 +489,11 @@ class TestDisaggregatedFolding:
     def test_posted_event_count_is_pinned(self, monkeypatch):
         """The exact number of events a small disaggregated replay posts,
         so role-pool folding cannot silently stop engaging: the per-step
-        loop posts 18,644 here, and every request hands off once."""
+        loop posts 18,341 here, and every request hands off once."""
         trace = RequestTrace(requests=list(synthetic_azure_trace(
             300, seed=0, mean_rate_per_s=4.0, diurnal_amplitude=0.3)))
         posted = _count_posted_events(
             monkeypatch, trace, cluster="2x2n:prefill,2x1n:decode",
             max_batch_size=8, policy="fifo", router="disaggregated",
             kv_mode="paged")
-        assert posted == 1_840
+        assert posted == 1_534
