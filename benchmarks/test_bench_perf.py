@@ -34,27 +34,21 @@ committed floors are trusted as-is.
 Scales: the 100k replay always runs; the 1M replay is opt-in via
 ``RUN_PERF_1M=1`` (it takes ~a minute per mode).
 
-This file also measures the two parallel-path features of the sweep
-engine (see ``repro/serving/sweep.py``):
-
-* ``test_sweep_scaling`` fans an 8-config router×cluster grid over a
-  process pool and records configs/hour plus scaling efficiency per
-  worker count in the JSON's ``sweep`` section.  Every worker count must
-  reproduce the serial summaries byte for byte.  The full 1/2/4/8-worker
-  ladder at 100k requests is opt-in via ``RUN_PERF_SWEEP=1`` (CI's
-  perf-smoke job sets it); the default run keeps a cheap 2-worker
-  identity smoke.  The >= 3x-at-4-workers assertion only applies when
-  the box actually has >= 4 CPUs.
-* ``test_pricing_cache_warm_vs_cold`` pins that a warm on-disk pricing
-  cache is measurably faster than a cold run, with bit-identical
-  results, recorded in the JSON's ``pricing_cache`` section.
+This file also measures the sweep engine's process pool (see
+``repro/serving/sweep.py``): ``test_sweep_scaling`` fans an 8-config
+router×cluster grid over it and records configs/hour plus scaling
+efficiency per worker count in the JSON's ``sweep`` section.  Every
+worker count must reproduce the serial summaries byte for byte.  The
+full 1/2/4/8-worker ladder at 100k requests is opt-in via
+``RUN_PERF_SWEEP=1`` (CI's perf-smoke job sets it); the default run
+keeps a cheap 2-worker identity smoke.  The >= 3x-at-4-workers
+assertion only applies when the box actually has >= 4 CPUs.
 """
 
 import json
 import os
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -178,8 +172,8 @@ def _merge_results(doc: dict, scale: str, results: dict,
                    refresh_seed: bool) -> dict:
     """Fold one scale's measurements into ``BENCH_serving_perf.json``,
     preserving every other section (committed 1M numbers survive a CI run
-    that only re-measures 100k; the ``sweep`` and ``pricing_cache``
-    sections survive a replay-only run)."""
+    that only re-measures 100k; the ``sweep`` section survives a
+    replay-only run)."""
     doc["config"] = BENCH_CONFIG
     doc.setdefault("optimized", {})[scale] = results
     seed = doc["seed"][scale]
@@ -319,70 +313,3 @@ def test_sweep_scaling(refresh_seed):
             f"8-config sweep at 4 workers ran only {speedup4:.2f}x faster "
             f"than serial on a {cpus}-CPU box (floor: "
             f"{SWEEP_SPEEDUP_FLOOR_AT_4}x)")
-
-
-# ---------------------------------------------------------------------------
-# persistent pricing cache
-
-#: Entries the cold run of ``test_pricing_cache_warm_vs_cold`` must save
-#: (and the warm runs load): the premise that the memo tables are big
-#: enough for the persistent cache to matter.
-PRICING_CACHE_MIN_ENTRIES = 1000
-
-
-def test_pricing_cache_warm_vs_cold(tmp_path, refresh_seed):
-    """A warm on-disk pricing cache must beat a cold run, bit-identically.
-
-    ``context_bucket=1`` disables context bucketing so one-token passes
-    price at every distinct context: the cold run saves over
-    :data:`PRICING_CACHE_MIN_ENTRIES` step and prefill-chunk entries, each
-    a cycle-model evaluation or a running sum of them — the regime the
-    persistent cache exists for.
-    """
-    from repro.serving.engine import TokenServingEngine
-    from repro.workloads.traces import RequestTrace, synthetic_azure_trace
-
-    trace = RequestTrace(requests=list(synthetic_azure_trace(
-        8000, seed=0, mean_rate_per_s=8.0, diurnal_amplitude=0.3)))
-    cache_dir = tmp_path / "pricing"
-
-    def run() -> tuple:
-        engine = TokenServingEngine(cluster="4x2n", max_batch_size=8,
-                                    policy="fifo", context_bucket=1,
-                                    pricing_cache=cache_dir)
-        t0 = time.perf_counter()
-        metrics, _ = engine.run(trace)
-        wall = time.perf_counter() - t0
-        return wall, metrics.makespan_s, dict(engine.pricing_cache_stats)
-
-    cold_wall, cold_makespan, cold_stats = run()
-    assert cold_stats["loaded"] == 0 and cold_stats["saved"] >= 1
-    # best-of-2 on the warm side to damp scheduler noise; both runs must
-    # come entirely from the cache (nothing new to save)
-    warm_walls = []
-    for _ in range(2):
-        warm_wall, warm_makespan, warm_stats = run()
-        warm_walls.append(warm_wall)
-        assert warm_makespan == cold_makespan
-        assert warm_stats["loaded"] > 0 and warm_stats["saved"] == 0
-    warm_wall = min(warm_walls)
-    # every entry the cold run saved, loaded back
-    entries = warm_stats["loaded"]
-    assert entries >= PRICING_CACHE_MIN_ENTRIES, (
-        f"the cold run saved only {entries} pricing entries (premise: at "
-        f"least {PRICING_CACHE_MIN_ENTRIES})")
-
-    assert warm_wall < cold_wall, (
-        f"warm pricing cache ({warm_wall:.3f}s, {entries} entries loaded) "
-        f"was not faster than the cold run ({cold_wall:.3f}s)")
-
-    doc = _load_doc()
-    doc["pricing_cache"] = {
-        "num_requests": len(trace.requests),
-        "context_bucket": 1,
-        "cold_wall_s": round(cold_wall, 3),
-        "warm_wall_s": round(warm_wall, 3),
-        "speedup_x": round(cold_wall / warm_wall, 2),
-        "entries_loaded": entries,
-    }
-    _write_doc(doc, refresh_seed)

@@ -295,9 +295,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics_kwargs = dict(metrics_mode=args.metrics_mode,
                                   slo=(args.ttft_slo, args.tpot_slo))
         sanitize_kwargs = {"sanitize": True} if args.sanitize else {}
-        if args.pricing_cache is not None:
-            sanitize_kwargs = dict(sanitize_kwargs,
-                                   pricing_cache=args.pricing_cache)
         metrics, records = run_policy(
             trace, args.policy, num_instances=num_instances,
             num_nodes_per_instance=args.nodes, max_batch_size=args.max_batch,
@@ -371,8 +368,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     base = {"policy": args.policy, "instances": args.instances,
             "max_batch_size": args.max_batch,
             "metrics_mode": args.metrics_mode}
-    if args.pricing_cache is not None:
-        base["pricing_cache"] = args.pricing_cache
     spec = {
         "trace": {"name": args.trace, "num_requests": args.requests,
                   "seed": args.seed},
@@ -570,10 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="process-pool workers for the --compare-* tables "
                           "(1 = in-process; results are bit-identical "
                           "either way)")
-    sub.add_argument("--pricing-cache", default=None, metavar="DIR",
-                     help="directory for the persistent pricing cache "
-                          "(repeat runs start with warm price tables; "
-                          "see docs/performance.md)")
     sub.set_defaults(func=_cmd_serve)
 
     sub = subparsers.add_parser(
@@ -605,9 +596,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--workers", type=int, default=1,
                      help="process-pool size (1 = serial in-process; "
                           "parallel results are bit-identical to serial)")
-    sub.add_argument("--pricing-cache", default=None, metavar="DIR",
-                     help="persistent pricing-cache directory shared by "
-                          "all workers")
     sub.add_argument("--json", action="store_true",
                      help="emit the full per-config summaries as JSON "
                           "instead of a table")

@@ -68,17 +68,11 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.multi_node import LoopLynxSystem
-from repro.core.pricing_cache import (
-    PricingCacheStore,
-    PricingTables,
-    config_fingerprint,
-)
 from repro.memory.paged_kv import PagedKVManager
 from repro.serving import lifecycle
 from repro.serving.events import Event, EventQueue
@@ -130,20 +124,42 @@ DEFAULT_MIXED_STEP_TOKEN_BUDGET = 256
 #: (``None`` = unconstrained admission).
 KV_RECIPE_MODES = ("reserve", "paged")
 
+#: One class's memo tables, in the order InstanceRuntime takes them: step
+#: ``(context if tokens == 1 else 0, tokens) -> s``, prefill
+#: ``(start, chunk) -> s``, transfer ``blocks -> s``.
+PricingTables = Tuple[
+    Dict[Tuple[int, int], float],
+    Dict[Tuple[int, int], float],
+    Dict[int, float],
+]
+
+
+def _non_finite_arrival(request: Request) -> ValueError:
+    """The error for a NaN or infinite arrival time: either would run to
+    NaN latencies or an infinite makespan instead of failing."""
+    return ValueError(
+        f"request {request.request_id} arrives at {request.arrival_s!r}s; "
+        "arrival_s must be a finite number")
+
 
 def _is_arrival_sorted(requests: List[Request]) -> bool:
     """True when the requests are already ordered by ``(arrival_s,
     request_id)`` — the invariant every finalized trace satisfies — so the
-    engine can skip re-sorting them on every run."""
+    engine can skip re-sorting them on every run.  The same walk rejects
+    a non-finite arrival time, so it visits every request."""
+    isfinite = math.isfinite
+    ordered = True
     prev_arrival = float("-inf")
     prev_id = -1
     for request in requests:
         arrival = request.arrival_s
+        if not isfinite(arrival):
+            raise _non_finite_arrival(request)
         if (arrival, request.request_id) < (prev_arrival, prev_id):
-            return False
+            ordered = False
         prev_arrival = arrival
         prev_id = request.request_id
-    return True
+    return ordered
 
 
 @dataclass(frozen=True, slots=True)
@@ -353,10 +369,7 @@ class TokenServingEngine:
                  slo: Optional[Tuple[float, float]] = None,
                  quantile_error: float = 0.005,
                  multistep: bool = True,
-                 sanitize: Optional[bool] = None,
-                 pricing_cache: Optional[
-                     Union[str, "os.PathLike[str]", PricingCacheStore]
-                 ] = None) -> None:
+                 sanitize: Optional[bool] = None) -> None:
         if cluster is None:
             cluster = ClusterSpec.homogeneous(num_instances,
                                               num_nodes_per_instance)
@@ -503,46 +516,7 @@ class TokenServingEngine:
             ({}, {}, {}) for _ in self._protos]
         self._prefill_sums: List[Dict[int, List[float]]] = [
             {} for _ in self._protos]
-        # persistent pricing-cache plumbing (opt-in): warm each class's
-        # memo dicts from disk now; save back after a run that grew them
-        self._pricing_store: Optional[PricingCacheStore] = None
-        self._pricing_fps: List[str] = []
-        self._pricing_loaded_counts: List[Tuple[int, int, int]] = []
-        #: entries loaded from / saved to the persistent pricing cache
-        #: (diagnostics for tests and benchmarks)
-        self.pricing_cache_stats: Dict[str, int] = {"loaded": 0, "saved": 0}
-        if pricing_cache is not None:
-            store = (pricing_cache
-                     if isinstance(pricing_cache, PricingCacheStore)
-                     else PricingCacheStore(pricing_cache))
-            self._pricing_store = store
-            for proto, caches in zip(self._protos, self._caches):
-                probe = (proto.pool.swap_transfer_s(1)
-                         if isinstance(proto.pool, PagedKVManager) else None)
-                fp = config_fingerprint(proto.system.config, probe)
-                self._pricing_fps.append(fp)
-                loaded = store.load(fp)
-                if loaded is not None:
-                    for table, warm in zip(caches, loaded):
-                        table.update(warm)
-                        self.pricing_cache_stats["loaded"] += len(warm)
-                self._pricing_loaded_counts.append(
-                    (len(caches[0]), len(caches[1]), len(caches[2])))
         self.last_kv_managers: List[PagedKVManager] = []
-
-    def _save_pricing_caches(self) -> None:
-        """Persist any pricing table that grew since it was last synced
-        with the store (no-op without a configured store)."""
-        store = self._pricing_store
-        if store is None:
-            return
-        for i, (fp, caches) in enumerate(zip(self._pricing_fps,
-                                             self._caches)):
-            counts = (len(caches[0]), len(caches[1]), len(caches[2]))
-            if counts != self._pricing_loaded_counts[i]:
-                store.save(fp, caches)
-                self._pricing_loaded_counts[i] = counts
-                self.pricing_cache_stats["saved"] += 1
 
     # ------------------------------------------------------------------
     # cluster construction and validation
@@ -695,6 +669,8 @@ class TokenServingEngine:
             def arrival_states() -> Iterator[RequestState]:
                 last = float("-inf")
                 for request in trace:
+                    if not math.isfinite(request.arrival_s):
+                        raise _non_finite_arrival(request)
                     if request.arrival_s < last:
                         raise ValueError(
                             "streaming traces must be sorted by arrival "
@@ -953,7 +929,6 @@ class TokenServingEngine:
                 f"engine stalled: {num_arrivals - completed} requests "
                 "never finished (scheduler head permanently blocked)")
 
-        self._save_pricing_caches()
         records.sort(key=attrgetter("request_id"))
         return self._metrics(runtimes, records, collector), records
 

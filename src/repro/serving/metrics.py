@@ -14,9 +14,9 @@ while counters, means and extremes stay exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import (Any, Dict, Iterable, List, Mapping, Optional, Sequence,
-                    TYPE_CHECKING, Tuple, TypeVar)
+from dataclasses import dataclass, field
+from typing import (Dict, Iterable, List, Optional, Sequence,
+                    TYPE_CHECKING, Tuple)
 
 if TYPE_CHECKING:  # pragma: no cover - engine imports metrics
     from repro.serving.instance import RequestState
@@ -138,39 +138,21 @@ class StreamingQuantile:
                 return float(min(max(centre, self.min), self.max))
         return float(self.max)  # pragma: no cover - rank < count guaranteed
 
-    def merge(self, other: "StreamingQuantile") -> None:
-        """Fold another estimator of the same resolution into this one."""
-        if other.relative_error != self.relative_error:
-            raise ValueError("cannot merge estimators of different "
-                             "resolutions")
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self._zeros += other._zeros
-        for index, count in other._buckets.items():
-            self._buckets[index] = self._buckets.get(index, 0) + count
-
 
 class _MetricsBase:
     """What both metrics dataclasses share: the pool time behind every
-    utilization-style ratio and the filtered TPOT view (plain class
-    attributes, not dataclass fields, so neither is compared or
-    constructed)."""
+    utilization-style ratio and the filtered TPOT view (the view's cache
+    is a plain class attribute, not a dataclass field, so it is neither
+    compared nor constructed)."""
 
     makespan_s: Seconds
     num_instances: int
     tpots_s: List[Optional[Seconds]]
-    #: set by :func:`merge_streaming_metrics` to the parts' summed pool time
-    _pool_time_s: Optional[Seconds] = None
     _tpot_view: Optional[Tuple[int, List[float]]] = None
 
     @property
     def pool_time_s(self) -> Seconds:
-        """``makespan × instances`` for one run; the sum over the parts for
-        merged shards (whose makespan is the max, not the sum)."""
-        if self._pool_time_s is not None:
-            return self._pool_time_s
+        """Instance-seconds the pool was up: ``makespan × instances``."""
         return self.makespan_s * self.num_instances
 
     def _tpot_values(self) -> List[float]:
@@ -415,10 +397,9 @@ class ServingMetrics(_MetricsBase):
     @property
     def instance_utilization(self) -> float:
         """Fraction of instance-time spent actually serving requests:
-        ``busy_time_s / pool_time_s`` (``makespan × instances`` for one
-        run), which is ≤ 1 by construction (steps never overlap on an
-        instance and all finish within the makespan; merged shards sum
-        both sides)."""
+        ``busy_time_s / pool_time_s`` (``makespan × instances``), which is
+        ≤ 1 by construction (steps never overlap on an instance and all
+        finish within the makespan)."""
         capacity = self.pool_time_s
         if capacity <= 0:
             return 0.0
@@ -714,135 +695,3 @@ class StreamingMetricsCollector:
         return {"queueing_delay": self.queueing, "latency": self.latency,
                 "service_time": self.service, "ttft": self.ttft,
                 "tpot": self.tpot}
-
-
-#: How :func:`merge_streaming_metrics` recombines each field across parts:
-#: ``first`` — configuration every part must agree on (a mismatch raises;
-#: the per-request lists are empty in streaming mode); ``sum`` / ``max`` —
-#: counters and accumulated times / extremes (``makespan_s`` is the max:
-#: shards share the t=0 origin); ``pool`` / ``busy`` — means over
-#: instance-time or busy time, recombined as Σ (mean × weight) / Σ weight;
-#: ``streams`` — lossless histogram merge; ``per_class`` — the class table
-#: applied class by class (classes pair up by ``label``).
-_SERVING_MERGE: Dict[str, str] = {name: rule for rule, names in {
-    "first": "num_instances num_nodes_per_instance policy prefill_mode "
-             "kv_mode kv_block_size kv_total_blocks kv_prefix_sharing "
-             "cluster router metrics_mode slo_pin queueing_delays_s "
-             "end_to_end_latencies_s service_times_s ttfts_s tpots_s",
-    "sum": "num_requests generated_tokens preemptions busy_time_s "
-           "prefill_tokens_processed decode_step_time_s prefill_step_time_s "
-           "mixed_step_time_s swap_out_count swap_in_count swapped_bytes "
-           "swap_time_s handoff_count handoff_time_s prefix_hits "
-           "prefill_tokens_saved cow_copies slo_good_requests",
-    "max": "makespan_s peak_kv_occupancy",
-    "pool": "mean_running_batch mean_kv_occupancy",
-    "busy": "mean_kv_fragmentation mean_kv_shared_fraction",
-    "streams": "streams",
-    "per_class": "per_class",
-}.items() for name in names.split()}
-_CLASS_MERGE: Dict[str, str] = {name: rule for rule, names in {
-    "first": "label num_instances num_nodes role kv_total_blocks "
-             "ttfts_s tpots_s",
-    "sum": "requests generated_tokens busy_time_s batch_time_s ttft_count "
-           "ttft_sum_s preemptions swap_out_count swap_in_count prefix_hits "
-           "prefill_tokens_saved handoffs_out handoffs_in handoff_time_s",
-    "max": "makespan_s peak_kv_occupancy",
-    "pool": "mean_kv_occupancy",
-}.items() for name in names.split()}
-
-_Merged = TypeVar("_Merged", ServingMetrics, InstanceClassMetrics)
-
-
-def _merge_fields(parts: Sequence[_Merged],
-                  rules: Mapping[str, str]) -> _Merged:
-    """Apply ``rules`` field by field; the result covers the parts' summed
-    pool time, so utilization-style properties stay Σ quantity / Σ pool."""
-    pools = [p.pool_time_s for p in parts]
-    busies = [p.busy_time_s for p in parts]
-    total_pool = add_left_to_right(pools)
-    total_busy = add_left_to_right(busies)
-    values: Dict[str, Any] = {}
-    for f in fields(parts[0]):
-        if not f.init:
-            continue
-        rule = rules[f.name]
-        column = [getattr(p, f.name) for p in parts]
-        if rule == "first":
-            for value in column[1:]:
-                if value != column[0]:
-                    raise ValueError(
-                        "cannot merge streaming metrics from different "
-                        f"engine configurations: {f.name} is "
-                        f"{column[0]!r} in the first part, {value!r} in "
-                        "another")
-            values[f.name] = column[0]
-        elif rule == "sum":
-            values[f.name] = add_left_to_right(column)
-        elif rule == "max":
-            values[f.name] = max(column)
-        elif rule in ("pool", "busy"):
-            weights, total = ((pools, total_pool) if rule == "pool"
-                              else (busies, total_busy))
-            values[f.name] = (add_left_to_right(
-                v * w for v, w in zip(column, weights)) / total
-                if total > 0 else 0.0)
-        elif rule == "streams":
-            streams: Dict[str, StreamingQuantile] = {}
-            for part_streams in column:
-                for name, stream in part_streams.items():
-                    if name not in streams:
-                        streams[name] = StreamingQuantile(
-                            relative_error=stream.relative_error)
-                    streams[name].merge(stream)
-            values[f.name] = streams
-        else:  # per_class
-            by_label: Dict[str, List[InstanceClassMetrics]] = {}
-            for classes in column:
-                for c in classes:
-                    by_label.setdefault(c.label, []).append(c)
-            for label, group in by_label.items():
-                if len(group) != len(parts):
-                    raise ValueError(f"instance class {label!r} is missing "
-                                     "from some parts")
-            values[f.name] = [_merge_fields(group, _CLASS_MERGE)
-                              for group in by_label.values()]
-    merged = type(parts[0])(**values)
-    merged._pool_time_s = total_pool
-    return merged
-
-
-def merge_streaming_metrics(
-        parts: Sequence[ServingMetrics]) -> ServingMetrics:
-    """Fold streaming-mode metrics from same-configuration runs into one.
-
-    This is the cross-worker aggregation primitive for sharded
-    workloads: run the same engine configuration over ``k`` trace shards
-    (in ``k`` sweep workers, say), then merge the ``k`` streaming
-    metrics objects as if one engine had served the union of the
-    traffic.  Exact counters (requests, tokens, preemptions, swap and
-    handoff tallies, SLO-good counts, busy/step time accounting) sum
-    exactly; the latency distributions merge their log-bucketed
-    histograms, which is *lossless* relative to a single-stream
-    histogram — the merged percentile equals what one collector seeing
-    all samples would report, and therefore stays within the documented
-    relative-error bound of the true order statistic.
-
-    ``makespan_s`` is the max over parts (shards share the t=0 origin);
-    every time-weighted quantity — means, utilization, the per-class
-    running batch — is Σ quantity / Σ (makespan × instances) or, for the
-    busy-normalized means, / Σ busy time.  The per-field rules are the
-    tables :data:`_SERVING_MERGE` and :data:`_CLASS_MERGE`.
-
-    All parts must come from the same engine configuration (policy,
-    cluster, router, KV recipe, SLO pin, quantile resolution); a
-    mismatch raises ``ValueError``.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    for m in parts:
-        if m.metrics_mode != "streaming" or m.streams is None:
-            raise ValueError(
-                "merge_streaming_metrics only merges streaming-mode "
-                "metrics (full mode carries per-request records; merge "
-                "those instead)")
-    return _merge_fields(parts, _SERVING_MERGE)

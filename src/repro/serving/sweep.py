@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.serving.metrics import ServingMetrics, merge_streaming_metrics
+from repro.serving.metrics import ServingMetrics
 from repro.workloads.traces import RequestTrace
 from repro.units import Seconds
 
@@ -154,16 +154,6 @@ class SweepOutcome:
                     f"sweep config {result.label!r} failed with "
                     f"{result.failure.error_type}: "
                     f"{result.failure.message}\n{result.failure.traceback}")
-
-    def merged_metrics(self) -> ServingMetrics:
-        """Merge successful shard results (streaming mode, same config,
-        run with ``keep_metrics=True``) into one aggregate."""
-        parts = [r.metrics for r in self.results if r.metrics is not None]
-        if len(parts) != len(self.results):
-            raise ValueError(
-                "merged_metrics needs every job to have succeeded with "
-                "keep_metrics=True")
-        return merge_streaming_metrics(parts)
 
 
 def _coerce_trace(trace: Any) -> Union[TraceSpec, RequestTrace]:

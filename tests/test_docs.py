@@ -75,8 +75,7 @@ def test_serving_md_documents_every_serve_surface():
                  "--prefill-mode", "--mixed-step-token-budget",
                  "--compare-prefill", "--instances", "--router",
                  "--compare-router", "--trace-file", "--swap-priority",
-                 "--compare-disaggregation", "--workers",
-                 "--pricing-cache", "--grid"):
+                 "--compare-disaggregation", "--workers", "--grid"):
         assert flag in text, f"docs/serving.md must document {flag}"
 
 

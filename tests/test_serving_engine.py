@@ -1,6 +1,7 @@
 """Tests for the token-level serving engine, scheduler policies and the
 KV-capacity admission controller."""
 
+import dataclasses
 import heapq
 import math
 
@@ -24,6 +25,7 @@ from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
     Request,
     RequestTrace,
+    StreamingTrace,
     bursty_trace,
     multi_tenant_trace,
     synthetic_trace,
@@ -473,6 +475,25 @@ def test_block_size_rejects_non_counts(value):
     with pytest.raises(ValueError,
                        match="block_size_tokens must be an integer"):
         PagedKVManager(layout, block_size_tokens=value)
+
+
+@pytest.mark.parametrize("streaming", [False, True],
+                         ids=["list", "streaming"])
+@pytest.mark.parametrize("arrival", [math.nan, math.inf],
+                         ids=["nan", "inf"])
+def test_non_finite_arrival_is_rejected(arrival, streaming):
+    """A NaN arrival would run to NaN latencies (or, streamed, switch off
+    the sortedness guard) and an infinite one to an infinite makespan, so
+    both must fail up front, naming the request."""
+    requests = list(bursty_trace(20, seed=0).requests)
+    requests[10] = dataclasses.replace(requests[10], arrival_s=arrival)
+    trace = (StreamingTrace(lambda: iter(requests), length=len(requests))
+             if streaming else RequestTrace(requests=requests))
+    engine = TokenServingEngine(num_instances=2, metrics_mode="streaming",
+                                slo=(2.0, 0.05))
+    with pytest.raises(ValueError, match=(
+            f"request {requests[10].request_id} arrives at {arrival!r}s")):
+        engine.run(trace)
 
 
 def test_integer_knobs_accept_numpy_integers():

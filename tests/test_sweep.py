@@ -178,35 +178,6 @@ class TestComparisonsThroughTheSweep:
         assert rows_pooled == rows_serial
 
 
-class TestShardMerging:
-    def test_merged_counters_are_exact_sums(self):
-        outcome = run_sweep({
-            "trace": dict(_TRACE, num_requests=150),
-            "base": dict(_BASE, metrics_mode="streaming",
-                         num_instances=2),
-            "grid": {"trace_seed": [11, 12, 13]},
-        }, workers=2, keep_metrics=True)
-        outcome.raise_failures()
-        parts = [r.metrics for r in outcome.results]
-        merged = outcome.merged_metrics()
-        assert merged.num_requests == \
-            sum(p.num_requests for p in parts) == 450
-        assert merged.generated_tokens == \
-            sum(p.generated_tokens for p in parts)
-        assert merged.preemptions == sum(p.preemptions for p in parts)
-        assert merged.makespan_s == max(p.makespan_s for p in parts)
-        assert merged.metrics_mode == "streaming"
-
-    def test_merged_metrics_requires_kept_metrics(self):
-        outcome = run_sweep({
-            "trace": _TRACE,
-            "base": dict(_BASE, metrics_mode="streaming"),
-            "grid": {"trace_seed": [1, 2]},
-        }, workers=1, keep_metrics=False)
-        with pytest.raises(ValueError, match="keep_metrics"):
-            outcome.merged_metrics()
-
-
 class TestJobPlumbing:
     def test_prebuilt_trace_jobs_run(self):
         trace = RequestTrace(requests=list(bursty_trace(
@@ -218,6 +189,24 @@ class TestJobPlumbing:
         assert outcome.workers == 1
         assert outcome.results[0].ok
         assert outcome.results[0].summary["requests"] == 60
+
+    def test_keep_metrics_ships_each_run_back_whole(self):
+        spec = {
+            "trace": dict(_TRACE, num_requests=150),
+            "base": dict(_BASE, metrics_mode="streaming",
+                         num_instances=2),
+            "grid": {"trace_seed": [11, 12]},
+        }
+        kept = run_sweep(spec, workers=2, keep_metrics=True)
+        kept.raise_failures()
+        for result in kept.results:
+            assert result.metrics.metrics_mode == "streaming"
+            assert result.metrics.num_requests == 150
+            assert result.metrics.summary() == result.summary
+        dropped = run_sweep(spec, workers=1)
+        assert [r.metrics for r in dropped.results] == [None, None]
+        assert [r.summary_key() for r in dropped.results] == \
+            [r.summary_key() for r in kept.results]
 
     def test_empty_job_list_raises(self):
         with pytest.raises(ValueError, match="no jobs"):

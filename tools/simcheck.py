@@ -148,7 +148,6 @@ STRICT_UNIT_MODULES: Tuple[str, ...] = (
     "repro/memory/kv_cache.py",
     "repro/memory/hbm.py",
     "repro/core/multi_node.py",
-    "repro/core/pricing_cache.py",
     "repro/workloads/traces.py",
 )
 
