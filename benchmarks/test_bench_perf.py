@@ -9,8 +9,10 @@ and peak RSS, in both metrics modes:
 * ``streaming`` — constant-memory aggregates, the trace consumed lazily
   straight off the generator.
 
-Each measurement runs in a fresh subprocess so peak RSS (``ru_maxrss``) and
-GC state describe that run alone.  Results are written to
+Each measurement runs in a fresh subprocess so peak RSS and GC state
+describe that run alone.  Peak RSS is the child's ``VmHWM`` where Linux
+provides it: ``ru_maxrss`` survives ``execve``, so a child spawned by a
+large pytest process would report its parent's footprint instead.  Results are written to
 ``BENCH_serving_perf.json`` at the repo root only on a deliberate
 re-measure (``--refresh-seed``, ``RUN_PERF_SWEEP=1`` or ``RUN_PERF_1M=1``);
 a plain run checks the floors and fidelity pins without touching the
@@ -86,6 +88,18 @@ import json, resource, sys, time
 from repro.workloads.traces import synthetic_azure_trace, RequestTrace
 from repro.serving.engine import TokenServingEngine
 
+
+def peak_rss_mib():
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 n, mode = int(sys.argv[1]), sys.argv[2]
 multistep = sys.argv[3] == "1" if len(sys.argv) > 3 else True
 trace = synthetic_azure_trace(n, seed=0, mean_rate_per_s=8.0,
@@ -112,8 +126,7 @@ print(json.dumps({
     "mean_queueing_delay_s": metrics.mean_queueing_delay_s,
     "p99_ttft_s": metrics.ttft_percentile_s(0.99),
     "num_records": len(records),
-    "peak_rss_mib":
-        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+    "peak_rss_mib": peak_rss_mib(),
 }))
 """
 

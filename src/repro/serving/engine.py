@@ -70,7 +70,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple, Union)
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.paged_kv import PagedKVManager
@@ -134,27 +135,28 @@ PricingTables = Tuple[
 ]
 
 
-def _non_finite_arrival(request: Request) -> ValueError:
-    """The error for a NaN or infinite arrival time: either would run to
-    NaN latencies or an infinite makespan instead of failing."""
+def _bad_arrival(request: Request) -> ValueError:
+    """The error for a NaN, infinite or negative arrival time: each would
+    run to NaN latencies, an infinite makespan or a clock before zero
+    instead of failing (the CSV loader refuses the same values)."""
     return ValueError(
         f"request {request.request_id} arrives at {request.arrival_s!r}s; "
-        "arrival_s must be a finite number")
+        "arrival_s must be a finite number >= 0")
 
 
 def _is_arrival_sorted(requests: List[Request]) -> bool:
     """True when the requests are already ordered by ``(arrival_s,
     request_id)`` — the invariant every finalized trace satisfies — so the
     engine can skip re-sorting them on every run.  The same walk rejects
-    a non-finite arrival time, so it visits every request."""
+    a non-finite or negative arrival time, so it visits every request."""
     isfinite = math.isfinite
     ordered = True
     prev_arrival = float("-inf")
     prev_id = -1
     for request in requests:
         arrival = request.arrival_s
-        if not isfinite(arrival):
-            raise _non_finite_arrival(request)
+        if not isfinite(arrival) or arrival < 0:
+            raise _bad_arrival(request)
         if (arrival, request.request_id) < (prev_arrival, prev_id):
             ordered = False
         prev_arrival = arrival
@@ -162,9 +164,9 @@ def _is_arrival_sorted(requests: List[Request]) -> bool:
     return ordered
 
 
-@dataclass(frozen=True, slots=True)
-class ServedRequest:
-    """Token-level timing record of one served request.
+class ServedRequest(NamedTuple):
+    """Token-level timing record of one served request: an immutable
+    record the engine builds by field order once per finished request.
 
     All timestamps are seconds on the simulated clock; ``prefill_len`` and
     ``decode_len`` are token counts.  ``instance_id`` is the instance that
@@ -226,6 +228,20 @@ class ServedRequest:
         if self.first_token_s is None or self.decode_len <= 1:
             return None
         return (self.finish_s - self.first_token_s) / (self.decode_len - 1)
+
+
+def _ttfts(records: Sequence[ServedRequest]) -> List[Seconds]:
+    """:attr:`ServedRequest.ttft_s` of every record that has one, read
+    from the fields (a property costs a call per record)."""
+    return [r.first_token_s - r.arrival_s for r in records
+            if r.first_token_s is not None]
+
+
+def _tpots(records: Sequence[ServedRequest]) -> List[Optional[Seconds]]:
+    """:attr:`ServedRequest.tpot_s`, aligned with :func:`_ttfts`."""
+    return [(r.finish_s - r.first_token_s) / (r.decode_len - 1)
+            if r.decode_len > 1 else None
+            for r in records if r.first_token_s is not None]
 
 
 @dataclass(frozen=True, slots=True)
@@ -640,6 +656,9 @@ class TokenServingEngine:
                                  if isinstance(r, PagedRuntime)]
         multi_class = self.cluster.is_heterogeneous
         has_roles = self.cluster.has_roles
+        # no preemption and no paged KV: nothing ever re-queues work or
+        # parks a victim, so an instance offered an empty queue stays idle
+        quiet = scheduler.never_preempts and self._kv_mode != "paged"
         router = self.router
         # a router that never vetoes needs no per-head gate call
         gate = router.placement_ok if self._router_vetoes else None
@@ -669,8 +688,9 @@ class TokenServingEngine:
             def arrival_states() -> Iterator[RequestState]:
                 last = float("-inf")
                 for request in trace:
-                    if not math.isfinite(request.arrival_s):
-                        raise _non_finite_arrival(request)
+                    if (not math.isfinite(request.arrival_s)
+                            or request.arrival_s < 0):
+                        raise _bad_arrival(request)
                     if request.arrival_s < last:
                         raise ValueError(
                             "streaming traces must be sorted by arrival "
@@ -706,22 +726,13 @@ class TokenServingEngine:
         else:
             def record(state: RequestState, now: float) -> None:
                 request = state.request
+                admitted = state.admitted_s
                 records.append(ServedRequest(
-                    request_id=request.request_id,
-                    instance_id=state.instance_id,
-                    arrival_s=request.arrival_s,
-                    admitted_s=(state.admitted_s
-                                if state.admitted_s is not None else now),
-                    first_token_s=state.first_token_s,
-                    finish_s=now,
-                    prefill_len=state.prefill_len,
-                    decode_len=state.decode_len,
-                    tenant=request.tenant,
-                    priority=request.priority,
-                    preemptions=state.preemptions,
-                    swap_outs=state.swap_outs,
-                    handoffs=state.handoffs,
-                ))
+                    request.request_id, state.instance_id, request.arrival_s,
+                    admitted if admitted is not None else now,
+                    state.first_token_s, now, state.prefill_len,
+                    state.decode_len, request.tenant, request.priority,
+                    state.preemptions, state.swap_outs, state.handoffs))
 
         # Events are ``(time, posted, seq, kind, payload)``: equal-time
         # events run in the order the per-step loop would have posted
@@ -760,7 +771,8 @@ class TokenServingEngine:
             boundary instances (idle ones are always woken: a vetoed head
             must be able to reach its preferred class the moment it has a
             boundary).  Once the queue is empty an idle instance without
-            parked victims has nothing to admit, so it is not offered.
+            parked victims has nothing to admit, so it is not offered; on
+            a ``quiet`` pool an empty queue therefore needs no order.
             """
             qlen = scheduler.__len__
             if not multi_class:
@@ -770,6 +782,10 @@ class TokenServingEngine:
                     for runtime in runtimes:
                         if not runtime.busy and (qlen() or runtime.parked):
                             dispatch(runtime, now)
+                return
+            if quiet and not qlen():
+                if completer is not None:
+                    dispatch(completer, now)
                 return
             candidates = [r for r in runtimes
                           if r is completer or not r.busy]
@@ -965,12 +981,12 @@ class TokenServingEngine:
                 num_requests=len(records),
                 generated_tokens=sum(r.decode_len for r in records),
                 preemptions=sum(r.preemptions for r in records),
-                queueing_delays_s=[r.queueing_delay_s for r in records],
-                end_to_end_latencies_s=[r.end_to_end_latency_s
+                queueing_delays_s=[r.admitted_s - r.arrival_s
+                                   for r in records],
+                end_to_end_latencies_s=[r.finish_s - r.arrival_s
                                         for r in records],
-                service_times_s=[r.service_time_s for r in records],
-                ttfts_s=[r.ttft_s for r in records if r.ttft_s is not None],
-                tpots_s=[r.tpot_s for r in records if r.ttft_s is not None])
+                service_times_s=[r.finish_s - r.admitted_s for r in records],
+                ttfts_s=_ttfts(records), tpots_s=_tpots(records))
         else:
             makespan = collector.max_finish_s
             served = dict(
@@ -1022,17 +1038,19 @@ class TokenServingEngine:
             cluster=str(self.cluster),
             router=self.router.name,
             per_class=self._per_class(runtimes, records, collector,
-                                      makespan),
+                                      makespan, served),
             **served,
         )
 
     def _per_class(self, runtimes: List[InstanceRuntime],
                    records: List[ServedRequest],
                    collector: Optional[StreamingMetricsCollector],
-                   makespan: float) -> List[InstanceClassMetrics]:
+                   makespan: float, pool: Dict[str, Any]
+                   ) -> List[InstanceClassMetrics]:
         """Per-class metrics in spec order, request counters drawn like
         :meth:`_metrics` (streaming keeps the mean TTFT as a count/sum
-        pair).  Records with ``instance_id=None`` belong to no class."""
+        pair).  Records with ``instance_id=None`` belong to no class; a
+        class that served every record shares the ``pool``'s lists."""
         by_label: Dict[str, List[InstanceRuntime]] = {}
         for runtime in runtimes:
             by_label.setdefault(runtime.class_label, []).append(runtime)
@@ -1042,12 +1060,13 @@ class TokenServingEngine:
             if collector is None:
                 ids = {r.instance_id for r in group}
                 mine = [r for r in records if r.instance_id in ids]
+                whole = len(mine) == len(records)
                 served = dict(
                     requests=len(mine),
                     generated_tokens=sum(r.decode_len for r in mine),
                     preemptions=sum(r.preemptions for r in mine),
-                    ttfts_s=[r.ttft_s for r in mine if r.ttft_s is not None],
-                    tpots_s=[r.tpot_s for r in mine if r.ttft_s is not None])
+                    ttfts_s=pool["ttfts_s"] if whole else _ttfts(mine),
+                    tpots_s=pool["tpots_s"] if whole else _tpots(mine))
             else:
                 tally = collector.per_class.get(label, [0, 0, 0, 0, 0.0])
                 served = dict(requests=tally[0], generated_tokens=tally[1],

@@ -29,10 +29,12 @@ from repro.serving.cluster import (
     ClusterSpec,
     InstanceSpec,
     ROUTER_NAMES,
+    Router,
     make_router,
     parse_cluster_spec,
 )
 from repro.serving.engine import ServedRequest, TokenServingEngine
+from repro.serving.schedulers import FifoScheduler
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
     Request,
@@ -40,6 +42,7 @@ from repro.workloads.traces import (
     bursty_multi_tenant_trace,
     bursty_trace,
     multi_tenant_trace,
+    synthetic_azure_trace,
 )
 
 # Golden-timestamp guard modules run in the dedicated serial CI pass
@@ -476,6 +479,49 @@ class TestInstanceIdNone:
         assert rows[0]["Requests"] == 1
         assert rows[1]["Requests"] == 1
         assert never.ttft_s is None
+
+
+class TestQuietPoolShortcut:
+    """On a quiet heterogeneous pool (a scheduler that never preempts, KV
+    not paged) a pump with an empty queue dispatches only the completer
+    and never asks the router for an order.  The slow twin patches
+    ``FifoScheduler.never_preempts`` off, which takes the full ordering
+    path at every pump; FIFO never names a victim, so the patched run
+    admits exactly the same requests and its records must match field for
+    field.  The ``Router.dispatch_order`` call counts are pinned for both
+    runs, so a shortcut that stops engaging (or a twin that stops taking
+    the slow path) shows up here."""
+
+    @pytest.mark.parametrize("router, quiet_orders, slow_orders", [
+        ("least_loaded", 967, 3483),
+        ("round_robin", 967, 3483),
+        ("class_affinity", 950, 3228),
+        ("kv_aware", 967, 3483),
+    ])
+    def test_slow_twin_records_match(self, monkeypatch, router,
+                                     quiet_orders, slow_orders):
+        trace = RequestTrace(requests=list(synthetic_azure_trace(
+            400, seed=0, mean_rate_per_s=8.0)))
+        orders = [0]
+        dispatch_order = Router.dispatch_order
+
+        def counted(self, candidates, head):
+            orders[0] += 1
+            return dispatch_order(self, candidates, head)
+
+        monkeypatch.setattr(Router, "dispatch_order", counted)
+        runs = []
+        for never_preempts in (True, False):
+            monkeypatch.setattr(FifoScheduler, "never_preempts",
+                                never_preempts)
+            orders[0] = 0
+            _, records = TokenServingEngine(
+                cluster="2x1n,2x2n,1x4n", policy="fifo",
+                router=router).run(trace)
+            runs.append((orders[0], records))
+        (quiet, records), (slow, twin) = runs
+        assert records == twin
+        assert (quiet, slow) == (quiet_orders, slow_orders)
 
 
 class TestSwapPriority:

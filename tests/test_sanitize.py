@@ -18,15 +18,13 @@ Four contracts:
   :func:`~repro.sanitize.check_kv_invariants` the engine applies.
 """
 
-import dataclasses
-
 import pytest
 
 from repro.errors import InvariantError, ReproError, SanitizerError
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
 from repro.sanitize import EngineSanitizer, check_kv_invariants, sanitize_enabled
-from repro.serving.engine import TokenServingEngine
+from repro.serving.engine import ServedRequest, TokenServingEngine
 from repro.workloads.traces import synthetic_trace
 
 # Golden-timestamp guard modules run in the dedicated serial CI pass
@@ -39,9 +37,14 @@ GOLDEN_CONFIG = dict(cluster="2x2n", kv_mode="paged",
                      kv_prefix_sharing=True, router="prefix_aware")
 
 
+def _values(record):
+    """Every field of one record, in declaration order."""
+    return tuple(getattr(record, name) for name in ServedRequest._fields)
+
+
 def _records(metrics_and_records):
     _, records = metrics_and_records
-    return [dataclasses.astuple(record) for record in records]
+    return [_values(record) for record in records]
 
 
 def _manager(prefix_sharing=True, pool_blocks=16, block=4):
@@ -62,8 +65,8 @@ def test_sanitized_golden_run_is_bit_identical():
         sanitize=False, **GOLDEN_CONFIG).run(trace)
     clean_metrics, clean_records = TokenServingEngine(
         sanitize=True, **GOLDEN_CONFIG).run(trace)
-    assert ([dataclasses.astuple(r) for r in plain_records]
-            == [dataclasses.astuple(r) for r in clean_records])
+    assert ([_values(r) for r in plain_records]
+            == [_values(r) for r in clean_records])
     assert plain_metrics.makespan_s == clean_metrics.makespan_s
     assert plain_metrics.summary() == clean_metrics.summary()
 

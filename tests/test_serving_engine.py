@@ -11,7 +11,7 @@ import pytest
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
-from repro.serving.engine import TokenServingEngine
+from repro.serving.engine import ServedRequest, TokenServingEngine
 from repro.serving.schedulers import (
     FifoScheduler,
     KVAdmissionController,
@@ -479,12 +479,13 @@ def test_block_size_rejects_non_counts(value):
 
 @pytest.mark.parametrize("streaming", [False, True],
                          ids=["list", "streaming"])
-@pytest.mark.parametrize("arrival", [math.nan, math.inf],
-                         ids=["nan", "inf"])
+@pytest.mark.parametrize("arrival", [math.nan, math.inf, -1.0],
+                         ids=["nan", "inf", "negative"])
 def test_non_finite_arrival_is_rejected(arrival, streaming):
     """A NaN arrival would run to NaN latencies (or, streamed, switch off
-    the sortedness guard) and an infinite one to an infinite makespan, so
-    both must fail up front, naming the request."""
+    the sortedness guard), an infinite one to an infinite makespan and a
+    negative one to a clock before zero, so each must fail up front,
+    naming the request, as the CSV loader does."""
     requests = list(bursty_trace(20, seed=0).requests)
     requests[10] = dataclasses.replace(requests[10], arrival_s=arrival)
     trace = (StreamingTrace(lambda: iter(requests), length=len(requests))
@@ -511,3 +512,32 @@ def test_integer_knobs_accept_numpy_integers():
         assert type(getattr(engine, name)) is int
     _, records = engine.run(trace)
     assert records == plain
+
+
+def test_served_request_record_contract():
+    """``ServedRequest`` is an immutable positional record: the engine
+    builds it by position, so its field order is part of the contract;
+    it compares by value and derives its latencies from the fields."""
+    assert ServedRequest._fields == (
+        "request_id", "instance_id", "arrival_s", "admitted_s",
+        "first_token_s", "finish_s", "prefill_len", "decode_len", "tenant",
+        "priority", "preemptions", "swap_outs", "handoffs")
+    record = ServedRequest(7, 1, 0.5, 0.75, 1.0, 3.0, 16, 5,
+                           tenant="chat", preemptions=2, swap_outs=1)
+    assert (record.priority, record.handoffs) == (0, 0)
+    assert record.queueing_delay_s == 0.25
+    assert record.service_time_s == 2.25
+    assert record.end_to_end_latency_s == 2.5
+    assert record.ttft_s == 0.5
+    assert record.tpot_s == 0.5
+    assert record == ServedRequest(
+        request_id=7, instance_id=1, arrival_s=0.5, admitted_s=0.75,
+        first_token_s=1.0, finish_s=3.0, prefill_len=16, decode_len=5,
+        tenant="chat", priority=0, preemptions=2, swap_outs=1, handoffs=0)
+    assert record != record._replace(finish_s=3.5)
+    single = record._replace(decode_len=1)
+    assert single.tpot_s is None and single.ttft_s == 0.5
+    tokenless = record._replace(first_token_s=None)
+    assert tokenless.ttft_s is None and tokenless.tpot_s is None
+    with pytest.raises(AttributeError):
+        record.finish_s = 4.0
