@@ -16,7 +16,8 @@ from repro.serving.cluster import (
     ROUTER_NAMES,
     parse_cluster_spec,
 )
-from repro.serving.engine import PREFILL_MODES, ServedRequest, TokenServingEngine
+from repro.serving.engine import (PREFILL_MODES, ServedRecords, ServedRequest,
+                                  TokenServingEngine)
 from repro.serving.schedulers import FIFO_EXCLUSIVE
 from repro.workloads.traces import RequestTrace
 
@@ -38,7 +39,7 @@ def run_policy(trace: RequestTrace, policy: str,
                swap_priority: bool = False,
                kv_prefix_sharing: bool = False,
                **engine_kwargs: Any
-               ) -> Tuple[ServingMetrics, List[ServedRequest]]:
+               ) -> Tuple[ServingMetrics, ServedRecords]:
     """Run ``trace`` under one policy and return ``(metrics, records)``.
 
     ``policy`` is a token-level policy (``fifo``, ``sjf``, ``priority``) or

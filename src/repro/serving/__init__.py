@@ -43,6 +43,7 @@ from repro.serving.engine import (
     DEFAULT_MIXED_STEP_TOKEN_BUDGET,
     PREEMPTION_MODES,
     PREFILL_MODES,
+    ServedRecords,
     ServedRequest,
     TokenServingEngine,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "PREEMPTION_MODES",
     "PREFILL_MODES",
     "ROUTER_NAMES",
+    "ServedRecords",
     "ServedRequest",
     "TokenServingEngine",
     "InstanceRuntime",

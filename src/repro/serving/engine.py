@@ -68,10 +68,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, eq, le, mod, mul, sub
 from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
-                    Optional, Sequence, Tuple, Union)
+                    Optional, Sequence, Tuple, Union, overload)
 
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.paged_kv import PagedKVManager
@@ -166,7 +167,8 @@ def _is_arrival_sorted(requests: List[Request]) -> bool:
 
 class ServedRequest(NamedTuple):
     """Token-level timing record of one served request: an immutable
-    record the engine builds by field order once per finished request.
+    positional record, built on access from a run's
+    :class:`ServedRecords` columns.
 
     All timestamps are seconds on the simulated clock; ``prefill_len`` and
     ``decode_len`` are token counts.  ``instance_id`` is the instance that
@@ -230,18 +232,154 @@ class ServedRequest(NamedTuple):
         return (self.finish_s - self.first_token_s) / (self.decode_len - 1)
 
 
-def _ttfts(records: Sequence[ServedRequest]) -> List[Seconds]:
-    """:attr:`ServedRequest.ttft_s` of every record that has one, read
-    from the fields (a property costs a call per record)."""
-    return [r.first_token_s - r.arrival_s for r in records
-            if r.first_token_s is not None]
+class ServedRecords(Sequence[ServedRequest]):
+    """The per-request records of a full-mode run, held as columns.
 
+    One typed array per :class:`ServedRequest` field (``'q'`` for ids and
+    counts, ``'d'`` for times, a list of references for the tenants),
+    filled by :meth:`add` in finish order straight from each finished
+    :class:`~repro.serving.instance.RequestState`, so the finish path
+    builds no per-request object.  A ``None`` instance is stored as -1 and
+    a ``None`` first-token time as NaN.  :meth:`sort_by_request_id`
+    computes one permutation instead of moving the columns; items are
+    built on access, in request-id order, and the sequence compares equal
+    to any sequence of equal records.
+    """
 
-def _tpots(records: Sequence[ServedRequest]) -> List[Optional[Seconds]]:
-    """:attr:`ServedRequest.tpot_s`, aligned with :func:`_ttfts`."""
-    return [(r.finish_s - r.first_token_s) / (r.decode_len - 1)
-            if r.decode_len > 1 else None
-            for r in records if r.first_token_s is not None]
+    # one column per record field, named like it
+    __slots__ = ServedRequest._fields + ("order",)
+
+    request_id: array[int]
+    instance_id: array[int]
+    arrival_s: array[Seconds]
+    admitted_s: array[Seconds]
+    first_token_s: array[Seconds]
+    finish_s: array[Seconds]
+    prefill_len: array[Tokens]
+    decode_len: array[Tokens]
+    tenant: List[str]
+    priority: array[int]
+    preemptions: array[int]
+    swap_outs: array[int]
+    handoffs: array[int]
+    #: Column rows in request-id order; ``None`` while that is row order.
+    order: Optional[array[int]]
+
+    def __init__(self) -> None:
+        self.request_id = array("q")
+        self.instance_id = array("q")
+        self.arrival_s = array("d")
+        self.admitted_s = array("d")
+        self.first_token_s = array("d")
+        self.finish_s = array("d")
+        self.prefill_len = array("q")
+        self.decode_len = array("q")
+        self.tenant = []
+        self.priority = array("q")
+        self.preemptions = array("q")
+        self.swap_outs = array("q")
+        self.handoffs = array("q")
+        self.order = None
+
+    def add(self, state: RequestState, now: Seconds) -> None:
+        """Append one request finished at ``now``."""
+        request = state.request
+        instance = state.instance_id
+        admitted = state.admitted_s
+        first_token = state.first_token_s
+        self.request_id.append(request.request_id)
+        self.instance_id.append(-1 if instance is None else instance)
+        self.arrival_s.append(request.arrival_s)
+        self.admitted_s.append(now if admitted is None else admitted)
+        self.first_token_s.append(math.nan if first_token is None
+                                  else first_token)
+        self.finish_s.append(now)
+        self.prefill_len.append(state.prefill_len)
+        self.decode_len.append(state.decode_len)
+        self.tenant.append(request.tenant)
+        self.priority.append(request.priority)
+        self.preemptions.append(state.preemptions)
+        self.swap_outs.append(state.swap_outs)
+        self.handoffs.append(state.handoffs)
+
+    def sort_by_request_id(self) -> None:
+        """Order the records by request id (stable: equal ids keep their
+        finish order).
+
+        Each row sorts as the one integer ``id * n + row`` (``n`` rows),
+        which orders exactly like the pair ``(id, row)`` for any integer
+        ids, so the sort holds one list of keys and no key function."""
+        ids = self.request_id
+        self.order = None
+        if not all(map(le, ids, itertools.islice(ids, 1, None))):
+            n = len(ids)
+            keys = sorted(map(add, map(mul, ids, itertools.repeat(n)),
+                              range(n)))
+            self.order = array("q", map(mod, keys, itertools.repeat(n)))
+
+    def rows(self) -> Sequence[int]:
+        """Column rows in request-id order."""
+        return range(len(self)) if self.order is None else self.order
+
+    def in_order(self, values: array[Seconds]) -> array[Seconds]:
+        """``values``, one per row, in request-id order."""
+        if self.order is None:
+            return values
+        return array("d", map(values.__getitem__, self.order))
+
+    def ttfts(self, rows: Iterable[int]) -> array[Seconds]:
+        """:attr:`ServedRequest.ttft_s` of the records at ``rows`` that
+        have one (a missing first token is NaN, and so is its
+        difference)."""
+        ttft = array("d", map(sub, self.first_token_s, self.arrival_s))
+        return array("d", itertools.filterfalse(
+            math.isnan, map(ttft.__getitem__, rows)))
+
+    def tpots(self, rows: Iterable[int]) -> List[Optional[Seconds]]:
+        """:attr:`ServedRequest.tpot_s`, aligned with :meth:`ttfts`."""
+        first_token, finish = self.first_token_s, self.finish_s
+        decode_len, isnan = self.decode_len, math.isnan
+        return [(finish[r] - first_token[r]) / (decode_len[r] - 1)
+                if decode_len[r] > 1 else None
+                for r in rows if not isnan(first_token[r])]
+
+    def _record(self, row: int) -> ServedRequest:
+        instance = self.instance_id[row]
+        first_token = self.first_token_s[row]
+        return ServedRequest(
+            self.request_id[row], None if instance < 0 else instance,
+            self.arrival_s[row], self.admitted_s[row],
+            None if math.isnan(first_token) else first_token,
+            self.finish_s[row], self.prefill_len[row], self.decode_len[row],
+            self.tenant[row], self.priority[row], self.preemptions[row],
+            self.swap_outs[row], self.handoffs[row])
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    @overload
+    def __getitem__(self, index: int) -> ServedRequest: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[ServedRequest]: ...
+
+    def __getitem__(self, index: Union[int, slice]
+                    ) -> Union[ServedRequest, List[ServedRequest]]:
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return self._record(index if self.order is None
+                            else self.order[index])
+
+    def __iter__(self) -> Iterator[ServedRequest]:
+        return map(self._record, self.rows())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({list(self)!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -326,7 +464,7 @@ class TokenServingEngine:
         percentiles, the golden regime.  ``"streaming"`` folds every
         finished request into O(1)-memory aggregates
         (:class:`~repro.serving.metrics.StreamingMetricsCollector`) and
-        returns an *empty* record list, so million-request replays hold no
+        returns *empty* records, so million-request replays hold no
         per-request state; percentiles then carry a bounded relative error
         (``quantile_error``) while counters, means and extremes stay exact.
     slo:
@@ -628,16 +766,16 @@ class TokenServingEngine:
     # event loop
     # ------------------------------------------------------------------
     def run(self, trace: Union[RequestTrace, StreamingTrace]
-            ) -> Tuple[ServingMetrics, List[ServedRequest]]:
+            ) -> Tuple[ServingMetrics, ServedRecords]:
         """Serve the trace and return aggregate metrics plus per-request
-        records (sorted by request id).
+        records (sorted by request id, as :class:`ServedRecords` columns).
 
         A :class:`~repro.workloads.traces.StreamingTrace` is consumed
         lazily: arrivals merge into the event loop straight off the
         iterator (the stream contract says they come pre-sorted; an
         out-of-order arrival raises), and KV validation runs per request
         as it is drawn.  In ``metrics_mode="streaming"`` the returned
-        record list is empty — all aggregates live in the metrics object —
+        records are empty — all aggregates live in the metrics object —
         so memory stays bounded however long the trace is.
 
         Raises ``ValueError`` for an empty trace or one containing a request
@@ -715,7 +853,7 @@ class TokenServingEngine:
         next_arrival_t = next_state.request.arrival_s
         num_arrivals = 0
 
-        records: List[ServedRequest] = []
+        records = ServedRecords()
         collector: Optional[StreamingMetricsCollector] = None
         if self.metrics_mode == "streaming":
             collector = StreamingMetricsCollector(
@@ -724,15 +862,7 @@ class TokenServingEngine:
                                    for r in runtimes})
             record = collector.add
         else:
-            def record(state: RequestState, now: float) -> None:
-                request = state.request
-                admitted = state.admitted_s
-                records.append(ServedRequest(
-                    request.request_id, state.instance_id, request.arrival_s,
-                    admitted if admitted is not None else now,
-                    state.first_token_s, now, state.prefill_len,
-                    state.decode_len, request.tenant, request.priority,
-                    state.preemptions, state.swap_outs, state.handoffs))
+            record = records.add
 
         # Events are ``(time, posted, seq, kind, payload)``: equal-time
         # events run in the order the per-step loop would have posted
@@ -945,7 +1075,7 @@ class TokenServingEngine:
                 f"engine stalled: {num_arrivals - completed} requests "
                 "never finished (scheduler head permanently blocked)")
 
-        records.sort(key=attrgetter("request_id"))
+        records.sort_by_request_id()
         return self._metrics(runtimes, records, collector), records
 
     # ------------------------------------------------------------------
@@ -967,7 +1097,7 @@ class TokenServingEngine:
         return kv_block_size, kv_total_blocks
 
     def _metrics(self, runtimes: List[InstanceRuntime],
-                 records: List[ServedRequest],
+                 records: ServedRecords,
                  collector: Optional[StreamingMetricsCollector]
                  ) -> ServingMetrics:
         """The run's metrics in either mode: step accounting summed from
@@ -976,17 +1106,23 @@ class TokenServingEngine:
         collector (streaming mode, per-request lists left empty)."""
         served: Dict[str, Any]
         if collector is None:
-            makespan = max(r.finish_s for r in records)
+            # per-row differences in finish order, then put in id order
+            in_order = records.in_order
+            arrival, admitted = records.arrival_s, records.admitted_s
+            finish = records.finish_s
+            makespan = max(finish)
             served = dict(
                 num_requests=len(records),
-                generated_tokens=sum(r.decode_len for r in records),
-                preemptions=sum(r.preemptions for r in records),
-                queueing_delays_s=[r.admitted_s - r.arrival_s
-                                   for r in records],
-                end_to_end_latencies_s=[r.finish_s - r.arrival_s
-                                        for r in records],
-                service_times_s=[r.finish_s - r.admitted_s for r in records],
-                ttfts_s=_ttfts(records), tpots_s=_tpots(records))
+                generated_tokens=sum(records.decode_len),
+                preemptions=sum(records.preemptions),
+                queueing_delays_s=in_order(
+                    array("d", map(sub, admitted, arrival))),
+                end_to_end_latencies_s=in_order(
+                    array("d", map(sub, finish, arrival))),
+                service_times_s=in_order(
+                    array("d", map(sub, finish, admitted))),
+                ttfts_s=records.ttfts(records.rows()),
+                tpots_s=records.tpots(records.rows()))
         else:
             makespan = collector.max_finish_s
             served = dict(
@@ -1043,7 +1179,7 @@ class TokenServingEngine:
         )
 
     def _per_class(self, runtimes: List[InstanceRuntime],
-                   records: List[ServedRequest],
+                   records: ServedRecords,
                    collector: Optional[StreamingMetricsCollector],
                    makespan: float, pool: Dict[str, Any]
                    ) -> List[InstanceClassMetrics]:
@@ -1059,14 +1195,18 @@ class TokenServingEngine:
             served: Dict[str, Any]
             if collector is None:
                 ids = {r.instance_id for r in group}
-                mine = [r for r in records if r.instance_id in ids]
-                whole = len(mine) == len(records)
+                instance = records.instance_id
+                whole = sum(map(ids.__contains__, instance)) == len(records)
+                rows = records.rows() if whole else [
+                    r for r in records.rows() if instance[r] in ids]
                 served = dict(
-                    requests=len(mine),
-                    generated_tokens=sum(r.decode_len for r in mine),
-                    preemptions=sum(r.preemptions for r in mine),
-                    ttfts_s=pool["ttfts_s"] if whole else _ttfts(mine),
-                    tpots_s=pool["tpots_s"] if whole else _tpots(mine))
+                    requests=len(rows),
+                    generated_tokens=sum(map(records.decode_len.__getitem__,
+                                             rows)),
+                    preemptions=sum(map(records.preemptions.__getitem__,
+                                        rows)),
+                    ttfts_s=pool["ttfts_s"] if whole else records.ttfts(rows),
+                    tpots_s=pool["tpots_s"] if whole else records.tpots(rows))
             else:
                 tally = collector.per_class.get(label, [0, 0, 0, 0, 0.0])
                 served = dict(requests=tally[0], generated_tokens=tally[1],

@@ -1,9 +1,11 @@
 """Serving metrics: latency percentiles, throughput, utilization, energy.
 
 Two fidelity modes exist.  The default (``metrics_mode="full"``) keeps one
-entry per request in the ``*_s`` lists, so every percentile is exact — the
-regime all golden tests pin.  ``metrics_mode="streaming"`` replaces those
-unbounded lists with O(1)-memory incremental aggregates
+entry per request in the ``*_s`` sequences (typed ``array('d')`` columns,
+8 bytes an entry, except ``tpots_s``, a list that holds ``None``
+entries), so every percentile is exact — the regime all golden tests
+pin.  ``metrics_mode="streaming"`` replaces those unbounded sequences
+with O(1)-memory incremental aggregates
 (:class:`StreamingQuantile` log-bucketed histograms plus exact
 count/sum/min/max), so a million-request replay holds a few hundred
 histogram buckets instead of five million floats; percentiles then carry a
@@ -197,7 +199,7 @@ class InstanceClassMetrics(_MetricsBase):
     makespan_s: Seconds = 0.0
     busy_time_s: Seconds = 0.0
     batch_time_s: Seconds = 0.0
-    ttfts_s: List[Seconds] = field(default_factory=list)
+    ttfts_s: Sequence[Seconds] = field(default_factory=list)
     tpots_s: List[Optional[Seconds]] = field(default_factory=list)
     #: Streaming-mode fallback for :attr:`mean_ttft_s` when the per-request
     #: lists are not kept (per-class percentiles are full-fidelity only).
@@ -307,10 +309,10 @@ class ServingMetrics(_MetricsBase):
     num_nodes_per_instance: int
     makespan_s: Seconds
     generated_tokens: Tokens
-    queueing_delays_s: List[Seconds] = field(default_factory=list)
-    end_to_end_latencies_s: List[Seconds] = field(default_factory=list)
-    service_times_s: List[Seconds] = field(default_factory=list)
-    ttfts_s: List[Seconds] = field(default_factory=list)
+    queueing_delays_s: Sequence[Seconds] = field(default_factory=list)
+    end_to_end_latencies_s: Sequence[Seconds] = field(default_factory=list)
+    service_times_s: Sequence[Seconds] = field(default_factory=list)
+    ttfts_s: Sequence[Seconds] = field(default_factory=list)
     tpots_s: List[Optional[Seconds]] = field(default_factory=list)
     preemptions: int = 0
     policy: str = "fifo"

@@ -17,9 +17,11 @@ from typing import Iterable, List, Sequence, Tuple
 from repro.units import require_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scenario:
-    """One request shape: prompt length and generation length."""
+    """One request shape: prompt length and generation length (slotted
+    like :class:`~repro.workloads.traces.Request`: trace generators build
+    one per distinct shape, tens of thousands per large trace)."""
 
     prefill_len: int
     decode_len: int

@@ -4,6 +4,7 @@ KV-capacity admission controller."""
 import dataclasses
 import heapq
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ import pytest
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
-from repro.serving.engine import ServedRequest, TokenServingEngine
+from repro.serving.engine import (
+    ServedRecords,
+    ServedRequest,
+    TokenServingEngine,
+)
+from repro.serving.instance import RequestState
 from repro.serving.schedulers import (
     FifoScheduler,
     KVAdmissionController,
@@ -28,6 +34,8 @@ from repro.workloads.traces import (
     StreamingTrace,
     bursty_trace,
     multi_tenant_trace,
+    multi_turn_trace,
+    synthetic_azure_trace,
     synthetic_trace,
 )
 
@@ -541,3 +549,134 @@ def test_served_request_record_contract():
     assert tokenless.ttft_s is None and tokenless.tpot_s is None
     with pytest.raises(AttributeError):
         record.finish_s = 4.0
+    # the columns keep a None instance as -1 and a None first-token time
+    # as NaN, and hand both back as None
+    never_ran = RequestState(Request(request_id=7, arrival_s=0.5,
+                                     scenario=Scenario(16, 5),
+                                     tenant="chat"))
+    columns = ServedRecords()
+    columns.add(never_ran, 3.0)
+    assert columns.instance_id[0] == -1
+    assert math.isnan(columns.first_token_s[0])
+    assert columns[0] == ServedRequest(7, None, 0.5, 3.0, None, 3.0, 16, 5,
+                                       tenant="chat")
+    assert columns[0].instance_id is None
+    assert columns[0].first_token_s is None
+
+
+def _azure(num_requests):
+    return synthetic_azure_trace(num_requests, seed=0, mean_rate_per_s=8.0,
+                                 diurnal_amplitude=0.3)
+
+
+def _paged_swap_budget():
+    system = LoopLynxSystem.paper_configuration(num_nodes=2)
+    layout = KVCacheLayout.for_model(system.config.model, num_nodes=2)
+    return 1024 * layout.bytes_per_token_per_node()
+
+
+#: The replay benchmark's seven workload configurations
+#: (``replaybench/replay_workloads.py``), each with its trace recipe, plus
+#: two preempting multi-tenant pools, so the tenant, priority, preemption
+#: and swap-out columns all vary (and differ from each other).
+_TWIN_CONFIGS = {
+    "fifo_folded": (
+        lambda n: RequestTrace(requests=list(_azure(n))),
+        lambda: dict(cluster="8x2n", max_batch_size=8, policy="fifo")),
+    "fifo_streaming": (
+        _azure,
+        lambda: dict(cluster="8x2n", max_batch_size=8, policy="fifo",
+                     metrics_mode="streaming", slo=(2.0, 0.05))),
+    "paged_swap": (
+        lambda n: RequestTrace(requests=list(_azure(n))),
+        lambda: dict(cluster="8x2n", max_batch_size=8, policy="fifo",
+                     kv_mode="paged", kv_budget_bytes=_paged_swap_budget(),
+                     preemption_mode="swap")),
+    "prefix_multiturn": (
+        lambda n: multi_turn_trace(n, seed=0, session_rate_per_s=1.0),
+        lambda: dict(cluster="4x1n,2x2n,1x4n", max_batch_size=8,
+                     policy="fifo", router="prefix_aware", kv_mode="paged",
+                     kv_prefix_sharing=True)),
+    "mixed_prefill": (
+        lambda n: RequestTrace(requests=list(_azure(n))),
+        lambda: dict(cluster="8x2n", max_batch_size=8, policy="fifo",
+                     prefill_mode="mixed")),
+    "het_least_loaded": (
+        lambda n: RequestTrace(requests=list(_azure(n))),
+        lambda: dict(cluster="4x1n,4x2n,1x4n", max_batch_size=8,
+                     policy="fifo", router="least_loaded")),
+    "disagg_handoff": (
+        lambda n: RequestTrace(requests=list(_azure(n))),
+        lambda: dict(cluster="4x4n:prefill,4x1n:decode", max_batch_size=8,
+                     policy="fifo", router="disaggregated",
+                     kv_mode="paged")),
+    **{f"priority_{mode}": (
+        lambda n: multi_tenant_trace(n, seed=3),
+        lambda mode=mode: dict(cluster="2x1n", max_batch_size=8,
+                               policy="priority", kv_mode="paged",
+                               kv_budget_bytes=64 << 20,
+                               preemption_mode=mode))
+       for mode in ("swap", "recompute")},
+}
+
+
+@pytest.mark.parametrize("workload", sorted(_TWIN_CONFIGS))
+def test_columnar_records_match_per_finish_records(workload, monkeypatch):
+    """Slow twin of the columnar record sink: capture every finished
+    request state with its finish time, build the per-finish
+    ``ServedRequest`` list the engine used to keep, sort it by request id
+    (stably, as the engine did), and compare it with the returned view
+    field for field."""
+    make_trace, engine_kwargs = _TWIN_CONFIGS[workload]
+    finished = []
+    add = ServedRecords.add
+
+    def capturing_add(self, state, now):
+        finished.append((state, now))
+        add(self, state, now)
+
+    monkeypatch.setattr(ServedRecords, "add", capturing_add)
+    kwargs = engine_kwargs()
+    if kwargs.get("metrics_mode") == "streaming":
+        _, streamed = TokenServingEngine(**kwargs).run(make_trace(300))
+        assert isinstance(streamed, ServedRecords)
+        assert len(streamed) == 0 and streamed == [] and not finished
+        assert list(streamed) == [] and streamed[:] == []
+        kwargs.update(metrics_mode="full", slo=None)
+    _, records = TokenServingEngine(**kwargs).run(make_trace(300))
+    expected = sorted(
+        (ServedRequest(
+            state.request.request_id, state.instance_id,
+            state.request.arrival_s,
+            state.admitted_s if state.admitted_s is not None else now,
+            state.first_token_s, now, state.prefill_len, state.decode_len,
+            state.request.tenant, state.request.priority, state.preemptions,
+            state.swap_outs, state.handoffs)
+         for state, now in finished),
+        key=attrgetter("request_id"))
+    assert len(records) == len(expected) == 300
+    if workload.startswith("priority_"):
+        assert any(r.preemptions != r.swap_outs for r in expected) \
+            == (workload == "priority_recompute")
+        assert any(r.swap_outs for r in expected) \
+            == (workload == "priority_swap")
+    for got, want in zip(records, expected):
+        assert type(got) is ServedRequest
+        assert got._asdict() == want._asdict()
+    assert list(records) == expected
+    assert records == expected and expected == records
+    assert records == tuple(expected)
+    assert not records != expected
+    assert records != expected[:-1]
+    assert records != expected[:-1] + [expected[-1]._replace(finish_s=-1.0)]
+    for index in (0, 1, 150, 299, -1, -2, -300):
+        assert records[index] == expected[index]
+    for cut in (slice(None), slice(10, 20), slice(-5, None),
+                slice(None, None, -7), slice(3, 250, 11), slice(400, 500)):
+        assert records[cut] == expected[cut]
+    with pytest.raises(IndexError):
+        records[300]
+    with pytest.raises(IndexError):
+        records[-301]
+    assert records.index(expected[42]) == 42
+    assert expected[42] in records
