@@ -8,10 +8,11 @@ all-gather.
 
 import numpy as np
 
+from repro.core.config import HardwareConfig
+from repro.core.event_sim import EventDrivenMatrixKernel
 from repro.core.functional import FunctionalLoopLynxSystem
 from repro.core.multi_node import LoopLynxSystem
-from repro.dataflow.kernel import run_linear_chain
-from repro.model.config import ModelConfig
+from repro.model.config import ModelConfig, layer_linear_specs
 from repro.model.gpt2 import GPT2Model
 from repro.network.ring import RingAllGather
 
@@ -32,10 +33,15 @@ def test_bench_full_scenario_model(benchmark):
 
 
 def test_bench_dataflow_engine_chain(benchmark):
-    """Event-driven simulation of a 5-stage pipeline over 200 items."""
-    total, items = benchmark(run_linear_chain, [3, 7, 2, 5, 4], 200)
-    assert len(items) == 200
-    assert total > 0
+    """Event-driven Fused MP kernel (DMA -> MPU -> quantization -> router
+    processes over FIFOs) for GPT-2 medium's first MLP layer on one node:
+    256 weight chunks through four stages."""
+    kernel = EventDrivenMatrixKernel(HardwareConfig())
+    spec = next(s for s in layer_linear_specs(ModelConfig.gpt2_medium())
+                if s.name == "mlp_fc")
+    result = benchmark(kernel.simulate_linear, spec, 1)
+    assert result.total_cycles > 0
+    assert result.unit_busy_cycles("mpu") > 0
 
 
 def test_bench_functional_decode_step(benchmark):

@@ -7,7 +7,9 @@ Scalable Dataflow Architecture for Efficient LLM Inference" (DATE 2025):
 * :mod:`repro.core` — the hybrid spatial-temporal accelerator model (macro
   dataflow kernels, temporal scheduler, multi-node ring deployment,
   functional int8 datapath, FPGA resource model);
-* :mod:`repro.dataflow` — the discrete-event dataflow simulation substrate;
+* :mod:`repro.dataflow` — the discrete-event engine, FIFOs and trace
+  recorder on which :mod:`repro.core.event_sim` runs the kernels'
+  executable twin;
 * :mod:`repro.memory`, :mod:`repro.network` — HBM, shared-buffer, KV-cache
   and ring-interconnect substrates;
 * :mod:`repro.model`, :mod:`repro.quant` — a from-scratch NumPy GPT-2 with

@@ -16,13 +16,14 @@ from repro.serving.cluster import (
     ROUTER_NAMES,
     parse_cluster_spec,
 )
-from repro.serving.engine import (PREFILL_MODES, ServedRecords, ServedRequest,
+from repro.serving.engine import (KV_RECIPE_MODES, PREFILL_MODES,
+                                  ServedRecords, ServedRequest,
                                   TokenServingEngine)
 from repro.serving.schedulers import FIFO_EXCLUSIVE
 from repro.workloads.traces import RequestTrace
 
 #: KV capacity regimes accepted by :func:`run_policy` and the serve CLI.
-KV_MODES = ("reserve", "paged")
+KV_MODES = KV_RECIPE_MODES
 
 
 def run_policy(trace: RequestTrace, policy: str,

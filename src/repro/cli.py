@@ -40,6 +40,9 @@ from repro.core.multi_node import LoopLynxSystem
 from repro.energy.power import FpgaPowerModel, GpuPowerModel
 from repro.experiments import EXPERIMENTS
 from repro.model.config import ModelConfig
+from repro.serving.cluster import ROUTER_NAMES
+from repro.serving.engine import (KV_RECIPE_MODES, PREEMPTION_MODES,
+                                  PREFILL_MODES)
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
@@ -483,9 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="accelerator nodes per instance (plain-count "
                           "--instances only; cluster specs carry their own)")
     sub.add_argument("--router",
-                     choices=("round_robin", "least_loaded", "kv_aware",
-                              "class_affinity", "disaggregated",
-                              "prefix_aware"),
+                     choices=ROUTER_NAMES,
                      default="round_robin",
                      help="cluster-routing policy for heterogeneous "
                           "--instances specs (single-class pools behave "
@@ -504,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-node KV-cache budget (MiB); enables admission "
                           "control (reserve mode) and caps the block pool "
                           "(paged mode)")
-    sub.add_argument("--kv-mode", choices=("reserve", "paged"),
+    sub.add_argument("--kv-mode", choices=KV_RECIPE_MODES,
                      default="reserve",
                      help="KV capacity regime: worst-case reservations "
                           "(PR 1 behaviour) or on-demand paged blocks")
@@ -515,11 +516,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "requests sharing a prompt prefix reuse cached "
                           "blocks (copy-on-write on divergence) and skip "
                           "the matched prefill tokens")
-    sub.add_argument("--preemption-mode", choices=("swap", "recompute"),
+    sub.add_argument("--preemption-mode", choices=PREEMPTION_MODES,
                      default="swap",
                      help="paged-mode eviction: swap blocks to host over "
                           "PCIe and resume, or discard and recompute prefill")
-    sub.add_argument("--prefill-mode", choices=("exclusive", "mixed"),
+    sub.add_argument("--prefill-mode", choices=PREFILL_MODES,
                      default="exclusive",
                      help="exclusive: a prefill chunk occupies a step on its "
                           "own, stalling co-resident decodes (historical "

@@ -1,29 +1,21 @@
 """Dataflow simulation substrate.
 
-This package stands in for the Vitis HLS dataflow fabric used by the paper.
-It provides a small discrete-event simulation engine (:mod:`repro.dataflow.engine`),
-FIFO channels with bounded depth (:mod:`repro.dataflow.fifo`), kernel process
-abstractions (:mod:`repro.dataflow.kernel`), pipeline composition helpers that
-model overlap / initiation intervals (:mod:`repro.dataflow.pipeline`), and a
-trace recorder used by the latency-breakdown analysis
+This package stands in for the Vitis HLS dataflow fabric used by the paper:
+a small discrete-event engine whose processes are plain generators
+(:mod:`repro.dataflow.engine`), bounded-depth FIFO channels between them
+(:mod:`repro.dataflow.fifo`), and a recorder of per-unit busy intervals
 (:mod:`repro.dataflow.trace`).
 
-The LoopLynx macro dataflow kernels in :mod:`repro.core.kernels` are built on
-top of these primitives: each hardware kernel is expressed as a set of pipeline
-stages with a latency and an initiation interval, and the engine computes the
-overlapped schedule exactly the way a free-running HLS dataflow region would.
+:mod:`repro.core.event_sim` builds the executable twin of the closed-form
+kernel models in :mod:`repro.core.kernels` from these three: the Fused MP
+kernel as DMA → MPU → quantization → router processes connected by FIFOs,
+and the Fused MHA kernel as its head-wise score → softmax → mix pipeline.
+The engine's makespan cross-checks the analytical timings, and the recorded
+busy intervals feed the utilization analysis of the paper's Fig. 3.
 """
 
 from repro.dataflow.engine import Event, SimulationEngine
 from repro.dataflow.fifo import Fifo, FifoClosed, FifoFull, FifoEmpty
-from repro.dataflow.kernel import KernelProcess, KernelPort
-from repro.dataflow.pipeline import (
-    PipelineStage,
-    StageTiming,
-    overlapped_latency,
-    pipeline_latency,
-    sequential_latency,
-)
 from repro.dataflow.trace import TraceEvent, TraceRecorder
 
 __all__ = [
@@ -33,13 +25,6 @@ __all__ = [
     "FifoClosed",
     "FifoFull",
     "FifoEmpty",
-    "KernelProcess",
-    "KernelPort",
-    "PipelineStage",
-    "StageTiming",
-    "overlapped_latency",
-    "pipeline_latency",
-    "sequential_latency",
     "TraceEvent",
     "TraceRecorder",
 ]

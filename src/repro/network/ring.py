@@ -23,14 +23,53 @@ Two views are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dataflow.pipeline import hidden_latency
 from repro.memory.buffer import SharedBuffer
 from repro.network.datapack import Datapack, pack_int8_vector, unpack_int8_vector
 from repro.network.link import LinkConfig, RingLink
+
+
+def hidden_latency(compute_cycles: int, transfer_cycles: int,
+                   blocks: int = 1) -> Tuple[int, int]:
+    """Model the paper's *transmission latency hiding* (Fig. 4(c)).
+
+    A matrix operation is split into ``blocks`` block-multiplications; the
+    synchronization (transfer) of block *i* overlaps with the computation of
+    block *i+1*.  Only the transfer of the **last** block is exposed.
+
+    Parameters
+    ----------
+    compute_cycles:
+        Total computation cycles across all blocks.
+    transfer_cycles:
+        Total transfer cycles across all blocks.
+    blocks:
+        Number of blocks the operation is split into.
+
+    Returns
+    -------
+    (total_cycles, exposed_transfer_cycles)
+    """
+    if blocks <= 0:
+        raise ValueError("blocks must be positive")
+    if compute_cycles < 0 or transfer_cycles < 0:
+        raise ValueError("negative cycle count")
+    per_block_compute = compute_cycles / blocks
+    per_block_transfer = transfer_cycles / blocks
+    # steady state: each block's transfer hides behind the next block's
+    # compute; when transfer is slower than compute the surplus is exposed on
+    # every block except it pipelines, so the critical path is governed by the
+    # max of the two rates, plus the first compute and the last transfer.
+    if blocks == 1:
+        total = compute_cycles + transfer_cycles
+        return int(round(total)), int(round(transfer_cycles))
+    steady = (blocks - 1) * max(per_block_compute, per_block_transfer)
+    total = per_block_compute + steady + per_block_transfer
+    exposed = total - compute_cycles
+    return int(round(total)), int(round(max(exposed, 0.0)))
 
 
 @dataclass

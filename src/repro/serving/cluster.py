@@ -525,9 +525,11 @@ class DisaggregatedRouter(Router):
     least-loaded ordering.
 
     The role *constraints* themselves (a decode instance never runs a
-    prefill, a prefill instance never decodes) are enforced by the
-    instance runtimes, not here — they hold under every router; this
-    router adds the ordering that makes a disaggregated cluster perform.
+    prefill, a prefill instance never decodes, a request whose KV lives
+    on one instance is resumed only there) are enforced by the instance
+    runtimes, not here — they hold under every router, so this router
+    vetoes nothing and only adds the ordering that makes a disaggregated
+    cluster perform.
     """
 
     name = "disaggregated"
@@ -546,10 +548,6 @@ class DisaggregatedRouter(Router):
         match = 0 if (head is not None
                       and self._role_matches(runtime, head)) else 1
         return (match, runtime.load)
-
-    def placement_ok(self, runtime: "InstanceRuntime",
-                     state: "RequestState") -> bool:
-        return self._role_matches(runtime, state)
 
 
 def make_router(router: Union[str, Router]) -> Router:

@@ -466,16 +466,14 @@ class TokenServingEngine:
         (:class:`~repro.serving.metrics.StreamingMetricsCollector`) and
         returns *empty* records, so million-request replays hold no
         per-request state; percentiles then carry a bounded relative error
-        (``quantile_error``) while counters, means and extremes stay exact.
+        (0.5%, :class:`~repro.serving.metrics.StreamingQuantile`'s default)
+        while counters, means and extremes stay exact.
     slo:
         Optional ``(ttft_slo_s, tpot_slo_s)`` pair pinned for streaming
         runs: joint SLO attainment needs per-request TTFT/TPOT *pairs*,
         which marginal aggregates cannot recover, so streaming counts
         attainment online against exactly this pin.  Full mode answers
         arbitrary SLO queries after the fact and rejects a pin.
-    quantile_error:
-        Guaranteed relative error of streaming-mode percentile estimates
-        (default 0.5% — see :class:`~repro.serving.metrics.StreamingQuantile`).
     multistep:
         Allow the event loop to fast-forward consecutive pure-decode steps
         (and chunks of one exclusive prefill) into single events (see
@@ -521,7 +519,6 @@ class TokenServingEngine:
                  swap_priority: bool = False,
                  metrics_mode: str = "full",
                  slo: Optional[Tuple[float, float]] = None,
-                 quantile_error: float = 0.005,
                  multistep: bool = True,
                  sanitize: Optional[bool] = None) -> None:
         if cluster is None:
@@ -543,8 +540,6 @@ class TokenServingEngine:
                 raise ValueError("slo must be a (ttft_slo_s, tpot_slo_s) "
                                  "pair")
             slo = (float(slo[0]), float(slo[1]))
-        if not 0.0 < quantile_error < 1.0:
-            raise ValueError("quantile_error must be in (0, 1)")
         # integer knobs: a NaN, inf, fraction or bool is no count (it would
         # stall the run, or silently run as a rounded or unit size)
         max_batch_size = require_count(max_batch_size, "max_batch_size",
@@ -629,7 +624,6 @@ class TokenServingEngine:
         self.swap_priority = swap_priority
         self.metrics_mode = metrics_mode
         self.slo = slo
-        self.quantile_error = quantile_error
         self.multistep = multistep
         #: resolved at construction: explicit argument wins over the
         #: ``REPRO_SANITIZE`` environment switch (see :mod:`repro.sanitize`)
@@ -857,7 +851,7 @@ class TokenServingEngine:
         collector: Optional[StreamingMetricsCollector] = None
         if self.metrics_mode == "streaming":
             collector = StreamingMetricsCollector(
-                slo=self.slo, quantile_error=self.quantile_error,
+                slo=self.slo,
                 class_of_instance={r.instance_id: r.class_label
                                    for r in runtimes})
             record = collector.add
@@ -888,40 +882,36 @@ class TokenServingEngine:
         def pump(completer: Optional[InstanceRuntime], now: float) -> None:
             """Offer the queue to every instance at a step boundary.
 
-            Single-class pools replay the exact pre-cluster order: the
-            completing instance first, then, while the queue is non-empty,
-            every idle instance in id order (arrivals offer to idle
-            instances only).  Pools without paged KV need no separate
-            branch: there an idle instance admits any validated head (its
-            batch is empty, its role is ``both`` and no router gate
-            applies), so no idle instance ever coexists with a waiting
-            request and the idle loop finds nothing to offer.  Paged pools
-            need it, because swap affinity can strand work on an idle
-            instance.  Heterogeneous pools let the router order all
-            boundary instances (idle ones are always woken: a vetoed head
-            must be able to reach its preferred class the moment it has a
-            boundary).  Once the queue is empty an idle instance without
-            parked victims has nothing to admit, so it is not offered; on
-            a ``quiet`` pool an empty queue therefore needs no order.
+            Heterogeneous pools let the router order all boundary
+            instances (idle ones are always woken: a vetoed head must be
+            able to reach its preferred class the moment it has a
+            boundary).  Single-class pools replay the exact pre-cluster
+            order: the completing instance first, then, if the queue is
+            non-empty, every idle instance in id order (arrivals offer to
+            idle instances only).  On a pool without paged KV an idle
+            instance admits any validated head, so none is idle while a
+            request waits; paged pools need the idle pass, because swap
+            affinity can strand work on an idle instance.  Once the queue
+            is empty an idle instance without parked victims has nothing
+            to admit, so it is not offered; on a ``quiet`` pool an empty
+            queue therefore needs no order.
             """
             qlen = scheduler.__len__
-            if not multi_class:
+            if multi_class and (qlen() or not quiet):
+                order = router.dispatch_order(
+                    [r for r in runtimes if r is completer or not r.busy],
+                    scheduler.peek())
+            else:
                 if completer is not None:
                     dispatch(completer, now)
-                if qlen():
-                    for runtime in runtimes:
-                        if not runtime.busy and (qlen() or runtime.parked):
-                            dispatch(runtime, now)
-                return
-            if quiet and not qlen():
-                if completer is not None:
-                    dispatch(completer, now)
-                return
-            candidates = [r for r in runtimes
-                          if r is completer or not r.busy]
-            for runtime in router.dispatch_order(candidates, scheduler.peek()):
-                if runtime is completer or (not runtime.busy
-                                            and (qlen() or runtime.parked)):
+                    completer = None  # had its turn: offer it only if idle
+                if not qlen():
+                    return
+                order = [r for r in runtimes if not r.busy]
+            # an instance idle when the order was taken stays idle until
+            # its own dispatch
+            for runtime in order:
+                if runtime is completer or qlen() or runtime.parked:
                     dispatch(runtime, now)
 
         def launch_handoffs(runtime: InstanceRuntime, now: float) -> None:
@@ -971,12 +961,6 @@ class TokenServingEngine:
         # change between events without a cut.
         never_preempts = scheduler.never_preempts
 
-        def idle_would_take(head: RequestState) -> bool:
-            for r in runtimes:
-                if not r.busy and r.admits(head, gate):
-                    return True
-            return False
-
         def cut_live_boundary(now: float) -> None:
             head = scheduler.peek()
             if head is None:
@@ -989,7 +973,8 @@ class TokenServingEngine:
                     continue
                 if not r.would_take(head, gate, never_preempts):
                     if idle_takes is None:
-                        idle_takes = idle_would_take(head)
+                        idle_takes = any(not i.busy and i.admits(head, gate)
+                                         for i in runtimes)
                     if not idle_takes:
                         continue
                 boundary = r.next_skipped_boundary(now)

@@ -634,7 +634,6 @@ class StreamingMetricsCollector:
                  "ttft", "tpot", "class_of_instance", "per_class")
 
     def __init__(self, slo: Optional[Tuple[float, float]] = None,
-                 quantile_error: float = 0.005,
                  class_of_instance: Optional[Dict[int, str]] = None) -> None:
         self.count = 0
         self.generated_tokens = 0
@@ -642,11 +641,11 @@ class StreamingMetricsCollector:
         self.max_finish_s = 0.0
         self.slo = slo
         self.slo_good = 0
-        self.queueing = StreamingQuantile(quantile_error)
-        self.latency = StreamingQuantile(quantile_error)
-        self.service = StreamingQuantile(quantile_error)
-        self.ttft = StreamingQuantile(quantile_error)
-        self.tpot = StreamingQuantile(quantile_error)
+        self.queueing = StreamingQuantile()
+        self.latency = StreamingQuantile()
+        self.service = StreamingQuantile()
+        self.ttft = StreamingQuantile()
+        self.tpot = StreamingQuantile()
         self.class_of_instance = class_of_instance or {}
         # label -> [requests, generated_tokens, preemptions,
         #           ttft_count, ttft_sum_s]

@@ -1,66 +1,8 @@
-"""Tests for kernel processes and the trace recorder."""
+"""Tests for the trace recorder."""
 
 import pytest
 
-from repro.dataflow.engine import SimulationEngine
-from repro.dataflow.fifo import Fifo
-from repro.dataflow.kernel import (
-    KernelPort,
-    KernelProcess,
-    SinkKernel,
-    SourceKernel,
-    TransformKernel,
-    run_linear_chain,
-)
 from repro.dataflow.trace import TraceRecorder
-
-
-class TestKernelProcesses:
-    def test_source_to_sink(self):
-        engine = SimulationEngine()
-        fifo = Fifo(depth=4)
-        source = SourceKernel("source", fifo, count=5, interval=2,
-                              make_item=lambda i: i * i)
-        sink = SinkKernel("sink", fifo, interval=0)
-        source.register(engine)
-        sink.register(engine)
-        engine.run()
-        assert sink.collected == [0, 1, 4, 9, 16]
-        assert source.items_processed == 5
-
-    def test_transform_applies_function(self):
-        engine = SimulationEngine()
-        a, b = Fifo(depth=2), Fifo(depth=2)
-        SourceKernel("src", a, count=4, interval=0).register(engine)
-        TransformKernel("double", a, b, latency=1, interval=1,
-                        func=lambda x: 2 * x).register(engine)
-        sink = SinkKernel("sink", b, interval=0)
-        sink.register(engine)
-        engine.run()
-        assert sink.collected == [0, 2, 4, 6]
-
-    def test_chain_latency_depends_on_bottleneck(self):
-        fast_total, _ = run_linear_chain([1, 1, 1], items=50)
-        slow_total, _ = run_linear_chain([1, 10, 1], items=50)
-        assert slow_total > fast_total
-        # steady state governed by the slowest stage
-        assert slow_total >= 49 * 10
-
-    def test_chain_requires_stages(self):
-        with pytest.raises(ValueError):
-            run_linear_chain([], items=3)
-
-    def test_port_direction_validation(self):
-        with pytest.raises(ValueError):
-            KernelPort("p", Fifo(), direction="sideways")
-
-    def test_ports_registered_on_kernel(self):
-        kernel = KernelProcess("k")
-        fifo = Fifo()
-        kernel.add_input("in", fifo)
-        kernel.add_output("out", fifo)
-        assert kernel.input_fifo("in") is fifo
-        assert kernel.output_fifo("out") is fifo
 
 
 class TestTraceRecorder:
@@ -110,14 +52,3 @@ class TestTraceRecorder:
         trace.record("early", "stop", 50)
         rows = trace.gantt_rows()
         assert [row[0] for row in rows] == ["early", "late"]
-
-    def test_kernel_processes_emit_trace_events(self):
-        engine = SimulationEngine()
-        trace = TraceRecorder()
-        fifo = Fifo(depth=4)
-        SourceKernel("src", fifo, count=3, interval=1, trace=trace).register(engine)
-        sink = SinkKernel("sink", fifo, interval=0, trace=trace)
-        sink.register(engine)
-        engine.run()
-        assert trace.busy_interval("src") is not None
-        assert trace.busy_interval("sink") is not None

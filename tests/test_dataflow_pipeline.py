@@ -1,77 +1,64 @@
-"""Tests for the analytical pipeline composition helpers, cross-checked
-against the event-driven engine."""
+"""Pipeline timing: the fill + drain formula cross-checked against the
+event-driven engine, and the ring's transmission-latency hiding."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dataflow.kernel import run_linear_chain
-from repro.dataflow.pipeline import (
-    LatencyBreakdown,
-    PipelineStage,
-    StageTiming,
-    hidden_latency,
-    overlapped_latency,
-    pipeline_latency,
-    sequential_latency,
-)
+from repro.dataflow.engine import SimulationEngine
+from repro.dataflow.fifo import Fifo
+from repro.network.ring import hidden_latency
 
 
-def stage(name, latency, items=1, interval=None):
-    return PipelineStage(StageTiming(name, latency,
-                                     latency if interval is None else interval), items)
+def run_chain(intervals, items, depth=2):
+    """Simulate ``items`` work items through a linear chain of
+    FIFO-connected stages built as plain generator processes, the way
+    :mod:`repro.core.event_sim` builds its kernels: stage ``i`` spends
+    ``intervals[i]`` cycles per item.  Returns ``(total_cycles, items)``."""
+    engine = SimulationEngine()
+    fifos = [Fifo(depth=depth, name=f"f{i}") for i in range(len(intervals) + 1)]
 
+    def source():
+        for index in range(items):
+            yield from fifos[0].push(index)
+        fifos[0].close()
 
-class TestStageTiming:
-    def test_negative_timing_rejected(self):
-        with pytest.raises(ValueError):
-            StageTiming("bad", -1, 1)
+    def stage(inp, out, interval):
+        while True:
+            item = yield from inp.pop_or_none()
+            if item is None:
+                break
+            yield ("wait", interval)
+            yield from out.push(item)
+        out.close()
 
-    def test_total_cycles_with_items(self):
-        s = stage("s", latency=10, items=5, interval=2)
-        assert s.total_cycles == 10 + 4 * 2
+    def sink():
+        collected = []
+        while True:
+            item = yield from fifos[-1].pop_or_none()
+            if item is None:
+                return collected
+            collected.append(item)
 
-    def test_zero_items_costs_nothing(self):
-        assert stage("s", latency=10, items=0).total_cycles == 0
+    engine.add_process(source(), name="source")
+    for i, interval in enumerate(intervals):
+        engine.add_process(stage(fifos[i], fifos[i + 1], interval),
+                           name=f"stage{i}")
+    pid = engine.add_process(sink(), name="sink")
+    total = engine.run()
+    return total, engine.result_of(pid)
 
 
 class TestCompositions:
-    def test_sequential_is_sum(self):
-        stages = [stage("a", 5), stage("b", 7), stage("c", 11)]
-        assert sequential_latency(stages) == 23
-
-    def test_pipeline_single_item_equals_sequential(self):
-        stages = [stage("a", 5), stage("b", 7)]
-        assert pipeline_latency(stages) == sequential_latency(stages)
-
-    def test_pipeline_many_items_bound_by_bottleneck(self):
-        stages = [stage("a", 2, items=100), stage("b", 9, items=100), stage("c", 3, items=100)]
-        expected = (2 + 9 + 3) + 99 * 9
-        assert pipeline_latency(stages) == expected
-
-    def test_pipeline_items_mismatch_requires_explicit_count(self):
-        stages = [stage("a", 2, items=10), stage("b", 2, items=20)]
-        with pytest.raises(ValueError):
-            pipeline_latency(stages)
-        assert pipeline_latency(stages, items=10) > 0
-
-    def test_overlapped_is_max(self):
-        assert overlapped_latency([3, 9, 5]) == 9
-        assert overlapped_latency([]) == 0
-
-    def test_overlapped_rejects_negative(self):
-        with pytest.raises(ValueError):
-            overlapped_latency([3, -1])
-
     @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=5),
            st.integers(min_value=1, max_value=30))
     @settings(max_examples=30, deadline=None)
     def test_pipeline_formula_matches_event_driven_engine(self, latencies, items):
-        """The closed-form pipeline latency must match the schedule the
+        """The closed-form pipeline latency (fill, then one bottleneck
+        interval per further item) must match the schedule the
         discrete-event engine produces for a linear chain of kernels."""
-        total, collected = run_linear_chain(latencies, items)
-        stages = [stage(f"s{i}", lat, items=items) for i, lat in enumerate(latencies)]
-        assert len(collected) == items
-        assert total == pipeline_latency(stages)
+        total, collected = run_chain(latencies, items)
+        assert collected == list(range(items))
+        assert total == sum(latencies) + (items - 1) * max(latencies)
 
 
 class TestHiddenLatency:
@@ -104,36 +91,3 @@ class TestHiddenLatency:
         assert total <= compute + transfer + blocks  # rounding slack
         assert total + blocks >= max(compute, transfer)
         assert 0 <= exposed <= transfer + blocks
-
-
-class TestLatencyBreakdown:
-    def test_add_and_total(self):
-        breakdown = LatencyBreakdown()
-        breakdown.add("linear", 100)
-        breakdown.add("linear", 50)
-        breakdown.add("attention", 30)
-        assert breakdown.total == 180
-        assert breakdown.contributions["linear"] == 150
-
-    def test_fraction(self):
-        breakdown = LatencyBreakdown()
-        breakdown.add("a", 75)
-        breakdown.add("b", 25)
-        assert breakdown.fraction("a") == pytest.approx(0.75)
-        assert breakdown.fraction("missing") == 0.0
-
-    def test_merge_with_scale(self):
-        a = LatencyBreakdown()
-        a.add("x", 10)
-        b = LatencyBreakdown()
-        b.add("x", 5)
-        b.add("y", 1)
-        a.merge(b, scale=2.0)
-        assert a.contributions == {"x": 20, "y": 2}
-
-    def test_scaled_returns_new_object(self):
-        a = LatencyBreakdown()
-        a.add("x", 10)
-        b = a.scaled(3.0)
-        assert b.contributions["x"] == 30
-        assert a.contributions["x"] == 10

@@ -25,6 +25,7 @@ from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
 from repro.serving.cluster import (
     ClusterSpec,
+    DisaggregatedRouter,
     InstanceSpec,
     ROUTER_NAMES,
     make_router,
@@ -200,6 +201,40 @@ class TestHandoffPrimitives:
             kv.import_handoff(3, 20)
         with pytest.raises(ValueError, match="cached token"):
             kv.import_handoff(4, 0)
+
+
+class TestRoleMatchIsNoVeto:
+    """The disaggregated router vetoes nothing.  Its role match (the swap
+    pin, then the role) refuses no head that the runtime's own checks
+    accept: ``role_admits``, plus the swap pin in ``would_take`` and in
+    ``PagedRuntime.kv_admits``.  So passing it as a placement gate changes
+    no answer, and a disaggregated pool runs without one."""
+
+    @pytest.mark.parametrize("pin", (None, "this", "other"))
+    @pytest.mark.parametrize("prompt_done", (False, True))
+    @pytest.mark.parametrize("role", ("prefill", "decode", "both"))
+    def test_gate_changes_no_answer(self, role, prompt_done, pin):
+        system = LoopLynxSystem.paper_configuration(num_nodes=1)
+        layout = KVCacheLayout.for_model(system.config.model, num_nodes=1)
+        kv = PagedKVManager(
+            layout, block_size_tokens=16,
+            budget_bytes=64 * 16 * layout.bytes_per_token_per_node())
+        runtime = PagedRuntime(0, system, role=role, kv=kv)
+        state = RequestState(Request(request_id=7, arrival_s=0.0,
+                                     scenario=Scenario(32, 8)))
+        # a pinned request has KV on the host tier: a swapped one mid-prompt
+        # holds a chunk, a handed-off one its whole prompt
+        state.prefill_done = 32 if prompt_done else (16 if pin else 0)
+        if pin is not None:
+            state.phase = lifecycle.EVICTED_SWAP
+            state.swapped_on = 0 if pin == "this" else 1
+            if pin == "this":
+                kv.import_handoff(7, state.prefill_done)
+        gate = DisaggregatedRouter._role_matches
+        assert runtime.admits(state, gate) == runtime.admits(state, None)
+        for never_preempts in (True, False):
+            assert (runtime.would_take(state, gate, never_preempts)
+                    == runtime.would_take(state, None, never_preempts))
 
 
 class TestEngineValidation:

@@ -4,7 +4,11 @@ KV-capacity admission controller."""
 import dataclasses
 import heapq
 import math
+import os
+import subprocess
+import sys
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -680,3 +684,17 @@ def test_columnar_records_match_per_finish_records(workload, monkeypatch):
         records[-301]
     assert records.index(expected[42]) == 42
     assert expected[42] in records
+
+
+def test_serving_import_loads_no_dataflow_module():
+    """The serving stack prices steps through the closed-form cycle model;
+    the discrete-event kernel substrate is not on its import path, so a
+    replay's start-up does not pay for it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, repro.serving; print(sorted(m for m in sys.modules "
+            "if m.startswith('repro.dataflow')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

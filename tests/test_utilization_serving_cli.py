@@ -1,6 +1,8 @@
 """Tests for the utilization analysis, the whole-request serving preset
 and the CLI."""
 
+import argparse
+
 import pytest
 
 from repro.analysis.utilization import (
@@ -14,8 +16,11 @@ from repro.analysis.utilization import (
     temporal_active_area_fraction,
 )
 from repro.cli import build_parser, main
+from repro.serving.cluster import ROUTER_NAMES
+from repro.serving.engine import (KV_RECIPE_MODES, PREEMPTION_MODES,
+                                  PREFILL_MODES)
 from repro.serving.metrics import ServingMetrics, percentile
-from repro.analysis.serving import run_policy
+from repro.analysis.serving import KV_MODES, run_policy
 from repro.workloads.traces import RequestTrace, synthetic_trace
 
 
@@ -246,6 +251,21 @@ class TestCli:
         args = parser.parse_args(["serve", "--policy", "sjf",
                                   "--kv-budget-mib", "256"])
         assert args.policy == "sjf" and args.kv_budget_mib == 256
+
+    def test_serve_choices_are_the_engine_constants(self):
+        """``serve`` offers exactly the names the engine accepts, read from
+        one list each, so a new router or mode cannot be missing from the
+        CLI (or a stale one linger there)."""
+        parser = build_parser()
+        subcommands = next(action for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        choices = {action.dest: tuple(action.choices)
+                   for action in subcommands.choices["serve"]._actions
+                   if action.choices is not None}
+        assert choices["router"] == ROUTER_NAMES
+        assert choices["prefill_mode"] == PREFILL_MODES
+        assert choices["preemption_mode"] == PREEMPTION_MODES
+        assert choices["kv_mode"] == KV_RECIPE_MODES == KV_MODES
 
     def test_export_command(self, capsys, tmp_path):
         assert main(["export", "table1", "table3",
