@@ -23,7 +23,6 @@ from repro.analysis.footprint import (
 )
 from repro.analysis.report import format_table, render_markdown_table
 from repro.analysis.serving import (
-    KV_MODES,
     kv_mode_comparison,
     metrics_row,
     policy_comparison,
@@ -53,7 +52,6 @@ __all__ = [
     "summarize_gpu_comparison",
     "format_table",
     "render_markdown_table",
-    "KV_MODES",
     "kv_mode_comparison",
     "metrics_row",
     "policy_comparison",

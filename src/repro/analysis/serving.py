@@ -3,12 +3,15 @@
 These helpers run one trace through several serving configurations and lay
 the resulting :class:`~repro.serving.metrics.ServingMetrics` out as table
 rows for the ``serve`` CLI subcommand, the chatbot-serving example and the
-serving benchmarks.
+serving benchmarks.  Every comparison takes one option set, ``**base``
+(anything :func:`run_policy` accepts), applies it to every row and replaces
+only the options the table varies.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.serving.cluster import (
     ClusterSpec,
@@ -16,102 +19,55 @@ from repro.serving.cluster import (
     ROUTER_NAMES,
     parse_cluster_spec,
 )
-from repro.serving.engine import (KV_RECIPE_MODES, PREFILL_MODES,
-                                  ServedRecords, ServedRequest,
-                                  TokenServingEngine)
+from repro.serving.engine import (PREFILL_MODES, ServedRecords,
+                                  ServedRequest, TokenServingEngine)
+from repro.serving.metrics import ServingMetrics
 from repro.serving.schedulers import FIFO_EXCLUSIVE
 from repro.workloads.traces import RequestTrace
 
-#: KV capacity regimes accepted by :func:`run_policy` and the serve CLI.
-KV_MODES = KV_RECIPE_MODES
+#: One table row: column name to value.
+Row = Dict[str, object]
 
 
-def run_policy(trace: RequestTrace, policy: str,
-               num_instances: int = 1, num_nodes_per_instance: int = 2,
-               max_batch_size: int = 8,
-               kv_budget_bytes: Optional[int] = None,
-               kv_mode: str = "reserve",
-               kv_block_size: int = 16,
-               preemption_mode: str = "swap",
-               prefill_mode: str = "exclusive",
-               mixed_step_token_budget: Optional[int] = None,
+def run_policy(trace: RequestTrace, policy: str = "fifo",
                instances: Optional[Union[str, ClusterSpec]] = None,
-               router: str = "round_robin",
-               swap_priority: bool = False,
-               kv_prefix_sharing: bool = False,
-               **engine_kwargs: Any
+               kv_mode: str = "reserve", **engine_kwargs: Any
                ) -> Tuple[ServingMetrics, ServedRecords]:
-    """Run ``trace`` under one policy and return ``(metrics, records)``.
+    """Run ``trace`` under one configuration and return
+    ``(metrics, records)``.
 
-    ``policy`` is a token-level policy (``fifo``, ``sjf``, ``priority``) or
-    ``fifo-exclusive``, the whole-request preset: ``fifo`` with one
-    request per instance at a time (``max_batch_size`` does not apply),
-    whole-prompt prefill and exact context timing.  The preset rejects
-    ``prefill_mode="mixed"``, which contradicts it.
+    Every keyword reaches :class:`~repro.serving.engine.TokenServingEngine`
+    unchanged, and the engine validates it.  Three things are added:
 
-    ``instances`` optionally replaces the flat ``num_instances`` ×
-    ``num_nodes_per_instance`` pool with a cluster spec (e.g.
-    ``"2x1n,2x2n,1x4n"``); ``router`` then picks the cluster-routing policy
-    (heterogeneous pools only — single-class pools are bit-identical to the
-    flat pool under every router).  The KV options apply per instance
-    class.  ``swap_priority`` makes each instance resume its own swapped-out
-    requests ahead of new admissions (paged ``swap`` mode).
-
-    ``prefill_mode`` selects how prompts share steps with running decodes:
-    ``"exclusive"`` (one prefill chunk per step, decodes stall — the
-    historical regime, bit-identical to the engine before mixed steps
-    existed) or ``"mixed"`` (prompts stream in alongside decodes under a
-    per-step token budget, ``mixed_step_token_budget``; ``None`` uses the
-    engine default).
-
-    KV capacity is controlled by ``kv_mode``:
-
-    * ``"reserve"`` — a class with a budget (``kv_budget_bytes`` or its
-      own ``@<size>MiB``) gates admission with the PR 1 worst-case
-      reservation controller (per-node byte budget); a class without one
-      admits unconstrained.  This mode is bit-identical to the engine
-      before paged allocation existed.
-    * ``"paged"`` — a :class:`~repro.memory.paged_kv.PagedKVManager` with
-      ``kv_block_size``-token blocks allocates on demand;
-      ``kv_budget_bytes`` defaults to the node's full HBM share net of
-      weights.  ``preemption_mode`` picks what eviction does to a victim's
-      blocks (``"swap"`` to host over PCIe, ``"recompute"`` discard).
-
-    ``kv_prefix_sharing`` (paged mode only) content-hashes full prompt
-    blocks into per-pool prefix indices so requests sharing a prompt prefix
-    reuse cached blocks (copy-on-write on divergence) and skip the matched
-    prefill tokens.  Off by default — historical runs stay bit-identical.
+    * ``policy`` may also be ``fifo-exclusive``, the whole-request preset:
+      ``fifo`` with one request per instance at a time (``max_batch_size``
+      does not apply), whole-prompt prefill and exact context timing.  The
+      preset rejects ``prefill_mode="mixed"``, which contradicts it.
+    * ``instances`` is the engine's ``cluster`` under its CLI and sweep-grid
+      name: a cluster spec such as ``"2x1n,2x2n,1x4n"``.  Without it the
+      engine's ``num_instances`` × ``num_nodes_per_instance`` pool applies.
+    * ``kv_mode`` defaults to ``"reserve"``: a class with a KV budget
+      (``kv_budget_bytes`` or its own ``@<size>MiB``) gates admission with
+      worst-case reservations, and a class without one admits
+      unconstrained.  ``"paged"`` allocates blocks on demand.
     """
-    if kv_mode not in KV_MODES:
-        raise ValueError(f"unknown kv mode {kv_mode!r}; "
-                         f"known: {', '.join(KV_MODES)}")
     if policy == FIFO_EXCLUSIVE:
-        if prefill_mode != "exclusive":
+        if engine_kwargs.get("prefill_mode", "exclusive") != "exclusive":
             raise ValueError(
                 "fifo-exclusive serves whole requests and cannot mix "
                 "prefill into decode steps; pick a token-level policy")
-        policy, max_batch_size = "fifo", 1
-        engine_kwargs = dict(engine_kwargs, prefill_chunk_tokens=None,
+        policy = "fifo"
+        engine_kwargs.update(max_batch_size=1, prefill_chunk_tokens=None,
                              context_bucket=1)
-    if mixed_step_token_budget is not None:
-        engine_kwargs = dict(engine_kwargs,
-                             mixed_step_token_budget=mixed_step_token_budget)
-    engine = TokenServingEngine(
-        cluster=instances or ClusterSpec.homogeneous(num_instances,
-                                                     num_nodes_per_instance),
-        router=router, policy=policy, max_batch_size=max_batch_size,
-        prefill_mode=prefill_mode, kv_mode=kv_mode,
-        kv_budget_bytes=kv_budget_bytes, kv_block_size=kv_block_size,
-        kv_prefix_sharing=kv_prefix_sharing,
-        preemption_mode=preemption_mode, swap_priority=swap_priority,
-        **engine_kwargs)
+    engine = TokenServingEngine(policy=policy, cluster=instances,
+                                kv_mode=kv_mode, **engine_kwargs)
     return engine.run(trace)
 
 
-def metrics_row(label: str, metrics: ServingMetrics) -> Dict[str, object]:
+def metrics_row(label: str, metrics: ServingMetrics) -> Row:
     """One policy's summary as a flat table row."""
     summary = metrics.summary()
-    row: Dict[str, object] = {
+    row: Row = {
         "Policy": label,
         "Throughput (tok/s)": summary["throughput_tok_s"],
         "Mean queue delay (s)": summary["mean_queue_delay_s"],
@@ -133,68 +89,51 @@ def metrics_row(label: str, metrics: ServingMetrics) -> Dict[str, object]:
     return row
 
 
-def _sweep_metrics(trace: RequestTrace,
-                   labeled_configs: Sequence[Tuple[str, Dict[str, Any]]],
-                   workers: int) -> List[ServingMetrics]:
-    """Run labelled run_policy configurations through the sweep engine.
+def _compare(trace: RequestTrace,
+             rows: Sequence[Tuple[str, Dict[str, Any]]],
+             base: Dict[str, Any], workers: int,
+             extra: Optional[Callable[[ServingMetrics], Row]] = None
+             ) -> List[Row]:
+    """Run each ``(label, overrides)`` row on ``base`` and tabulate it.
 
-    ``workers=1`` executes in-process in config order — byte-for-byte
-    the behavior of the old serial for-loops; larger values fan the
-    configs over a process pool (results stay in config order and
-    bit-identical to serial).  A failing config raises, preserving the
-    comparisons' fail-fast contract; a rejected configuration re-raises as
-    ``ValueError``, as a direct :func:`run_policy` call would.
+    The rows go through the sweep engine: ``workers=1`` runs them
+    in-process in row order, larger values fan them over a process pool
+    (results stay in row order and bit-identical to serial).  A failing
+    row raises; a rejected configuration re-raises as ``ValueError``
+    naming its row, as a direct :func:`run_policy` call would.  ``extra``
+    adds a table's own columns from each row's metrics.
     """
     from repro.serving.sweep import SweepJob, run_jobs
-    jobs = [SweepJob(index=i, label=label, trace=trace, params=params)
-            for i, (label, params) in enumerate(labeled_configs)]
+    jobs = [SweepJob(index=i, label=label, trace=trace,
+                     params=dict(base, **overrides))
+            for i, (label, overrides) in enumerate(rows)]
     outcome = run_jobs(jobs, workers=workers, keep_metrics=True)
     for result in outcome.failures:
         failure = result.failure
         if failure is not None and failure.error_type == "ValueError":
             raise ValueError(f"{result.label}: {failure.message}")
     outcome.raise_failures()
-    return [r.metrics for r in outcome.results if r.metrics is not None]
+    return [{**metrics_row(r.label, r.metrics),
+             **(extra(r.metrics) if extra else {})}
+            for r in outcome.results if r.metrics is not None]
 
 
 def policy_comparison(trace: RequestTrace,
                       policies: Sequence[str] = (FIFO_EXCLUSIVE, "fifo", "sjf"),
-                      num_instances: int = 1,
-                      num_nodes_per_instance: int = 2,
-                      max_batch_size: int = 8,
-                      kv_budget_bytes: Optional[int] = None,
-                      kv_mode: str = "reserve",
-                      kv_block_size: int = 16,
-                      preemption_mode: str = "swap",
-                      workers: int = 1
-                      ) -> List[Dict[str, object]]:
+                      workers: int = 1, **base: Any) -> List[Row]:
     """Serve the same trace under each policy and tabulate the summaries.
 
-    The KV options mirror :func:`run_policy` and apply to every row,
-    ``fifo-exclusive`` included.  ``workers`` fans the rows over a process
-    pool (bit-identical to serial; see :mod:`repro.serving.sweep`).
+    ``base`` applies to every row, ``fifo-exclusive`` included.  ``workers``
+    fans the rows over a process pool (bit-identical to serial; see
+    :mod:`repro.serving.sweep`).
     """
-    configs = [(policy, dict(policy=policy, num_instances=num_instances,
-                             num_nodes_per_instance=num_nodes_per_instance,
-                             max_batch_size=max_batch_size,
-                             kv_budget_bytes=kv_budget_bytes,
-                             kv_mode=kv_mode, kv_block_size=kv_block_size,
-                             preemption_mode=preemption_mode))
-               for policy in policies]
-    return [metrics_row(label, metrics)
-            for (label, _), metrics
-            in zip(configs, _sweep_metrics(trace, configs, workers))]
+    return _compare(trace, [(policy, {"policy": policy})
+                            for policy in policies], base, workers)
 
 
 def kv_mode_comparison(trace: RequestTrace, kv_budget_bytes: int,
-                       policy: str = "fifo",
-                       num_instances: int = 1,
-                       num_nodes_per_instance: int = 2,
-                       max_batch_size: int = 8,
-                       kv_block_size: int = 16,
-                       preemption_mode: str = "swap",
-                       workers: int = 1
-                       ) -> List[Dict[str, object]]:
+                       preemption_mode: str = "swap", workers: int = 1,
+                       **base: Any) -> List[Row]:
     """Serve one trace under the same KV byte budget in reservation mode and
     paged mode (plus paged/recompute when ``preemption_mode`` is ``swap``)
     and tabulate the summaries side by side.
@@ -207,78 +146,38 @@ def kv_mode_comparison(trace: RequestTrace, kv_budget_bytes: int,
              (f"paged/{preemption_mode}", "paged", preemption_mode)]
     if preemption_mode == "swap":
         modes.append(("paged/recompute", "paged", "recompute"))
-    configs = [(label, dict(policy=policy, num_instances=num_instances,
-                            num_nodes_per_instance=num_nodes_per_instance,
-                            max_batch_size=max_batch_size,
-                            kv_budget_bytes=kv_budget_bytes,
-                            kv_mode=kv_mode, kv_block_size=kv_block_size,
-                            preemption_mode=mode))
-               for label, kv_mode, mode in modes]
-    return [metrics_row(label, metrics)
-            for (label, _), metrics
-            in zip(configs, _sweep_metrics(trace, configs, workers))]
+    return _compare(trace, [(label, {"kv_mode": kv_mode,
+                                     "preemption_mode": mode})
+                            for label, kv_mode, mode in modes],
+                    dict(base, kv_budget_bytes=kv_budget_bytes), workers)
 
 
-def prefill_mode_comparison(trace: RequestTrace,
-                            policy: str = "fifo",
-                            num_instances: int = 1,
-                            num_nodes_per_instance: int = 2,
-                            max_batch_size: int = 8,
-                            mixed_step_token_budget: Optional[int] = None,
-                            kv_budget_bytes: Optional[int] = None,
-                            kv_mode: str = "reserve",
-                            kv_block_size: int = 16,
-                            preemption_mode: str = "swap",
-                            workers: int = 1
-                            ) -> List[Dict[str, object]]:
+def prefill_mode_comparison(trace: RequestTrace, workers: int = 1,
+                            **base: Any) -> List[Row]:
     """Serve one trace under exclusive and mixed prefill and tabulate the
     summaries side by side.
 
     This is the comparison mixed steps exist to win: with prompts streaming
     in alongside live decodes instead of stalling them, tail TTFT drops on
     bursty traffic without giving up generated-token throughput (the
-    benchmark suite asserts it).  The KV options mirror :func:`run_policy`
-    and apply to both rows.
+    benchmark suite asserts it).
     """
-    configs = [(prefill_mode,
-                dict(policy=policy, num_instances=num_instances,
-                     num_nodes_per_instance=num_nodes_per_instance,
-                     max_batch_size=max_batch_size,
-                     kv_budget_bytes=kv_budget_bytes,
-                     kv_mode=kv_mode, kv_block_size=kv_block_size,
-                     preemption_mode=preemption_mode,
-                     prefill_mode=prefill_mode,
-                     mixed_step_token_budget=mixed_step_token_budget))
-               for prefill_mode in PREFILL_MODES]
-    rows = []
-    for (prefill_mode, _), metrics in zip(
-            configs, _sweep_metrics(trace, configs, workers)):
-        row = metrics_row(prefill_mode, metrics)
-        # "stall" = pure-prefill steps, where no decode advances: the cost
-        # exclusive mode pays for every prompt and mixed mode only pays
-        # when nothing is decoding.  Mixed steps are reported separately —
-        # their duration is mostly decode work, so folding them into a
-        # prefill share would make the rows incomparable.
-        row["Prefill-stall share"] = metrics.prefill_time_share
-        row["Mixed-step share"] = metrics.mixed_time_share
-        row["Utilization"] = metrics.instance_utilization
-        rows.append(row)
-    return rows
+    # "stall" = pure-prefill steps, where no decode advances: the cost
+    # exclusive mode pays for every prompt and mixed mode only pays when
+    # nothing is decoding.  Mixed steps are reported separately — their
+    # duration is mostly decode work, so folding them into a prefill share
+    # would make the rows incomparable.
+    return _compare(trace, [(mode, {"prefill_mode": mode})
+                            for mode in PREFILL_MODES], base, workers,
+                    lambda metrics: {
+                        "Prefill-stall share": metrics.prefill_time_share,
+                        "Mixed-step share": metrics.mixed_time_share,
+                        "Utilization": metrics.instance_utilization})
 
 
 def router_comparison(trace: RequestTrace, instances: Union[str, ClusterSpec],
                       routers: Sequence[str] = ROUTER_NAMES,
-                      policy: str = "fifo",
-                      max_batch_size: int = 8,
-                      kv_budget_bytes: Optional[int] = None,
-                      kv_mode: str = "reserve",
-                      kv_block_size: int = 16,
-                      preemption_mode: str = "swap",
-                      prefill_mode: str = "exclusive",
-                      swap_priority: bool = False,
-                      kv_prefix_sharing: bool = False,
-                      workers: int = 1
-                      ) -> List[Dict[str, object]]:
+                      workers: int = 1, **base: Any) -> List[Row]:
     """Serve one trace on the same cluster under each router and tabulate
     the summaries side by side.
 
@@ -289,26 +188,16 @@ def router_comparison(trace: RequestTrace, instances: Union[str, ClusterSpec],
     smoke check that routing never costs anything when there is nothing to
     decide.
     """
-    configs = [(router,
-                dict(policy=policy, instances=instances,
-                     router=router, max_batch_size=max_batch_size,
-                     kv_budget_bytes=kv_budget_bytes,
-                     kv_mode=kv_mode, kv_block_size=kv_block_size,
-                     preemption_mode=preemption_mode,
-                     prefill_mode=prefill_mode,
-                     swap_priority=swap_priority,
-                     kv_prefix_sharing=kv_prefix_sharing))
-               for router in routers]
-    rows = []
-    for (router, _), metrics in zip(
-            configs, _sweep_metrics(trace, configs, workers)):
-        row = metrics_row(router, metrics)
-        row["P95 TTFT (s)"] = metrics.ttft_percentile_s(0.95)
-        if kv_prefix_sharing:
+    def extra(metrics: ServingMetrics) -> Row:
+        row: Row = {"P95 TTFT (s)": metrics.ttft_percentile_s(0.95)}
+        if metrics.kv_prefix_sharing:
             row["Prefix hits"] = metrics.prefix_hits
             row["Prefill tokens saved"] = metrics.prefill_tokens_saved
-        rows.append(row)
-    return rows
+        return row
+
+    return _compare(trace, [(router, {"router": router})
+                            for router in routers],
+                    dict(base, instances=instances), workers, extra)
 
 
 def strip_roles(spec: Union[str, ClusterSpec]) -> ClusterSpec:
@@ -326,17 +215,9 @@ def strip_roles(spec: Union[str, ClusterSpec]) -> ClusterSpec:
 
 def disaggregation_comparison(trace: RequestTrace,
                               instances: Union[str, ClusterSpec],
-                              policy: str = "fifo",
-                              max_batch_size: int = 8,
-                              kv_budget_bytes: Optional[int] = None,
-                              kv_block_size: int = 16,
-                              preemption_mode: str = "swap",
-                              prefill_mode: str = "exclusive",
-                              mixed_step_token_budget: Optional[int] = None,
                               router: str = "disaggregated",
                               colocated_router: str = "least_loaded",
-                              workers: int = 1
-                              ) -> List[Dict[str, object]]:
+                              workers: int = 1, **base: Any) -> List[Row]:
     """Serve one trace on a disaggregated cluster and on its colocated
     twin (same instances, roles stripped) and tabulate the summaries.
 
@@ -344,7 +225,8 @@ def disaggregation_comparison(trace: RequestTrace,
     quarantined on the prefill class, the decode instances' steps are never
     stalled by a prompt streaming in, so tail TPOT drops — at the price of
     one priced KV handoff per request.  Both rows run paged KV (the
-    handoff *is* a block-table move) under the same budget and block size.
+    handoff *is* a block-table move) unless ``base`` names another
+    ``kv_mode``, which the role-tagged row then rejects.
 
     ``instances`` must be a role-tagged spec (e.g.
     ``"1x4n:prefill,4x1n:decode"``); raises ``ValueError`` otherwise.
@@ -357,34 +239,19 @@ def disaggregation_comparison(trace: RequestTrace,
             "disaggregation_comparison compares a role-tagged cluster "
             "against its colocated twin")
     colocated = strip_roles(instances)
-    pairs = [
-        (f"disaggregated ({instances})", instances, router),
-        (f"colocated ({colocated})", colocated, colocated_router),
-    ]
-    configs = [(label,
-                dict(policy=policy, instances=spec,
-                     router=spec_router,
-                     max_batch_size=max_batch_size,
-                     kv_budget_bytes=kv_budget_bytes,
-                     kv_mode="paged",
-                     kv_block_size=kv_block_size,
-                     preemption_mode=preemption_mode,
-                     prefill_mode=prefill_mode,
-                     mixed_step_token_budget=mixed_step_token_budget))
-               for label, spec, spec_router in pairs]
-    rows = []
-    for (label, _), metrics in zip(
-            configs, _sweep_metrics(trace, configs, workers)):
-        row = metrics_row(label, metrics)
-        row["P95 TPOT (s)"] = metrics.tpot_percentile_s(0.95)
-        row["P99 TPOT (s)"] = metrics.tpot_percentile_s(0.99)
-        row["Handoffs"] = metrics.handoff_count
-        row["Handoff time (s)"] = metrics.handoff_time_s
-        rows.append(row)
-    return rows
+    rows = [(f"disaggregated ({instances})",
+             {"instances": instances, "router": router}),
+            (f"colocated ({colocated})",
+             {"instances": colocated, "router": colocated_router})]
+    return _compare(trace, rows, {"kv_mode": "paged", **base}, workers,
+                    lambda metrics: {
+                        "P95 TPOT (s)": metrics.tpot_percentile_s(0.95),
+                        "P99 TPOT (s)": metrics.tpot_percentile_s(0.99),
+                        "Handoffs": metrics.handoff_count,
+                        "Handoff time (s)": metrics.handoff_time_s})
 
 
-def class_breakdown(metrics: ServingMetrics) -> List[Dict[str, object]]:
+def class_breakdown(metrics: ServingMetrics) -> List[Row]:
     """Per-instance-class rows from a cluster run's metrics.
 
     One row per instance class (``metrics.per_class``), showing how the
@@ -397,10 +264,9 @@ def class_breakdown(metrics: ServingMetrics) -> List[Dict[str, object]]:
     the role column is what makes that legible.
     """
     disaggregated = any(cls.role != "both" for cls in metrics.per_class)
-    sharing = getattr(metrics, "kv_prefix_sharing", False)
     rows = []
     for cls in metrics.per_class:
-        row: Dict[str, object] = {
+        row: Row = {
             "Class": cls.label,
             "Instances": cls.num_instances,
             "Nodes/inst": cls.num_nodes,
@@ -418,55 +284,16 @@ def class_breakdown(metrics: ServingMetrics) -> List[Dict[str, object]]:
         if cls.kv_total_blocks:
             row["KV occupancy"] = cls.mean_kv_occupancy
             row["Swaps"] = cls.swap_out_count
-        if sharing:
+        if metrics.kv_prefix_sharing:
             row["Prefix hits"] = cls.prefix_hits
             row["Prefill saved"] = cls.prefill_tokens_saved
         rows.append(row)
     return rows
 
 
-def instance_breakdown(records: Sequence[ServedRequest]
-                       ) -> List[Dict[str, object]]:
-    """Per-instance latency/TTFT means from token-level request records.
-
-    Requests with ``instance_id=None`` never ran on any instance; they are
-    excluded from every per-instance row (attributing them to a fake
-    instance would corrupt the aggregates) and surfaced in a trailing
-    ``(never ran)`` row instead, so rejected work stays visible.
-    """
-    by_instance: Dict[int, list] = {}
-    never_ran = 0
-    for record in records:
-        if record.instance_id is None:
-            never_ran += 1
-            continue
-        by_instance.setdefault(record.instance_id, []).append(record)
-    rows = []
-    for instance_id in sorted(by_instance):
-        group = by_instance[instance_id]
-        ttfts = [r.ttft_s for r in group if r.ttft_s is not None]
-        rows.append({
-            "Instance": instance_id,
-            "Requests": len(group),
-            "Mean TTFT (s)": sum(ttfts) / len(ttfts) if ttfts else 0.0,
-            "Mean latency (s)": sum(r.end_to_end_latency_s
-                                    for r in group) / len(group),
-            "Preemptions": sum(r.preemptions for r in group),
-        })
-    if never_ran:
-        rows.append({
-            "Instance": "(never ran)",
-            "Requests": never_ran,
-            "Mean TTFT (s)": 0.0,
-            "Mean latency (s)": 0.0,
-            "Preemptions": 0,
-        })
-    return rows
-
-
 def tenant_breakdown(records: Sequence[ServedRequest],
                      tenants: Optional[Sequence[str]] = None
-                     ) -> List[Dict[str, object]]:
+                     ) -> List[Row]:
     """Per-tenant latency/TTFT means from token-level request records.
 
     ``tenants`` optionally names the tenants expected in the workload (e.g.

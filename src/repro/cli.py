@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.analysis.breakdown import latency_breakdown
 from repro.analysis.report import format_table
@@ -129,7 +129,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                         prefill_mode_comparison,
                                         router_comparison, run_policy,
                                         tenant_breakdown)
-    from repro.serving.cluster import parse_cluster_spec
+    from repro.serving.cluster import ClusterSpec, parse_cluster_spec
     from repro.workloads.traces import (bursty_trace, multi_tenant_trace,
                                         multi_turn_trace, replay_trace,
                                         synthetic_trace)
@@ -147,178 +147,98 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             trace = generators[args.trace](args.requests, seed=args.seed)
             trace_label = args.trace
+        # --instances accepts both a plain count ("4", homogeneous with
+        # --nodes) and a cluster spec ("2x1n,2x2n,1x4n")
+        if args.instances.isdigit():
+            instances = ClusterSpec.homogeneous(int(args.instances),
+                                                args.nodes)
+            pool_label = (f"{instances.num_instances}x {args.nodes}-node "
+                          "instances")
+        else:
+            instances = parse_cluster_spec(args.instances)
+            pool_label = (f"cluster {instances} "
+                          f"({instances.total_nodes} nodes)")
     except (OSError, ValueError) as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
-    # --instances accepts both a plain count ("4", homogeneous with --nodes,
-    # shorthand for the single-class spec "4x<nodes>n") and a cluster spec
-    # ("2x1n,2x2n,1x4n")
-    cluster_spec = None
-    if args.instances.isdigit():
-        num_instances = int(args.instances)
-        pool_label = f"{num_instances}x {args.nodes}-node instances"
-    else:
-        try:
-            cluster_spec = parse_cluster_spec(args.instances)
-        except ValueError as error:
-            print(f"serve: {error}", file=sys.stderr)
-            return 2
-        num_instances = cluster_spec.num_instances
-        pool_label = (f"cluster {cluster_spec} "
-                      f"({cluster_spec.total_nodes} nodes)")
-    kv_budget = (None if args.kv_budget_mib is None
-                 else args.kv_budget_mib * (1 << 20))
     title = f"Serving {len(trace)} {trace_label} requests on {pool_label}"
-    cluster_kwargs = dict(instances=cluster_spec, router=args.router,
-                          swap_priority=args.swap_priority,
-                          kv_prefix_sharing=args.kv_prefix_sharing)
-    try:
-        if args.metrics_mode != "full" and (
-                args.compare or args.compare_kv or args.compare_prefill
-                or args.compare_router or args.compare_disaggregation):
-            print("serve: the comparison tables keep full-fidelity metrics; "
-                  "drop --metrics-mode or run a single configuration",
-                  file=sys.stderr)
+    # one option set for the single run and every comparison row; a table
+    # replaces only the options it varies
+    base = dict(
+        policy=args.policy, instances=instances, router=args.router,
+        max_batch_size=args.max_batch,
+        kv_budget_bytes=(None if args.kv_budget_mib is None
+                         else args.kv_budget_mib * (1 << 20)),
+        kv_mode=args.kv_mode, kv_block_size=args.kv_block_size,
+        kv_prefix_sharing=args.kv_prefix_sharing,
+        preemption_mode=args.preemption_mode,
+        swap_priority=args.swap_priority, prefill_mode=args.prefill_mode,
+        mixed_step_token_budget=args.mixed_step_token_budget,
+        sanitize=args.sanitize or None)
+    tables = (args.compare or args.compare_kv or args.compare_prefill
+              or args.compare_router or args.compare_disaggregation)
+    for refused, reason in (
+            (tables and args.metrics_mode != "full",
+             "the comparison tables keep full-fidelity metrics; drop "
+             "--metrics-mode or run a single configuration"),
+            (args.compare_disaggregation and not instances.has_roles,
+             "--compare-disaggregation needs a role-tagged --instances "
+             "spec like '1x4n:prefill,4x1n:decode'"),
+            # (round_robin is the argparse default, i.e. unset)
+            (args.compare_disaggregation
+             and args.router not in ("round_robin", "disaggregated"),
+             "--compare-disaggregation always pits the disaggregated "
+             "router against a least_loaded colocated twin; drop --router "
+             "or run a single configuration"),
+            (args.compare_kv and args.kv_budget_mib is None,
+             "--compare-kv needs --kv-budget-mib (the same budget is "
+             "applied to both KV modes)")):
+        if refused:
+            print(f"serve: {reason}", file=sys.stderr)
             return 2
+    if args.metrics_mode != "full":
+        # streaming runs count SLO attainment online, so the SLO pair
+        # must be pinned before the run rather than queried after it
+        base.update(metrics_mode=args.metrics_mode,
+                    slo=(args.ttft_slo, args.tpot_slo))
+    try:
         if args.compare_disaggregation:
-            if cluster_spec is None or not cluster_spec.has_roles:
-                print("serve: --compare-disaggregation needs a role-tagged "
-                      "--instances spec like '1x4n:prefill,4x1n:decode'",
-                      file=sys.stderr)
-                return 2
-            if args.kv_mode != "paged":
-                print("serve: disaggregation hands off paged KV block "
-                      "tables; add --kv-mode paged", file=sys.stderr)
-                return 2
-            if args.swap_priority or args.kv_prefix_sharing:
-                print("serve: --swap-priority/--kv-prefix-sharing are not "
-                      "threaded through this comparison table; drop them "
-                      "or run a single configuration", file=sys.stderr)
-                return 2
-            if args.router not in ("round_robin", "disaggregated"):
-                # (round_robin is the argparse default, i.e. unset)
-                print("serve: --compare-disaggregation always pits the "
-                      "disaggregated router against a least_loaded "
-                      "colocated twin; drop --router or run a single "
-                      "configuration", file=sys.stderr)
-                return 2
             rows = disaggregation_comparison(
-                trace, cluster_spec, policy=args.policy,
-                max_batch_size=args.max_batch,
-                kv_budget_bytes=kv_budget,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                prefill_mode=args.prefill_mode,
-                mixed_step_token_budget=args.mixed_step_token_budget,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — disaggregated vs colocated"))
-            return 0
-        if args.compare_router:
-            if cluster_spec is None:
-                cluster_spec = parse_cluster_spec(
-                    f"{num_instances}x{args.nodes}n")
-            rows = router_comparison(
-                trace, cluster_spec, policy=args.policy,
-                max_batch_size=args.max_batch,
-                kv_budget_bytes=kv_budget, kv_mode=args.kv_mode,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                prefill_mode=args.prefill_mode,
-                swap_priority=args.swap_priority,
-                kv_prefix_sharing=args.kv_prefix_sharing,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — router comparison"))
-            if not cluster_spec.is_heterogeneous:
-                print("\n(single-class cluster: every router produces "
-                      "identical results by construction)")
-            return 0
-        if args.compare_prefill or args.compare_kv or args.compare:
-            if cluster_spec is not None:
-                print("serve: --compare/--compare-kv/--compare-prefill "
-                      "tabulate homogeneous pools; use --compare-router "
-                      "for cluster specs", file=sys.stderr)
-                return 2
-            if args.swap_priority or args.kv_prefix_sharing:
-                print("serve: --swap-priority/--kv-prefix-sharing are not "
-                      "threaded through these comparison tables; drop them "
-                      "or run a single configuration", file=sys.stderr)
-                return 2
-        if args.compare_prefill:
-            rows = prefill_mode_comparison(
-                trace, policy=args.policy,
-                num_instances=num_instances,
-                num_nodes_per_instance=args.nodes,
-                max_batch_size=args.max_batch,
-                mixed_step_token_budget=args.mixed_step_token_budget,
-                kv_budget_bytes=kv_budget,
-                kv_mode=args.kv_mode,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — exclusive vs mixed prefill "
-                            f"(budget {args.mixed_step_token_budget} tok/step)"))
-            return 0
-        if args.compare_kv:
-            if kv_budget is None:
-                print("serve: --compare-kv needs --kv-budget-mib (the same "
-                      "budget is applied to both KV modes)", file=sys.stderr)
-                return 2
-            rows = kv_mode_comparison(
-                trace, kv_budget, policy=args.policy,
-                num_instances=num_instances,
-                num_nodes_per_instance=args.nodes,
-                max_batch_size=args.max_batch,
-                kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — reservation vs paged KV "
-                            f"({args.kv_budget_mib} MiB/node)"))
-            return 0
-        if args.compare:
-            rows = policy_comparison(
-                trace, policies=("fifo-exclusive", "fifo", "sjf"),
-                num_instances=num_instances,
-                num_nodes_per_instance=args.nodes,
-                max_batch_size=args.max_batch, kv_budget_bytes=kv_budget,
-                kv_mode=args.kv_mode, kv_block_size=args.kv_block_size,
-                preemption_mode=args.preemption_mode,
-                workers=args.workers)
-            print(format_table(
-                rows, title=f"{title} — policy comparison "
-                            f"(KV {args.kv_mode})"))
-            return 0
-        metrics_kwargs = {}
-        if args.metrics_mode != "full":
-            # streaming runs count SLO attainment online, so the SLO pair
-            # must be pinned before the run rather than queried after it
-            metrics_kwargs = dict(metrics_mode=args.metrics_mode,
-                                  slo=(args.ttft_slo, args.tpot_slo))
-        sanitize_kwargs = {"sanitize": True} if args.sanitize else {}
-        metrics, records = run_policy(
-            trace, args.policy, num_instances=num_instances,
-            num_nodes_per_instance=args.nodes, max_batch_size=args.max_batch,
-            kv_budget_bytes=kv_budget, kv_mode=args.kv_mode,
-            kv_block_size=args.kv_block_size,
-            preemption_mode=args.preemption_mode,
-            prefill_mode=args.prefill_mode,
-            mixed_step_token_budget=args.mixed_step_token_budget,
-            **sanitize_kwargs,
-            **metrics_kwargs,
-            **cluster_kwargs)
+                trace, workers=args.workers,
+                **dict(base, router="disaggregated"))
+            heading = "disaggregated vs colocated"
+        elif args.compare_router:
+            rows = router_comparison(trace, workers=args.workers, **base)
+            heading = "router comparison"
+        elif args.compare_prefill:
+            rows = prefill_mode_comparison(trace, workers=args.workers,
+                                           **base)
+            heading = (f"exclusive vs mixed prefill "
+                       f"(budget {args.mixed_step_token_budget} tok/step)")
+        elif args.compare_kv:
+            rows = kv_mode_comparison(trace, workers=args.workers, **base)
+            heading = (f"reservation vs paged KV "
+                       f"({args.kv_budget_mib} MiB/node)")
+        elif args.compare:
+            rows = policy_comparison(trace, workers=args.workers, **base)
+            heading = f"policy comparison (KV {args.kv_mode})"
+        else:
+            metrics, records = run_policy(trace, **base)
     except ValueError as error:
         print(f"serve: {error}", file=sys.stderr)
         return 2
+    if tables:
+        print(format_table(rows, title=f"{title} — {heading}"))
+        if args.compare_router:
+            _print_router_ties(rows)
+        return 0
     rows = [{"Metric": name, "Value": value}
             for name, value in metrics.summary().items()]
     print(format_table(rows, title=f"{title} — policy {args.policy!r}, "
                                    f"KV {metrics.kv_mode}, "
                                    f"prefill {metrics.prefill_mode}, "
                                    f"metrics {metrics.metrics_mode}"))
-    if cluster_spec is not None and cluster_spec.is_heterogeneous:
+    if instances.is_heterogeneous:
         print()
         print(format_table(class_breakdown(metrics),
                            title=f"Per-class breakdown (router {args.router})"))
@@ -337,6 +257,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             print("\n(per-tenant breakdown needs per-request records; "
                   "re-run with --metrics-mode full)")
     return 0
+
+
+def _print_router_ties(rows: List[Dict[str, object]]) -> None:
+    """Name every router whose row repeats an earlier row's numbers, so
+    one schedule shown under two names does not read as two results."""
+    first: Dict[tuple, object] = {}
+    ties = []
+    for row in rows:
+        numbers = tuple((k, v) for k, v in row.items() if k != "Policy")
+        earlier = first.setdefault(numbers, row["Policy"])
+        if earlier != row["Policy"]:
+            ties.append(f"{row['Policy']} = {earlier}")
+    if ties:
+        print(f"\n(same numbers as an earlier row: {', '.join(ties)})")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

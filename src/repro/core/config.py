@@ -115,9 +115,6 @@ class HardwareConfig:
         """Aggregate effective HBM bytes per cycle feeding the MHA kernel."""
         return self.mha_channels * self.hbm_bytes_per_cycle_per_channel
 
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / self.clock_hz
-
     def cycles_to_ms(self, cycles: float) -> float:
         return 1e3 * cycles / self.clock_hz
 

@@ -62,8 +62,5 @@ class DmaEngine(MacroDataflowKernel):
         timing.add_component("hbm_read", cycles)
         return self.record(timing)
 
-    def traffic_bytes(self) -> float:
-        return self._subsystem.traffic_summary()["bytes_read"]
-
     def resource_usage(self) -> ResourceUsage:
         return kernel_resources("dma")

@@ -70,14 +70,6 @@ class MatrixOpTiming:
         """Cycles of the overlapped DMA/MAC steady state (without fill/drain)."""
         return max(self.memory_cycles, self.compute_cycles)
 
-    @property
-    def per_block_compute_cycles(self) -> float:
-        """Average steady-state cycles per output block — the window available
-        for hiding the ring synchronization of the previous block."""
-        if self.num_blocks <= 0:
-            return 0.0
-        return self.steady_state_cycles / self.num_blocks
-
     def as_kernel_timing(self) -> KernelTiming:
         timing = KernelTiming(total=self.total)
         timing.add_component("linear_memory", self.memory_cycles)

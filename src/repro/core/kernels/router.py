@@ -84,10 +84,6 @@ class RouterKernel(MacroDataflowKernel):
         self.record(timing)
         return result
 
-    def exposed_sync_cycles(self, subvector_bytes: int) -> float:
-        """Fully exposed all-gather cost (no hiding) — the ablation case."""
-        return self.ring.allgather_cycles(subvector_bytes)
-
     # ------------------------------------------------------------------
     # functional datapath
     # ------------------------------------------------------------------

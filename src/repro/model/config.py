@@ -107,10 +107,6 @@ class ModelConfig:
         streams from HBM)."""
         return self.num_layers * self.linear_weight_bytes_per_layer(bytes_per_weight)
 
-    def linear_macs_per_token(self) -> int:
-        """MACs per generated token spent in linear layers (all blocks)."""
-        return self.num_layers * self.linear_weight_elements_per_layer()
-
     def attention_macs_per_token(self, seq_len: int) -> int:
         """MACs per generated token spent in attention score + token mixing
         over a cached sequence of ``seq_len`` positions (all blocks)."""

@@ -49,9 +49,6 @@ class Datapack:
     def num_bytes(self) -> int:
         return len(self.payload)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.payload, dtype=np.int8)
-
 
 def pack_int8_vector(vector: np.ndarray, source_node: int = 0,
                      lanes: int = DEFAULT_DATAPACK_BYTES) -> List[Datapack]:

@@ -210,16 +210,6 @@ class ClusterSpec:
                 seen.append(spec.label)
         return seen
 
-    def instance_classes(self) -> List[Tuple[int, InstanceSpec]]:
-        """``(instance_id, spec)`` for every instance, ids in spec order."""
-        out: List[Tuple[int, InstanceSpec]] = []
-        instance_id = 0
-        for spec in self.specs:
-            for _ in range(spec.count):
-                out.append((instance_id, spec))
-                instance_id += 1
-        return out
-
     def __str__(self) -> str:
         return ",".join(str(spec) for spec in self.specs)
 

@@ -10,15 +10,14 @@ the ``cluster="4x2n"`` spec surface, whatever router is configured.
 Heterogeneous behaviour is covered by conservation properties (no request
 dropped or duplicated under any router), placement assertions for the
 class-affinity and KV-aware routers, per-class metrics, the swap-priority
-satellite, and the ``instance_id=None`` handling for requests that never
-ran.
+satellite, and the guarantee that every engine record carries a real
+instance id.
 """
 
 import pytest
 
 from repro.analysis.serving import (
     class_breakdown,
-    instance_breakdown,
     router_comparison,
     run_policy,
 )
@@ -33,7 +32,7 @@ from repro.serving.cluster import (
     make_router,
     parse_cluster_spec,
 )
-from repro.serving.engine import ServedRequest, TokenServingEngine
+from repro.serving.engine import TokenServingEngine
 from repro.serving.schedulers import FifoScheduler
 from repro.workloads.scenarios import Scenario
 from repro.workloads.traces import (
@@ -195,11 +194,6 @@ class TestClusterSpec:
         mixed = ClusterSpec((InstanceSpec(1, 2, kv_budget_bytes=1 << 20),
                              InstanceSpec(1, 2)))
         assert mixed.is_heterogeneous
-
-    def test_instance_ids_in_spec_order(self):
-        spec = parse_cluster_spec("2x1n,1x4n")
-        assert [(i, s.num_nodes) for i, s in spec.instance_classes()] == \
-            [(0, 1), (1, 1), (2, 4)]
 
     def test_make_router(self):
         for name in ROUTER_NAMES:
@@ -462,23 +456,6 @@ class TestInstanceIdNone:
         trace = bursty_trace(8, seed=0, mean_prefill=32, mean_decode=64)
         _, records = run_policy(trace, "fifo", instances="1x1n,1x2n")
         assert all(isinstance(r.instance_id, int) for r in records)
-
-    def test_never_ran_requests_are_excluded_from_aggregation(self):
-        """A hand-built record with instance_id=None (a request that was
-        rejected or cancelled before ever running) is excluded from
-        per-instance rows and surfaced in a visible trailing row instead of
-        being attributed to a fake instance."""
-        ran = ServedRequest(
-            request_id=0, instance_id=1, arrival_s=0.0, admitted_s=0.1,
-            first_token_s=0.2, finish_s=1.0, prefill_len=8, decode_len=8)
-        never = ServedRequest(
-            request_id=1, instance_id=None, arrival_s=0.0, admitted_s=0.0,
-            first_token_s=None, finish_s=0.0, prefill_len=8, decode_len=8)
-        rows = instance_breakdown([ran, never])
-        assert [row["Instance"] for row in rows] == [1, "(never ran)"]
-        assert rows[0]["Requests"] == 1
-        assert rows[1]["Requests"] == 1
-        assert never.ttft_s is None
 
 
 class TestQuietPoolShortcut:

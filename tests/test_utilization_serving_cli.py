@@ -20,8 +20,16 @@ from repro.serving.cluster import ROUTER_NAMES
 from repro.serving.engine import (KV_RECIPE_MODES, PREEMPTION_MODES,
                                   PREFILL_MODES)
 from repro.serving.metrics import ServingMetrics, percentile
-from repro.analysis.serving import KV_MODES, run_policy
-from repro.workloads.traces import RequestTrace, synthetic_trace
+from repro.analysis.serving import (
+    disaggregation_comparison,
+    kv_mode_comparison,
+    metrics_row,
+    policy_comparison,
+    prefill_mode_comparison,
+    router_comparison,
+    run_policy,
+)
+from repro.workloads.traces import RequestTrace, bursty_trace, synthetic_trace
 
 
 class TestUtilizationAnalysis:
@@ -156,6 +164,54 @@ class TestFifoExclusivePreset:
             run_policy(RequestTrace(), "fifo-exclusive")
 
 
+class TestComparisonsShareOneOptionSet:
+    """Every comparison row is ``run_policy`` on the caller's option set
+    with only the table's own options replaced."""
+
+    MIB = 1 << 20
+    #: non-default on every axis a table does not vary
+    BASE = dict(prefill_mode="mixed", mixed_step_token_budget=32,
+                kv_mode="paged", kv_block_size=8, max_batch_size=4)
+    SPEC = "2x1n,1x2n"
+
+    @pytest.mark.parametrize("helper, kwargs, rows", [
+        (policy_comparison,
+         dict(policies=("fifo", "sjf"), instances=SPEC, **BASE),
+         [("fifo", {"policy": "fifo"}), ("sjf", {"policy": "sjf"})]),
+        (kv_mode_comparison,
+         dict(kv_budget_bytes=32 * MIB, instances=SPEC, **BASE),
+         [("reserve", {"kv_mode": "reserve", "preemption_mode": "swap"}),
+          ("paged/swap", {"kv_mode": "paged", "preemption_mode": "swap"}),
+          ("paged/recompute", {"kv_mode": "paged",
+                               "preemption_mode": "recompute"})]),
+        (prefill_mode_comparison, dict(instances=SPEC, **BASE),
+         [("exclusive", {"prefill_mode": "exclusive"}),
+          ("mixed", {"prefill_mode": "mixed"})]),
+        (router_comparison,
+         dict(instances=SPEC, routers=("round_robin", "kv_aware"), **BASE),
+         [("round_robin", {"router": "round_robin"}),
+          ("kv_aware", {"router": "kv_aware"})]),
+        (disaggregation_comparison,
+         dict(instances="1x2n:prefill,2x1n:decode", **BASE),
+         [("disaggregated (1x2n:prefill,2x1n:decode)",
+           {"instances": "1x2n:prefill,2x1n:decode",
+            "router": "disaggregated"}),
+          ("colocated (1x2n,2x1n)",
+           {"instances": "1x2n,2x1n", "router": "least_loaded"})]),
+    ], ids=["policy", "kv", "prefill", "router", "disaggregation"])
+    def test_every_row_is_run_policy_on_the_shared_base(self, helper, kwargs,
+                                                        rows):
+        trace = bursty_trace(12, seed=5, mean_prefill=40, mean_decode=64)
+        table = helper(trace, **kwargs)
+        assert [row["Policy"] for row in table] == [label for label, _ in rows]
+        base = {k: v for k, v in kwargs.items()
+                if k not in ("policies", "routers")}
+        for row, (label, overrides) in zip(table, rows):
+            expected = metrics_row(
+                label, run_policy(trace, **{**base, **overrides})[0])
+            assert {k: row[k] for k in expected} == expected
+
+
 class TestCli:
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -244,6 +300,43 @@ class TestCli:
                      "--policy", "fifo-exclusive", "--compare-prefill"]) == 2
         assert "token-level policy" in capsys.readouterr().err
 
+    def test_compare_router_threads_the_mixed_step_budget(self, capsys):
+        argv = ["serve", "--trace", "bursty", "--requests", "12",
+                "--instances", "2x1n,1x2n", "--compare-router",
+                "--prefill-mode", "mixed", "--mixed-step-token-budget"]
+        assert main(argv + ["16"]) == 0
+        small = capsys.readouterr().out
+        assert main(argv + ["256"]) == 0
+        large = capsys.readouterr().out
+        assert small != large
+
+    def test_compare_kv_accepts_a_cluster_spec(self, capsys):
+        assert main(["serve", "--trace", "bursty", "--requests", "8",
+                     "--compare-kv", "--kv-budget-mib", "32",
+                     "--instances", "2x1n,1x2n"]) == 0
+        assert "cluster 2x1n,1x2n" in capsys.readouterr().out
+
+    def test_compare_prefill_threads_swap_priority(self, capsys):
+        assert main(["serve", "--trace", "bursty", "--requests", "8",
+                     "--compare-prefill", "--kv-mode", "paged",
+                     "--swap-priority"]) == 0
+        assert "exclusive vs mixed prefill" in capsys.readouterr().out
+
+    def test_compare_rejects_mixed_prefill_naming_the_preset(self, capsys):
+        assert main(["serve", "--trace", "bursty", "--requests", "6",
+                     "--compare", "--prefill-mode", "mixed"]) == 2
+        err = capsys.readouterr().err
+        assert "fifo-exclusive" in err and "token-level policy" in err
+
+    def test_compare_router_names_tied_rows(self, capsys):
+        assert main(["serve", "--trace", "bursty", "--requests", "8",
+                     "--instances", "2", "--compare-router"]) == 0
+        note = capsys.readouterr().out.strip().splitlines()[-1]
+        # single class: every router repeats round_robin's schedule
+        assert note.startswith("(same numbers as an earlier row:")
+        for router in ROUTER_NAMES[1:]:
+            assert f"{router} = round_robin" in note
+
     def test_parser_structure(self):
         parser = build_parser()
         args = parser.parse_args(["latency", "--nodes", "4"])
@@ -265,7 +358,7 @@ class TestCli:
         assert choices["router"] == ROUTER_NAMES
         assert choices["prefill_mode"] == PREFILL_MODES
         assert choices["preemption_mode"] == PREEMPTION_MODES
-        assert choices["kv_mode"] == KV_RECIPE_MODES == KV_MODES
+        assert choices["kv_mode"] == KV_RECIPE_MODES
 
     def test_export_command(self, capsys, tmp_path):
         assert main(["export", "table1", "table3",
