@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.units import Bytes, BytesPerSecond
 
@@ -130,7 +130,6 @@ class HbmChannel:
         self.channel_id = channel_id
         self.bytes_read = 0
         self.bytes_written = 0
-        self.busy_cycles = 0.0
         self.requests = 0
 
     # ------------------------------------------------------------------
@@ -164,14 +163,12 @@ class HbmChannel:
     def read(self, num_bytes: Bytes, burst_length_beats: Optional[int] = None) -> float:
         cycles = self.transfer_cycles(num_bytes, burst_length_beats)
         self.bytes_read += num_bytes
-        self.busy_cycles += cycles
         self.requests += 1
         return cycles
 
     def write(self, num_bytes: Bytes, burst_length_beats: Optional[int] = None) -> float:
         cycles = self.transfer_cycles(num_bytes, burst_length_beats)
         self.bytes_written += num_bytes
-        self.busy_cycles += cycles
         self.requests += 1
         return cycles
 
@@ -235,12 +232,3 @@ class HbmSubsystem:
         for channel in self.channels:
             cycles = max(cycles, channel.write(per_channel, burst_length_beats))
         return cycles
-
-    def traffic_summary(self) -> Dict[str, float]:
-        """Aggregate statistics used by the analysis/energy models."""
-        return {
-            "bytes_read": float(sum(c.bytes_read for c in self.channels)),
-            "bytes_written": float(sum(c.bytes_written for c in self.channels)),
-            "busy_cycles_max": max((c.busy_cycles for c in self.channels), default=0.0),
-            "requests": float(sum(c.requests for c in self.channels)),
-        }

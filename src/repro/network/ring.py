@@ -23,7 +23,7 @@ Two views are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,9 +145,6 @@ class RingNetwork:
         if self.num_nodes == 1 or transfer == 0.0:
             return RingSyncResult(total_cycles=compute_cycles, exposed_cycles=0.0,
                                   bytes_per_link=0, rounds=0)
-        for link in self.links:
-            link.bytes_sent += bytes_per_link
-            link.messages += self.rounds()
         if not hide_transfers or compute_cycles <= 0.0:
             return RingSyncResult(total_cycles=compute_cycles + transfer,
                                   exposed_cycles=transfer,
@@ -157,13 +154,6 @@ class RingNetwork:
                                         int(round(transfer)), blocks=max(blocks, 1))
         return RingSyncResult(total_cycles=float(total), exposed_cycles=float(exposed),
                               bytes_per_link=bytes_per_link, rounds=self.rounds())
-
-    def traffic_summary(self) -> Dict[str, float]:
-        return {
-            "bytes_per_link": float(max((l.bytes_sent for l in self.links), default=0)),
-            "total_bytes": float(sum(l.bytes_sent for l in self.links)),
-            "messages": float(sum(l.messages for l in self.links)),
-        }
 
 
 class RingAllGather:

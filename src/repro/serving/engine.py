@@ -70,7 +70,7 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass
-from operator import add, eq, le, mod, mul, sub
+from operator import add, attrgetter, eq, le, mod, mul, sub
 from typing import (Any, Dict, Iterable, Iterator, List, NamedTuple,
                     Optional, Sequence, Tuple, Union, overload)
 
@@ -143,26 +143,6 @@ def _bad_arrival(request: Request) -> ValueError:
     return ValueError(
         f"request {request.request_id} arrives at {request.arrival_s!r}s; "
         "arrival_s must be a finite number >= 0")
-
-
-def _is_arrival_sorted(requests: List[Request]) -> bool:
-    """True when the requests are already ordered by ``(arrival_s,
-    request_id)`` — the invariant every finalized trace satisfies — so the
-    engine can skip re-sorting them on every run.  The same walk rejects
-    a non-finite or negative arrival time, so it visits every request."""
-    isfinite = math.isfinite
-    ordered = True
-    prev_arrival = float("-inf")
-    prev_id = -1
-    for request in requests:
-        arrival = request.arrival_s
-        if not isfinite(arrival) or arrival < 0:
-            raise _bad_arrival(request)
-        if (arrival, request.request_id) < (prev_arrival, prev_id):
-            ordered = False
-        prev_arrival = arrival
-        prev_id = request.request_id
-    return ordered
 
 
 class ServedRequest(NamedTuple):
@@ -494,9 +474,9 @@ class TokenServingEngine:
 
     :meth:`run` also accepts a
     :class:`~repro.workloads.traces.StreamingTrace`: arrivals are then
-    drawn lazily (never materialized), the stream must be arrival-sorted,
-    and KV validation happens per request as it is drawn rather than up
-    front.
+    drawn lazily (never materialized) and the stream must be
+    arrival-sorted.  Either trace kind is checked and KV-validated per
+    request as it is drawn.
 
     After :meth:`run`, ``last_kv_managers`` holds each instance's block pool
     (paged mode; for inspection of occupancy/swap counters in tests).
@@ -669,14 +649,6 @@ class TokenServingEngine:
     # ------------------------------------------------------------------
     # cluster construction and validation
     # ------------------------------------------------------------------
-    @property
-    def _router_vetoes(self) -> bool:
-        """Whether routing can refuse a head on some instance: only
-        heterogeneous pools consult the router, and only a router that
-        overrides :meth:`Router.placement_ok` ever says no."""
-        return (self.cluster.is_heterogeneous
-                and type(self.router).placement_ok is not Router.placement_ok)
-
     def _build_runtimes(self) -> List[InstanceRuntime]:
         """Fresh per-run instance runtimes, ids in spec order.  The KV
         regime is picked here, once per class, by the type of its pool: a
@@ -717,20 +689,13 @@ class TokenServingEngine:
     def _needs_validation(self) -> bool:
         """Whether any instance class constrains admission at all (with no
         KV admission anywhere, every request is trivially servable and
-        validation can skip the trace scan entirely)."""
+        the arrival path skips the per-request check)."""
         return any(p.pool is not None for p in self._protos)
 
-    def _validate(self, trace: Iterable[Request]) -> None:
-        """Reject traces containing a request no instance class could ever
-        serve (it would block the queue head forever)."""
-        if not self._needs_validation:
-            return
-        for request in trace:
-            self._validate_request(request)
-
     def _validate_request(self, request: Request) -> None:
-        """Per-request slice of :meth:`_validate` — streaming traces
-        validate each request lazily as it is drawn."""
+        """Reject a request no instance class could ever serve (it would
+        block the queue head forever); :meth:`run` calls this for each
+        request as it is drawn."""
         # a request needs a class to *start* it (a prefill class holding
         # its prompt, or a role-both class holding its full context) and
         # one to *finish* it (a decode-capable class holding its full
@@ -764,24 +729,21 @@ class TokenServingEngine:
         """Serve the trace and return aggregate metrics plus per-request
         records (sorted by request id, as :class:`ServedRecords` columns).
 
-        A :class:`~repro.workloads.traces.StreamingTrace` is consumed
-        lazily: arrivals merge into the event loop straight off the
-        iterator (the stream contract says they come pre-sorted; an
-        out-of-order arrival raises), and KV validation runs per request
-        as it is drawn.  In ``metrics_mode="streaming"`` the returned
-        records are empty — all aggregates live in the metrics object —
-        so memory stays bounded however long the trace is.
+        A list trace is sorted once by ``(arrival_s, request_id)``; a
+        :class:`~repro.workloads.traces.StreamingTrace` is consumed
+        lazily, straight off its iterator (the stream contract says it
+        comes pre-sorted; an out-of-order arrival raises).  Both kinds
+        then take one arrival path, which checks each arrival time and
+        KV-validates each request as it is drawn.  In
+        ``metrics_mode="streaming"`` the returned records are empty — all
+        aggregates live in the metrics object — so memory stays bounded
+        however long the trace is.
 
-        Raises ``ValueError`` for an empty trace or one containing a request
-        that could never be admitted (KV validation), and ``RuntimeError``
-        if the scheduler head deadlocks (a bug, not a workload property).
+        Raises ``ValueError`` for an empty trace, a non-finite or
+        negative arrival time, or a request that could never be admitted
+        (KV validation), and ``RuntimeError`` if the scheduler head
+        deadlocks (a bug, not a workload property).
         """
-        streaming_trace = isinstance(trace, StreamingTrace)
-        if not streaming_trace:
-            if len(trace) == 0:
-                raise ValueError("trace is empty")
-            self._validate(trace)
-
         scheduler = make_scheduler(self.policy)
         runtimes = self._build_runtimes()
         self.last_kv_managers = [r.kv for r in runtimes
@@ -792,8 +754,11 @@ class TokenServingEngine:
         # parks a victim, so an instance offered an empty queue stays idle
         quiet = scheduler.never_preempts and self._kv_mode != "paged"
         router = self.router
-        # a router that never vetoes needs no per-head gate call
-        gate = router.placement_ok if self._router_vetoes else None
+        # only heterogeneous pools consult the router, and only a router
+        # that overrides placement_ok ever vetoes; one that never vetoes
+        # needs no per-head gate call
+        gate = (router.placement_ok if multi_class and type(
+            router).placement_ok is not Router.placement_ok else None)
         if multi_class:
             # routers may precompute placement from the trace; a
             # StreamingTrace is re-iterable by contract, so this pass does
@@ -811,36 +776,31 @@ class TokenServingEngine:
         # the (sorted) arrival iterator with the heap, processing an
         # arrival whenever it is due no later than the earliest event —
         # exactly the order the old push-everything-first loop produced,
-        # without a million heap entries or the re-sort of an
-        # already-sorted trace.
-        if streaming_trace:
-            validate = (self._validate_request if self._needs_validation
-                        else None)
+        # without a million heap entries.  A list is sorted here, so the
+        # order check below can fire only on a stream.
+        requests: Iterable[Request] = (
+            trace if isinstance(trace, StreamingTrace)
+            else sorted(trace, key=attrgetter("arrival_s", "request_id")))
+        validate = self._validate_request if self._needs_validation else None
 
-            def arrival_states() -> Iterator[RequestState]:
-                last = float("-inf")
-                for request in trace:
-                    if (not math.isfinite(request.arrival_s)
-                            or request.arrival_s < 0):
-                        raise _bad_arrival(request)
-                    if request.arrival_s < last:
-                        raise ValueError(
-                            "streaming traces must be sorted by arrival "
-                            f"time; request {request.request_id} at "
-                            f"{request.arrival_s}s follows one at {last}s")
-                    last = request.arrival_s
-                    if validate is not None:
-                        validate(request)
-                    yield RequestState(request)
+        def arrival_states() -> Iterator[RequestState]:
+            inf = math.inf
+            last = -inf
+            for request in requests:
+                arrival = request.arrival_s
+                if not 0 <= arrival < inf:  # also false for NaN
+                    raise _bad_arrival(request)
+                if arrival < last:
+                    raise ValueError(
+                        "streaming traces must be sorted by arrival "
+                        f"time; request {request.request_id} at "
+                        f"{arrival}s follows one at {last}s")
+                last = arrival
+                if validate is not None:
+                    validate(request)
+                yield RequestState(request)
 
-            arrivals = arrival_states()
-        else:
-            requests = (trace.requests if isinstance(trace, RequestTrace)
-                        else list(trace))
-            if not _is_arrival_sorted(requests):
-                requests = sorted(requests,
-                                  key=lambda r: (r.arrival_s, r.request_id))
-            arrivals = map(RequestState, requests)
+        arrivals = arrival_states()
         next_state = next(arrivals, None)
         if next_state is None:
             raise ValueError("trace is empty")
@@ -928,7 +888,7 @@ class TokenServingEngine:
                 if not isinstance(target, PagedRuntime):  # pragma: no cover
                     raise RuntimeError(
                         f"no decode-capable instance can hold request "
-                        f"{state.request.request_id}; validate() should "
+                        f"{state.request.request_id}; KV validation should "
                         "have rejected this trace")
                 target.kv.import_handoff(state.request.request_id,
                                          cached_tokens)
@@ -987,11 +947,13 @@ class TokenServingEngine:
         # ---- shadow validation (opt-in, read-only) -----------------------
         sanitizer = EngineSanitizer() if self.sanitize else None
 
+        def num_completed() -> int:
+            return len(records) if collector is None else collector.count
+
         def sanitize_check(now: float, event: object) -> None:
             """Re-verify the engine invariants after one processed event
             (only ever called with the sanitizer enabled)."""
             assert sanitizer is not None  # mypy narrowing  # repro-lint: disable=R005
-            completed = len(records) if collector is None else collector.count
             in_flight = 0
             live_steps: Dict[int, int] = {}
             for entry in events:
@@ -1002,59 +964,55 @@ class TokenServingEngine:
                     live_steps[owner] = live_steps.get(owner, 0) + 1
             sanitizer.after_event(
                 now, event, scheduler=scheduler, runtimes=runtimes,
-                num_arrivals=num_arrivals, completed=completed,
+                num_arrivals=num_arrivals, completed=num_completed(),
                 in_flight_handoffs=in_flight, live_steps=live_steps)
 
         # no pool is exempt: every fold relies on this cut for exactness
         cut = cut_live_boundary if self.multistep else None
+        nextafter, inf = math.nextafter, math.inf
+        # Each event sets the instance that completed a step (if any), the
+        # time a skipped boundary must follow to be cut, and what the
+        # sanitizer reports; the pump, cut and check after it are shared.
         while True:
             if next_state is not None and (
                     not events or next_arrival_t <= peek_event_time()):
                 now = next_arrival_t
                 scheduler.push(next_state)
                 num_arrivals += 1
-                arrived = next_state
+                completer: Optional[InstanceRuntime] = None
+                # an arrival precedes every event at its own time, so a
+                # boundary at exactly ``now`` has not happened yet
+                cut_after = nextafter(now, -inf)
+                label, subject = "arrival", next_state.request.request_id
                 next_state = next(arrivals, None)
                 next_arrival_t = (next_state.request.arrival_s
-                                  if next_state is not None
-                                  else float("inf"))
-                pump(None, now)
-                if cut is not None:
-                    # an arrival precedes every event at its own time, so
-                    # a boundary at exactly ``now`` has not happened yet
-                    cut(math.nextafter(now, -math.inf))
-                if sanitizer is not None:
-                    sanitize_check(now, ("arrival",
-                                         arrived.request.request_id, now))
-                continue
-            if not events:
+                                  if next_state is not None else inf)
+            elif not events:
                 break
-            now, _, _, kind, payload = pop_event()
-            if kind == _STEP_DONE:
-                runtime = payload[1]
-                if payload[4] != runtime.generation:
-                    continue  # a cut fold's original completion
-                for state in runtime.complete_step(payload, now):
-                    record(state, now)
-                if has_roles:
-                    launch_handoffs(runtime, now)
-                pump(runtime, now)
-                if cut is not None:
-                    cut(now)
-                if sanitizer is not None:
-                    sanitize_check(now, ("step-done",
-                                         runtime.instance_id, now))
             else:
-                lifecycle.transition(payload, "handoff_arrive")
-                scheduler.push(payload)
-                pump(None, now)
-                if cut is not None:
-                    cut(now)
-                if sanitizer is not None:
-                    sanitize_check(now, ("handoff",
-                                         payload.request.request_id, now))
+                now, _, _, kind, payload = pop_event()
+                cut_after = now
+                if kind == _STEP_DONE:
+                    completer = payload[1]
+                    if payload[4] != completer.generation:
+                        continue  # a cut fold's original completion
+                    for state in completer.complete_step(payload, now):
+                        record(state, now)
+                    if has_roles:
+                        launch_handoffs(completer, now)
+                    label, subject = "step-done", completer.instance_id
+                else:
+                    completer = None
+                    lifecycle.transition(payload, "handoff_arrive")
+                    scheduler.push(payload)
+                    label, subject = "handoff", payload.request.request_id
+            pump(completer, now)
+            if cut is not None:
+                cut(cut_after)
+            if sanitizer is not None:
+                sanitize_check(now, (label, subject, now))
 
-        completed = len(records) if collector is None else collector.count
+        completed = num_completed()
         if completed != num_arrivals:
             raise RuntimeError(
                 f"engine stalled: {num_arrivals - completed} requests "

@@ -411,12 +411,12 @@ class InstanceRuntime:
     def can_ever_serve(self, request: Request) -> bool:
         """Could this instance serve ``request`` running alone and empty?
 
-        In a homogeneous pool the engine-level trace validation rules out
-        impossible requests up front; in a heterogeneous pool a request may
-        exceed the *smallest* class's capacity while fitting a larger one,
-        so each instance must also refuse such requests at its own gate
-        (admitting one would strand it mid-growth).  Always true here: the
-        KV is unbounded.
+        In a homogeneous pool the engine's arrival validation rules out
+        impossible requests before they reach the queue; in a
+        heterogeneous pool a request may exceed the *smallest* class's
+        capacity while fitting a larger one, so each instance must also
+        refuse such requests at its own gate (admitting one would strand
+        it mid-growth).  Always true here: the KV is unbounded.
         """
         return True
 

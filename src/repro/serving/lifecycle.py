@@ -23,13 +23,14 @@ module the machine was implicit in scattered attribute flips across
   edge (L002), no transition without its accounting hook (L003);
 * **runtime exhaustiveness** — the lifecycle test walks a trace mix
   (disaggregated + prefix-sharing + mixed prefill + both preemption
-  modes) under :func:`record_transitions` and asserts the observed edge
-  set equals the declared one, so the spec can neither under- nor
+  modes), recording every edge by wrapping :func:`transition` (every
+  call site resolves it through this module), and asserts the observed
+  edge set equals the declared one, so the spec can neither under- nor
   over-declare.
 
 The phase attribute is bookkeeping *about* the simulation, not part of
-it: transitions never influence pricing or event ordering, so enabling
-the observer or comparing phases cannot perturb a single timestamp
+it: transitions never influence pricing or event ordering, so recording
+or comparing phases cannot perturb a single timestamp
 (golden-timestamp tests pin this).
 
 Role-gate edges (PR 5): on a disaggregated cluster a prefill-role
@@ -42,9 +43,8 @@ decode instance then resumes it like any swapped victim
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro.errors import InvariantError
 
@@ -55,7 +55,7 @@ __all__ = [
     "QUEUED", "PREFILLING", "HANDOFF", "DECODING", "FINISHED",
     "EVICTED_SWAP", "EVICTED_RECOMPUTE", "PHASES", "INITIAL_PHASE",
     "TERMINAL_PHASES", "LifecycleEdge", "EDGES", "EDGES_BY_NAME",
-    "transition", "record_transitions",
+    "transition",
 ]
 
 # ---------------------------------------------------------------------------
@@ -178,12 +178,8 @@ if len(EDGES_BY_NAME) != len(EDGES):  # pragma: no cover - spec authoring bug
 
 
 # ---------------------------------------------------------------------------
-# runtime enforcement + observation
+# runtime enforcement
 # ---------------------------------------------------------------------------
-
-#: Observers appended by :func:`record_transitions`; list order is the
-#: registration order, so notification order is deterministic.
-_observers: List[Callable[[int, LifecycleEdge], None]] = []
 
 
 def transition(state: "RequestState", edge_name: str) -> None:
@@ -204,24 +200,3 @@ def transition(state: "RequestState", edge_name: str) -> None:
             f"out of phase {state.phase!r}; the declared edge departs "
             f"{edge.src!r}")
     state.phase = edge.dst
-    if _observers:
-        for callback in _observers:
-            callback(state.request.request_id, edge)
-
-
-@contextmanager
-def record_transitions() -> Iterator[List[Tuple[int, str]]]:
-    """Collect every ``(request_id, edge_name)`` transition taken while
-    the context is open (test instrumentation; the engine itself never
-    registers observers, so production runs pay only an emptiness
-    check)."""
-    seen: List[Tuple[int, str]] = []
-
-    def _callback(request_id: int, edge: LifecycleEdge) -> None:
-        seen.append((request_id, edge.name))
-
-    _observers.append(_callback)
-    try:
-        yield seen
-    finally:
-        _observers.remove(_callback)

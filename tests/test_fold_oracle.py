@@ -127,18 +127,16 @@ def make_case(seed):
 
 def _replay(config, trace, multistep, evictions):
     """One replay's observable outcome: ``None`` when it trips the
-    eviction bound, the validation error when the trace does not fit the
-    pool, else its records, end-of-run paged pools and metrics."""
+    eviction bound, the run's validation error when the trace does not
+    fit the pool, else its records, end-of-run paged pools and metrics."""
     evictions.clear()
     engine = TokenServingEngine(multistep=multistep, **config)
-    try:
-        engine._validate(trace)
-    except ValueError as error:
-        return str(error)
     try:
         metrics, records = engine.run(trace)
     except GrowthLivelock:
         return None
+    except ValueError as error:
+        return str(error)
     # block ids record the allocation order, so equal pools mean every
     # fold claimed its growth blocks in the per-step chain's order
     pools = [(m._free, list(m._reclaimable), m._prefix_index,

@@ -47,10 +47,20 @@ def _tight_paged(tokens):
 def _observe(engine, trace):
     """Run ``engine`` over ``trace`` and return the set of edge names
     taken (the engine raises on any undeclared transition, so the set is
-    a subset of the declared edges by construction)."""
-    with lifecycle.record_transitions() as log:
+    a subset of the declared edges by construction).  Every call site
+    resolves ``transition`` through the lifecycle module, so wrapping the
+    module attribute sees every edge."""
+    taken = set()
+    original = lifecycle.transition
+
+    def recording(state, edge_name):
+        original(state, edge_name)
+        taken.add(edge_name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lifecycle, "transition", recording)
         engine.run(trace)
-    return {edge for _, edge in log}
+    return taken
 
 
 class TestDeclaredEdgeCoverage:
@@ -152,11 +162,3 @@ class TestTransitionGuards:
     def test_out_of_phase_transition_rejected(self):
         with pytest.raises(InvariantError, match="out of phase"):
             lifecycle.transition(_StubState(7), "finish_decode")
-
-    def test_recorder_unregisters_on_exit(self):
-        with lifecycle.record_transitions() as log:
-            lifecycle.transition(_StubState(1), "admit")
-        assert log == [(1, "admit")]
-        before = list(log)
-        lifecycle.transition(_StubState(2), "admit")
-        assert log == before  # recording stopped at context exit

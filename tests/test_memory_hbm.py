@@ -107,12 +107,3 @@ class TestHbmSubsystem:
         subsystem = HbmSubsystem(HbmConfig(), 4)
         assert subsystem.striped_read_cycles(0) == 0.0
         assert subsystem.striped_write_cycles(0) == 0.0
-
-    def test_traffic_summary(self):
-        subsystem = HbmSubsystem(HbmConfig(), 4)
-        subsystem.striped_read_cycles(4096)
-        subsystem.striped_write_cycles(1024)
-        summary = subsystem.traffic_summary()
-        assert summary["bytes_read"] >= 4096
-        assert summary["bytes_written"] >= 1024
-        assert summary["requests"] == 8

@@ -119,13 +119,6 @@ class TestRingNetwork:
         assert exposed.exposed_cycles == pytest.approx(
             ring_exposed.allgather_cycles(4096))
 
-    def test_traffic_summary_counts_bytes(self):
-        ring = RingNetwork(4)
-        ring.synchronize(1000, compute_cycles=10_000, blocks=4)
-        summary = ring.traffic_summary()
-        assert summary["bytes_per_link"] == 3000
-        assert summary["messages"] == 4 * 3
-
     def test_invalid_node_count_rejected(self):
         with pytest.raises(ValueError):
             RingNetwork(0)

@@ -16,6 +16,7 @@ import pytest
 from repro.core.multi_node import LoopLynxSystem
 from repro.memory.kv_cache import KVCacheLayout
 from repro.memory.paged_kv import PagedKVManager
+from repro.serving.cluster import ClusterSpec, InstanceSpec
 from repro.serving.engine import (
     ServedRecords,
     ServedRequest,
@@ -489,24 +490,95 @@ def test_block_size_rejects_non_counts(value):
         PagedKVManager(layout, block_size_tokens=value)
 
 
-@pytest.mark.parametrize("streaming", [False, True],
-                         ids=["list", "streaming"])
+@pytest.mark.parametrize("kind", ["list", "reversed-list", "streaming"])
 @pytest.mark.parametrize("arrival", [math.nan, math.inf, -1.0],
                          ids=["nan", "inf", "negative"])
-def test_non_finite_arrival_is_rejected(arrival, streaming):
+def test_non_finite_arrival_is_rejected(arrival, kind):
     """A NaN arrival would run to NaN latencies (or, streamed, switch off
     the sortedness guard), an infinite one to an infinite makespan and a
-    negative one to a clock before zero, so each must fail up front,
-    naming the request, as the CSV loader does."""
+    negative one to a clock before zero, so each must fail, naming the
+    request, as the CSV loader does.  A NaN sorts nowhere in particular,
+    but the arrivals before it in a sorted list stay ordered, so an
+    unsorted list names it too instead of tripping the stream order
+    check."""
     requests = list(bursty_trace(20, seed=0).requests)
     requests[10] = dataclasses.replace(requests[10], arrival_s=arrival)
+    bad_id = requests[10].request_id
+    if kind == "reversed-list":
+        requests.reverse()
     trace = (StreamingTrace(lambda: iter(requests), length=len(requests))
-             if streaming else RequestTrace(requests=requests))
+             if kind == "streaming" else RequestTrace(requests=requests))
     engine = TokenServingEngine(num_instances=2, metrics_mode="streaming",
                                 slo=(2.0, 0.05))
     with pytest.raises(ValueError, match=(
-            f"request {requests[10].request_id} arrives at {arrival!r}s")):
+            f"request {bad_id} arrives at {arrival!r}s")):
         engine.run(trace)
+
+
+#: Per-node KV bytes of 256 cached positions on a one-node instance.
+_KV_256_1N = 256 * KVCacheLayout.for_model(
+    LoopLynxSystem.paper_configuration(num_nodes=1).config.model,
+    num_nodes=1).bytes_per_token_per_node()
+
+#: Engines on which request 3 of ``_unservable_requests`` fits no class:
+#: a pool without roles, and a disaggregated one whose decode class cannot
+#: hold its full context.
+UNSERVABLE = [
+    (dict(cluster="1x1n,1x2n", kv_mode="paged", kv_budget_bytes=_KV_256_1N),
+     "request 3 fits no instance class of cluster"),
+    (dict(cluster=ClusterSpec((
+        InstanceSpec(1, 2, role="prefill"),
+        InstanceSpec(1, 1, role="decode", kv_budget_bytes=_KV_256_1N))),
+          kv_mode="paged", router="disaggregated"),
+     "request 3 cannot be served by cluster"),
+]
+
+
+def _unservable_requests():
+    return [Request(request_id=i, arrival_s=0.01 * i,
+                    scenario=Scenario(512 if i == 3 else 32,
+                                      400 if i == 3 else 16))
+            for i in range(6)]
+
+
+@pytest.mark.parametrize("kind", [RequestTrace, StreamingTrace],
+                         ids=["list", "streaming"])
+class TestOneArrivalPath:
+    """Lists and streams reach the event loop through one arrival path:
+    a list is sorted once, and both kinds are checked and validated per
+    request as it is drawn."""
+
+    @staticmethod
+    def _trace(kind, requests):
+        if kind is StreamingTrace:
+            return StreamingTrace(lambda: iter(requests),
+                                  length=len(requests))
+        return RequestTrace(requests=requests)
+
+    def test_arrival_order(self, kind):
+        """A reversed list replays exactly as its sorted copy; a reversed
+        stream breaks the stream contract and is rejected."""
+        requests = list(bursty_trace(40, seed=3).requests)
+        engine = TokenServingEngine(num_instances=2, max_batch_size=4)
+        expected_metrics, expected = engine.run(RequestTrace(
+            requests=requests))
+        backwards = self._trace(kind, requests[::-1])
+        if kind is StreamingTrace:
+            with pytest.raises(ValueError,
+                               match="streaming traces must be sorted"):
+                engine.run(backwards)
+            return
+        metrics, records = engine.run(backwards)
+        assert records == expected
+        assert metrics.summary() == expected_metrics.summary()
+
+    @pytest.mark.parametrize("config, message", UNSERVABLE,
+                             ids=["no-class", "roles"])
+    def test_unservable_request_is_rejected(self, kind, config, message):
+        engine = TokenServingEngine(**config)
+        trace = self._trace(kind, _unservable_requests())
+        with pytest.raises(ValueError, match=message):
+            engine.run(trace)
 
 
 def test_integer_knobs_accept_numpy_integers():
